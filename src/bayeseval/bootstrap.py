@@ -5,7 +5,19 @@ indices (the same indices for every question) and row-wise redraws cell
 indices independently per question. Each (replicate, model) pair owns a
 counter-based random stream, so outputs are bit-identical regardless of
 chunking or worker count, and ``resample`` reproduces exactly what the
-batched engines consumed.
+engine scored.
+
+One replicate-prefix engine serves tau curves, convergence@n, the
+worst-case trajectory and ``simulate.fresh_tau_curves``. Per chunk of
+replicates: a source draws each (replicate, model)'s trials (bootstrap
+resamples or fresh Bernoulli draws) as (n, model, replicate, question)
+category indices in the smallest unsigned dtype; int64 running counts of
+shape (model, replicate, question, C) advance one trial per n, so no count
+width caps the trial budget; ``Method.scores_from_counts`` scores every
+prefix; reducers keep either tau-b sums or gold-match bits (convergence
+points). Chunk size depends on the problem shape only, never on the
+machine or thread count, because it fixes how tau sums are grouped and so
+the float rounding of every reported mean.
 
 Rankings inside replicates are point-estimate rankings; the gold standard
 is the posterior-mean ranking of the unresampled matrices at the full
@@ -19,7 +31,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +51,7 @@ __all__ = [
     "resample",
     "tau_curve",
     "tau_curves",
+    "tau_curves_from_draws",
     "convergence_at_n",
     "convergence_distributions",
     "worst_case_trajectory",
@@ -47,13 +60,16 @@ __all__ = [
 _CHUNK_TARGET_BYTES = 64 << 20
 
 
-def _chunk_size(n_models: int, m: int, c: int, n_max: int) -> int:
-    """Replicates per work chunk.
+def _chunk_size(items, n_max: int) -> int:
+    """Replicates per bootstrap work chunk.
 
     A pure function of the problem shape (never of the machine), so
     aggregation grouping and therefore float rounding are reproducible.
+    The formula budgets 2 bytes per (model, question, category, n) cell;
+    changing it regroups the tau sums and changes reported digits.
     """
-    per_rep = n_models * m * c * n_max * 2
+    mx = items[0][1]
+    per_rep = len(items) * mx.questions * (mx.num_categories - 1) * n_max * 2
     return int(min(1024, max(16, _CHUNK_TARGET_BYTES // max(per_rep, 1))))
 
 
@@ -87,12 +103,13 @@ class ResamplePlan:
         return n
 
 
-def _draw_indices(
-    scheme: ResampleScheme, rng: np.random.Generator, m: int, n_src: int, n_max: int
-) -> np.ndarray:
-    if scheme is ResampleScheme.COLUMN:
-        return rng.integers(0, n_src, size=n_max)
-    return rng.integers(0, n_src, size=(m, n_max))
+def _resampled_cells(plan: ResamplePlan, cells: np.ndarray, r: int, stream: int, n_max: int):
+    """Cells of one (replicate, model) resample, shape (M, n_max)."""
+    rng = stream_rng(plan.seed, plan.scheme.domain, r, stream)
+    m, n_src = cells.shape
+    if plan.scheme is ResampleScheme.COLUMN:
+        return cells[:, rng.integers(0, n_src, size=n_max)]
+    return np.take_along_axis(cells, rng.integers(0, n_src, size=(m, n_max)), axis=1)
 
 
 def resample(
@@ -103,15 +120,10 @@ def resample(
     Column-wise applies one drawn index set to every row; row-wise draws
     independently per row. ``stream`` distinguishes models inside
     multi-model runs, so ``resample(matrix_i, plan, r, stream=i)`` is the
-    exact input the batched engines scored.
+    exact input the engine scored.
     """
     n_max = plan.budget(matrix.trials)
-    rng = stream_rng(plan.seed, plan.scheme.domain, replicate_index, stream)
-    idx = _draw_indices(plan.scheme, rng, matrix.questions, matrix.trials, n_max)
-    if plan.scheme is ResampleScheme.COLUMN:
-        cells = matrix.cells[:, idx]
-    else:
-        cells = np.take_along_axis(matrix.cells, idx, axis=1)
+    cells = _resampled_cells(plan, matrix.cells, replicate_index, stream, n_max)
     return ResultsMatrix(cells, matrix.num_categories, matrix.question_ids)
 
 
@@ -196,57 +208,6 @@ def _match_gold(scores: np.ndarray, perm: np.ndarray, strict: np.ndarray) -> np.
     return ok.all(axis=1)
 
 
-def _chunk_counts(
-    cells_list: list[np.ndarray],
-    num_categories: int,
-    plan: ResamplePlan,
-    n_max: int,
-    rep_start: int,
-    rep_stop: int,
-) -> np.ndarray:
-    """Cumulative per-category counts of resampled prefixes.
-
-    Returns int16 array (n_models, reps, M, C, n_max): counts of
-    categories 1..C among the first n resampled trials (category 0 is
-    implicit). Uses the same streams as ``resample``.
-    """
-    n_models = len(cells_list)
-    m, n_src = cells_list[0].shape
-    c = num_categories - 1
-    reps = rep_stop - rep_start
-    out = np.empty((n_models, reps, m, c, n_max), dtype=np.int16)
-    for s, cells in enumerate(cells_list):
-        for r in range(rep_start, rep_stop):
-            rng = stream_rng(plan.seed, plan.scheme.domain, r, s)
-            idx = _draw_indices(plan.scheme, rng, m, n_src, n_max)
-            res = cells[:, idx] if plan.scheme is ResampleScheme.COLUMN else np.take_along_axis(cells, idx, axis=1)
-            for k in range(1, num_categories):
-                out[s, r - rep_start, :, k - 1, :] = (res == k).cumsum(axis=1, dtype=np.int16)
-    return out
-
-
-def _run_chunks(
-    plan: ResamplePlan,
-    chunk: int,
-    worker: Callable[[int, int], object],
-    threads: int = 1,
-) -> list[object]:
-    """Apply ``worker`` to fixed replicate chunks; partials in chunk order."""
-    spans = [
-        (start, min(start + chunk, plan.replicates))
-        for start in range(0, plan.replicates, chunk)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(lambda sp: worker(*sp), spans))
-    return [worker(*span) for span in spans]
-
-
-def _onset_flag(method: Method, n: int) -> bool:
-    """True at the single-subset onset point of subset estimators."""
-    return method.k is not None and method.kind != "naive_pass_hat_k" and n == method.k
-
-
 def _as_methods(method_specs, weights: WeightVector | None = None) -> list[Method]:
     if isinstance(method_specs, (str, Method)):
         method_specs = [method_specs]
@@ -256,6 +217,89 @@ def _as_methods(method_specs, weights: WeightVector | None = None) -> list[Metho
             dataclasses.replace(m, weights=m.weights or weights) for m in methods
         ]
     return methods
+
+
+# -- the replicate-prefix engine ---------------------------------------------
+
+def _resample_draw(items, plan: ResamplePlan, n_max: int):
+    """Source: bootstrap resamples on the same streams as ``resample``."""
+    dtype = np.min_scalar_type(items[0][1].num_categories - 1)
+    cells_list = [mx.cells.astype(dtype) for _, mx in items]
+
+    def draw(start: int, stop: int) -> np.ndarray:
+        out = np.empty((n_max, len(cells_list), stop - start, cells_list[0].shape[0]), dtype)
+        for s, cells in enumerate(cells_list):
+            for r in range(start, stop):
+                out[:, s, r - start] = _resampled_cells(plan, cells, r, s, n_max).T
+        return out
+
+    return draw
+
+
+def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducer, threads=1):
+    """Score every method at every prefix of every replicate and reduce.
+
+    ``draw(start, stop)`` returns replicates start..stop-1 as an
+    (n_max, models, reps, questions) array of category indices.
+    ``reducer(method, reps)`` makes one reducer per method and chunk; its
+    ``add(n, scores)`` receives the (reps, models) scores at each n from
+    the method's onset, and its ``result()`` is the chunk's partial.
+    Returns each method's partials in chunk order, whatever ``threads``.
+    """
+    cats = np.arange(1, num_categories)
+
+    def worker(start: int, stop: int) -> list:
+        trials = draw(start, stop)
+        counts = np.zeros(trials.shape[1:] + (cats.size,), dtype=np.int64)
+        reducers = [reducer(m, stop - start) for m in methods]
+        for n in range(1, n_max + 1):
+            counts += trials[n - 1, ..., None] == cats
+            for m, red in zip(methods, reducers):
+                if n >= max(1, m.min_trials):
+                    red.add(n, m.scores_from_counts(counts, n, num_categories).T)
+        return [red.result() for red in reducers]
+
+    spans = [(s, min(s + chunk, replicates)) for s in range(0, replicates, chunk)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(zip(*ex.map(lambda sp: worker(*sp), spans)))
+    return list(zip(*(worker(*sp) for sp in spans)))
+
+
+class _TauSums:
+    """Reducer: per-n sum, sum of squares and count of valid tau-b values."""
+
+    def __init__(self, pairs, n_max: int):
+        self.pairs, self.acc = pairs, np.zeros((3, n_max + 1))
+
+    def add(self, n: int, scores: np.ndarray) -> None:
+        tau, valid = _tau_against_gold(scores, *self.pairs)
+        self.acc[:, n] = tau[valid].sum(), (tau[valid] ** 2).sum(), valid.sum()
+
+    def result(self) -> np.ndarray:
+        return self.acc
+
+
+class _GoldMatch:
+    """Reducer: each replicate's convergence point and censored flag.
+
+    A replicate converges one past its last prefix (n >= lo) whose ranking
+    differs from gold, at lo if none does, and is censored if n_max does.
+    """
+
+    def __init__(self, order, lo: int, n_max: int, reps: int):
+        self.order, self.lo, self.n_max = order, lo, n_max
+        self.match = np.empty((reps, n_max - lo + 1), dtype=bool)
+
+    def add(self, n: int, scores: np.ndarray) -> None:
+        self.match[:, n - self.lo] = _match_gold(scores, *self.order)
+
+    def result(self):
+        rev = ~self.match[:, ::-1]
+        any_mm = rev.any(axis=1)
+        # first mismatch scanning backwards = last mismatching prefix length
+        last_mm = self.n_max - np.argmax(rev, axis=1)
+        return np.where(any_mm, last_mm + 1, self.lo), any_mm & (last_mm == self.n_max)
 
 
 # -- tau curves ---------------------------------------------------------------
@@ -302,6 +346,45 @@ class TauCurve:
         }
 
 
+def tau_curves_from_draws(
+    draw, model_ids, methods, gold: RankTable, n_max: int, replicates: int, *,
+    scheme: str, chunk: int, num_categories: int = 2, threads: int = 1,
+) -> dict[str, TauCurve]:
+    """Mean tau-b curves against ``gold`` over the replicates ``draw`` yields.
+
+    ``draw(start, stop)`` returns replicates start..stop-1 as an
+    (n_max, models, reps, questions) array of category indices, models in
+    ``model_ids`` order. ``chunk`` replicates are drawn and reduced at a
+    time, which fixes how the tau sums are grouped.
+    """
+    if replicates < 1:
+        raise InputError("need at least one replicate")
+    methods = _as_methods(methods)
+    pairs = _pair_structure(gold, model_ids)
+    for m in methods:
+        m.check_defined(n_max, num_categories)
+    partials = _scan(
+        draw, num_categories, replicates, chunk, methods, n_max,
+        lambda m, reps: _TauSums(pairs, n_max), threads,
+    )
+    curves: dict[str, TauCurve] = {}
+    for m, parts in zip(methods, partials):
+        total = sum(parts)  # in chunk order, so the float grouping is fixed
+        points = []
+        for n in range(max(1, m.min_trials), n_max + 1):
+            s, ss, cnt = total[0, n], total[1, n], total[2, n]
+            if cnt == 0:
+                continue
+            mean = s / cnt
+            var = max(ss / cnt - mean * mean, 0.0)
+            stderr = math.sqrt(var / cnt) if cnt > 1 else 0.0
+            # subset estimators rank from a single subset at n == k
+            onset = m.k is not None and m.kind != "naive_pass_hat_k" and n == m.k
+            points.append(TauPoint(n, mean, stderr, int(cnt), onset))
+        curves[m.name] = TauCurve(m.name, scheme, tuple(points))
+    return curves
+
+
 def tau_curves(
     matrices,
     methods: Sequence[Method | str] | str,
@@ -321,51 +404,15 @@ def tau_curves(
     """
     items = _model_items(matrices)
     methods = _as_methods(methods, weights)
-    model_ids = [mid for mid, _ in items]
-    num_categories = items[0][1].num_categories
     n_max = plan.budget(items[0][1].trials)
     if gold is None:
         gold = gold_table(dict(items), n_max, weights)
-    iu, ju, sg, n0, n2 = _pair_structure(gold, model_ids)
-    cells_list = [mx.cells for _, mx in items]
-    n_lo = {m.name: max(1, m.min_trials) for m in methods}
-    for m in methods:
-        m.check_defined(n_max, num_categories)
-    chunk = _chunk_size(len(items), items[0][1].questions, num_categories - 1, n_max)
-
-    def worker(rep_start: int, rep_stop: int):
-        counts = _chunk_counts(cells_list, num_categories, plan, n_max, rep_start, rep_stop)
-        partial = {m.name: np.zeros((3, n_max + 1)) for m in methods}  # sum, sumsq, count
-        for n in range(1, n_max + 1):
-            at_n = counts[..., n - 1]
-            for m in methods:
-                if n < n_lo[m.name]:
-                    continue
-                scores = m.scores_from_counts(at_n, n, num_categories).T
-                tau, valid = _tau_against_gold(scores, iu, ju, sg, n0, n2)
-                acc = partial[m.name]
-                acc[0, n] = tau[valid].sum()
-                acc[1, n] = (tau[valid] ** 2).sum()
-                acc[2, n] = valid.sum()
-        return partial
-
-    partials = _run_chunks(plan, chunk, worker, threads)
-    curves: dict[str, TauCurve] = {}
-    for m in methods:
-        total = np.zeros((3, n_max + 1))
-        for p in partials:
-            total += p[m.name]
-        points = []
-        for n in range(n_lo[m.name], n_max + 1):
-            s, ss, cnt = total[0, n], total[1, n], total[2, n]
-            if cnt == 0:
-                continue
-            mean = s / cnt
-            var = max(ss / cnt - mean * mean, 0.0)
-            stderr = math.sqrt(var / cnt) if cnt > 1 else 0.0
-            points.append(TauPoint(n, mean, stderr, int(cnt), _onset_flag(m, n)))
-        curves[m.name] = TauCurve(m.name, plan.scheme.value, tuple(points))
-    return curves
+    return tau_curves_from_draws(
+        _resample_draw(items, plan, n_max), [mid for mid, _ in items], methods,
+        gold, n_max, plan.replicates, scheme=plan.scheme.value,
+        chunk=_chunk_size(items, n_max),
+        num_categories=items[0][1].num_categories, threads=threads,
+    )
 
 
 def tau_curve(
@@ -437,18 +484,19 @@ class ConvergenceDistribution:
         }
 
 
-def _convergence_from_match(match: np.ndarray, n_lo: int, n_max: int):
-    """Per-replicate convergence point from match booleans at n_lo..n_max.
-
-    Returns (conv_n, censored): conv_n valid where not censored.
-    """
-    rev = ~match[:, ::-1]
-    any_mm = rev.any(axis=1)
-    # first mismatch scanning backwards = last mismatching prefix length
-    last_mm = n_max - np.argmax(rev, axis=1)
-    conv = np.where(any_mm, last_mm + 1, n_lo)
-    censored = any_mm & (last_mm == n_max)
-    return conv, censored
+def _convergence_points(items, methods, plan, gold, n_max, threads):
+    """Per method, every replicate's convergence point and censored flag."""
+    order = _gold_order(gold, [mid for mid, _ in items])
+    num_categories = items[0][1].num_categories
+    for m in methods:
+        m.check_defined(n_max, num_categories)
+    partials = _scan(
+        _resample_draw(items, plan, n_max), num_categories, plan.replicates,
+        _chunk_size(items, n_max), methods, n_max,
+        lambda m, reps: _GoldMatch(order, max(1, m.min_trials), n_max, reps),
+        threads,
+    )
+    return [tuple(map(np.concatenate, zip(*parts))) for parts in partials]
 
 
 def convergence_distributions(
@@ -469,46 +517,18 @@ def convergence_distributions(
     """
     items = _model_items(matrices)
     methods = _as_methods(methods, weights)
-    model_ids = [mid for mid, _ in items]
-    num_categories = items[0][1].num_categories
     n_max = plan.budget(items[0][1].trials)
     if gold is None:
         gold = gold_table(dict(items), n_max, weights)
     if ci_z is not None:
         return _convergence_ci(items, methods, plan, gold, ci_z, n_max)
-    perm, strict = _gold_order(gold, model_ids)
-    cells_list = [mx.cells for _, mx in items]
-    n_lo = {m.name: max(1, m.min_trials) for m in methods}
-    for m in methods:
-        m.check_defined(n_max, num_categories)
-    chunk = _chunk_size(len(items), items[0][1].questions, num_categories - 1, n_max)
-
-    def worker(rep_start: int, rep_stop: int):
-        counts = _chunk_counts(cells_list, num_categories, plan, n_max, rep_start, rep_stop)
-        reps = rep_stop - rep_start
-        partial = {}
-        for m in methods:
-            lo = n_lo[m.name]
-            match = np.empty((reps, n_max - lo + 1), dtype=bool)
-            for n in range(lo, n_max + 1):
-                scores = m.scores_from_counts(counts[..., n - 1], n, num_categories).T
-                match[:, n - lo] = _match_gold(scores, perm, strict)
-            conv, censored = _convergence_from_match(match, lo, n_max)
-            hist = np.bincount(conv[~censored], minlength=n_max + 2)[: n_max + 1]
-            partial[m.name] = (hist.astype(np.int64), int(censored.sum()))
-        return partial
-
-    partials = _run_chunks(plan, chunk, worker, threads)
     out = {}
-    for m in methods:
-        hist = np.zeros(n_max + 1, dtype=np.int64)
-        censored = 0
-        for p in partials:
-            h, c = p[m.name]
-            hist += h
-            censored += c
+    points = _convergence_points(items, methods, plan, gold, n_max, threads)
+    for m, (conv, censored) in zip(methods, points):
+        hist = np.bincount(conv[~censored], minlength=n_max + 2)[: n_max + 1]
         out[m.name] = ConvergenceDistribution(
-            m.name, plan.scheme.value, n_max, hist, censored, plan.replicates
+            m.name, plan.scheme.value, n_max, hist.astype(np.int64),
+            int(censored.sum()), plan.replicates,
         )
     return out
 
@@ -610,35 +630,15 @@ def worst_case_trajectory(
     """
     (m,) = _as_methods(method, weights)
     items = _model_items(matrices)
-    model_ids = [mid for mid, _ in items]
-    num_categories = items[0][1].num_categories
     n_max = plan.budget(items[0][1].trials)
     if gold is None:
         gold = gold_table(dict(items), n_max, weights)
-    perm, strict = _gold_order(gold, model_ids)
-    cells_list = [mx.cells for _, mx in items]
+    ((conv, censored),) = _convergence_points(items, [m], plan, gold, n_max, threads)
+    key = np.where(censored, n_max + 1, conv)
+    worst_rep = int(np.argmax(key))  # first occurrence wins
+    conv_n = None if censored[worst_rep] else int(conv[worst_rep])
+
     lo = max(1, m.min_trials)
-    m.check_defined(n_max, num_categories)
-    chunk = _chunk_size(len(items), items[0][1].questions, num_categories - 1, n_max)
-
-    def worker(rep_start: int, rep_stop: int):
-        counts = _chunk_counts(cells_list, num_categories, plan, n_max, rep_start, rep_stop)
-        reps = rep_stop - rep_start
-        match = np.empty((reps, n_max - lo + 1), dtype=bool)
-        for n in range(lo, n_max + 1):
-            scores = m.scores_from_counts(counts[..., n - 1], n, num_categories).T
-            match[:, n - lo] = _match_gold(scores, perm, strict)
-        conv, censored = _convergence_from_match(match, lo, n_max)
-        key = np.where(censored, n_max + 1, conv)
-        best = int(np.argmax(key))  # first occurrence wins inside the chunk
-        return int(key[best]), rep_start + best
-
-    partials = _run_chunks(plan, chunk, worker, threads)
-    worst_key, worst_rep = -1, -1
-    for key, rep in partials:
-        if key > worst_key:
-            worst_key, worst_rep = key, rep
-
     tables = []
     resampled = [
         resample(mx, plan, worst_rep, stream=s) for s, (_, mx) in enumerate(items)
@@ -649,7 +649,6 @@ def worst_case_trajectory(
             for (mid, _), rx in zip(items, resampled)
         ]
         tables.append(rank_without_ci(scored))
-    conv_n = None if worst_key > n_max else int(worst_key)
     return WorstCaseTrajectory(
         m.name, plan.scheme.value, worst_rep, lo, conv_n, tuple(tables)
     )

@@ -306,9 +306,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--b", required=True)
     ps.add_argument("--ngrid", required=True, help="comma-separated trial counts")
     ps.add_argument("--replicates", type=int, default=10_000)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--preset")
-    ps.add_argument("--spec")
+    # accepted on either side of "separation"; SUPPRESS keeps an omitted
+    # option from overwriting the value given to "simulate"
+    ps.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    ps.add_argument("--preset", default=argparse.SUPPRESS)
+    ps.add_argument("--spec", default=argparse.SUPPRESS)
     ps.add_argument("--format", default="json", choices=["json", "tsv"])
     ps.set_defaults(func=_cmd_separation)
 

@@ -8,7 +8,7 @@ integers ``0..C``; any label-to-index mapping belongs to the I/O layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -224,7 +224,6 @@ class TallyTable:
     prior_counts: np.ndarray  # n0[alpha, k] = 1 + prior-matrix tallies
     nu: np.ndarray            # posterior Dirichlet parameters
     total: int                # T = 1 + C + D + N
-    meta: tuple[int, int, int, int] = field(default=(0, 0, 0, 0))  # (M, N, C, D)
 
     def __post_init__(self):
         for a in (self.counts, self.prior_counts, self.nu):
@@ -251,7 +250,7 @@ def tally(matrix: ResultsMatrix, prior: PriorData = UNIFORM) -> TallyTable:
             n0[:, k] += (prior.matrix == k).sum(axis=1)
     nu = counts + n0
     total = 1 + c + d + n
-    return TallyTable(counts, n0, nu, total, meta=(m, n, c, d))
+    return TallyTable(counts, n0, nu, total)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -208,10 +208,3 @@ def _score_table(metric: str, n: int, k: int, tau: Fraction | None = None) -> np
         out[c] = tally_fn(t, k, tau) if tau is not None else tally_fn(t, k)
     return out
 
-
-def _as_tally(obj: BinaryTally | ResultsMatrix | Sequence[tuple[int, int]]) -> BinaryTally:
-    if isinstance(obj, BinaryTally):
-        return obj
-    if isinstance(obj, ResultsMatrix):
-        return BinaryTally.from_matrix(obj)
-    return BinaryTally.from_counts(obj)

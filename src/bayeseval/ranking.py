@@ -65,12 +65,6 @@ class RankTable:
 
     entries: tuple[RankEntry, ...]
 
-    def rank_of(self, model_id: str) -> int:
-        for e in self.entries:
-            if e.model_id == model_id:
-                return e.rank
-        raise KeyError(model_id)
-
     def ranks(self) -> dict[str, int]:
         return {e.model_id: e.rank for e in self.entries}
 
@@ -213,15 +207,6 @@ def kendall_tau_b(ranking_a: Sequence[float], ranking_b: Sequence[float]) -> flo
         raise AllTiedError("tau-b undefined when a ranking is entirely tied")
     nc, nd = _pair_counts(ranking_a, ranking_b)
     return (nc - nd) / math.sqrt((n0 - n1) * (n0 - n2))
-
-
-def _kendall_tau_a(ranking_a: Sequence[float], ranking_b: Sequence[float]) -> float:
-    """Tie-unadjusted variant ``(n_c - n_d) / n0``; test helper only."""
-    n = len(ranking_a)
-    if n != len(ranking_b) or n < 2:
-        raise LengthMismatchError("need two equal-length rankings of >= 2 items")
-    nc, nd = _pair_counts(ranking_a, ranking_b)
-    return (nc - nd) / (n * (n - 1) // 2)
 
 
 def min_trials_for_confidence(

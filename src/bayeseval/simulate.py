@@ -23,6 +23,7 @@ from ._rng import (
     DOMAIN_TRIALS,
     stream_rng,
 )
+from .bootstrap import tau_curves_from_draws
 from .errors import InputError, ZeroTrialsError
 from .model import ResultsMatrix
 from .ranking import RankTable, ScoredModel, min_trials_for_confidence, rank_without_ci
@@ -281,62 +282,20 @@ def fresh_tau_curves(
     Unlike the bootstrap engines, every replicate draws a fresh matrix
     per model from its true success probabilities, and rankings are
     compared against the cohort's known true-mean ranking. This is the
-    idealized baseline the bootstrap curves approximate.
+    idealized baseline the bootstrap curves approximate; it runs on the
+    same replicate-prefix engine.
     """
-    from .bootstrap import (
-        TauCurve,
-        TauPoint,
-        _as_methods,
-        _onset_flag,
-        _pair_structure,
-        _tau_against_gold,
-    )
-
-    if replicates < 1:
-        raise InputError("need at least one replicate")
-    methods = _as_methods(methods)
-    gold = gold_ranking(cohort)
-    model_ids = [m.model_id for m in cohort]
-    iu, ju, sg, n0, n2 = _pair_structure(gold, model_ids)
     probs = np.stack([m.probs for m in cohort])
-    n_models, m_q = probs.shape
-    sums = {m.name: np.zeros((3, n_max + 1)) for m in methods}
-    n_lo = {m.name: max(1, m.min_trials) for m in methods}
-    for m in methods:
-        m.check_defined(n_max, 2)
 
-    chunk = 256
-    for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
-        counts = np.empty((n_models, stop - start, m_q, 1, n_max), dtype=np.int16)
-        for s in range(n_models):
+    def draw(start: int, stop: int) -> np.ndarray:
+        out = np.empty((n_max, len(cohort), stop - start, probs.shape[1]), np.uint8)
+        for s, p in enumerate(probs):
             for r in range(start, stop):
                 rng = stream_rng(seed, DOMAIN_FRESH, r, s)
-                draws = rng.random((m_q, n_max)) < probs[s][:, None]
-                counts[s, r - start, :, 0, :] = draws.cumsum(axis=1, dtype=np.int16)
-        for n in range(1, n_max + 1):
-            at_n = counts[..., n - 1]
-            for m in methods:
-                if n < n_lo[m.name]:
-                    continue
-                scores = m.scores_from_counts(at_n, n, 2).T
-                tau, valid = _tau_against_gold(scores, iu, ju, sg, n0, n2)
-                acc = sums[m.name]
-                acc[0, n] += tau[valid].sum()
-                acc[1, n] += (tau[valid] ** 2).sum()
-                acc[2, n] += valid.sum()
+                out[:, s, r - start] = (rng.random((p.size, n_max)) < p[:, None]).T
+        return out
 
-    curves = {}
-    for m in methods:
-        total = sums[m.name]
-        points = []
-        for n in range(n_lo[m.name], n_max + 1):
-            s_sum, s_sq, cnt = total[0, n], total[1, n], total[2, n]
-            if cnt == 0:
-                continue
-            mean = s_sum / cnt
-            var = max(s_sq / cnt - mean * mean, 0.0)
-            stderr = math.sqrt(var / cnt) if cnt > 1 else 0.0
-            points.append(TauPoint(n, mean, stderr, int(cnt), _onset_flag(m, n)))
-        curves[m.name] = TauCurve(m.name, "fresh", tuple(points))
-    return curves
+    return tau_curves_from_draws(
+        draw, [m.model_id for m in cohort], methods, gold_ranking(cohort),
+        n_max, replicates, scheme="fresh", chunk=256,
+    )

@@ -323,3 +323,24 @@ class TestWorstCase:
         worst = max(keys)
         assert keys[traj.replicate_index] == worst
         assert traj.replicate_index == keys.index(worst)
+
+
+class TestCountWidth:
+    """Prefix counts past 32,767 trials must not wrap (int16 would)."""
+
+    TRIALS = 32_800
+
+    def pair(self):
+        hi = validate_matrix(np.ones((1, self.TRIALS), dtype=int), 2)
+        lo = validate_matrix(np.zeros((1, self.TRIALS), dtype=int), 2)
+        return {"hi": hi, "lo": lo}
+
+    def test_convergence_not_censored(self):
+        dist = convergence_at_n(self.pair(), "bayes", ResamplePlan("row", 1, seed=0))
+        assert dist.counts[1] == 1
+        assert dist.censored_count == 0
+
+    def test_tau_one_at_full_budget(self):
+        curve = tau_curve(self.pair(), "bayes", ResamplePlan("column", 1, seed=0))
+        assert curve.at(self.TRIALS).mean_tau == 1.0
+

@@ -214,6 +214,36 @@ class TestSimulate:
         assert data["model_a"] == "LLM11"
         assert data["points"][-1]["p_correct"] > 0.95
 
+    @pytest.mark.parametrize("before", [True, False])
+    def test_separation_cohort_options_either_side(self, capsys, tmp_path, before):
+        spec = tmp_path / "cohort.json"
+        spec.write_text(json.dumps({"questions": 12, "seed": 3}))
+        cohort = ["--spec", str(spec), "--seed", "2"]
+        sep = ["separation", "--a", "LLM1", "--b", "LLM2", "--ngrid", "5",
+               "--replicates", "20"]
+        argv = ["simulate"] + (cohort + sep if before else sep + cohort)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        # spec {"questions": 12, "seed": 3}, separation seed 2
+        code_ref, out_ref, _ = run(
+            capsys, "simulate", "separation", "--spec", str(spec), "--a", "LLM1",
+            "--b", "LLM2", "--ngrid", "5", "--replicates", "20", "--seed", "2",
+        )
+        assert json.loads(out) == json.loads(out_ref)
+        assert json.loads(out)["true_gap"] != pytest.approx(
+            REFERENCE_MEANS[0] - REFERENCE_MEANS[1]
+        )
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_separation_unknown_preset(self, capsys, before):
+        preset = ["--preset", "bogus"]
+        sep = ["separation", "--a", "LLM1", "--b", "LLM2", "--ngrid", "5",
+               "--replicates", "10"]
+        argv = ["simulate"] + (preset + sep if before else sep + preset)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "bogus" in err
+
     def test_separation_unknown_model(self, capsys):
         code, _, err = run(
             capsys, "simulate", "separation", "--a", "LLM99", "--b", "LLM1",

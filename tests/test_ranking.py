@@ -14,7 +14,6 @@ from bayeseval.errors import (
 from bayeseval.ranking import (
     RankTable,
     ScoredModel,
-    _kendall_tau_a,
     kendall_tau_b,
     min_trials_for_confidence,
     rank_with_ci,
@@ -22,6 +21,16 @@ from bayeseval.ranking import (
     ranking_confidence,
     z_score,
 )
+
+
+def kendall_tau_a(a, b):
+    """Tie-unadjusted variant ``(n_c - n_d) / n0`` by pair enumeration."""
+    n = len(a)
+    s = sum(
+        ((a[i] > a[j]) - (a[i] < a[j])) * ((b[i] > b[j]) - (b[i] < b[j]))
+        for i, j in combinations(range(n), 2)
+    )
+    return s / (n * (n - 1) // 2)
 
 
 def pair_counting_oracle(a, b):
@@ -206,10 +215,10 @@ class TestKendallTauB:
             assert abs(mine - kendalltau(a, b, variant="b").statistic) < 1e-12
 
     def test_tau_a_helper(self):
-        assert _kendall_tau_a([1, 2, 3], [1, 2, 3]) == 1.0
-        assert _kendall_tau_a([1, 2, 3], [3, 2, 1]) == -1.0
+        assert kendall_tau_a([1, 2, 3], [1, 2, 3]) == 1.0
+        assert kendall_tau_a([1, 2, 3], [3, 2, 1]) == -1.0
         # ties dilute tau-a but not tau-b on the untied ranking
-        assert _kendall_tau_a([1, 2, 3, 4], [1, 2, 2, 3]) == 5 / 6
+        assert kendall_tau_a([1, 2, 3, 4], [1, 2, 2, 3]) == 5 / 6
 
 
 class TestMinTrials:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from bayeseval.errors import InputError, ZeroTrialsError
+from bayeseval._rng import DOMAIN_FRESH, stream_rng
+from bayeseval.errors import AllTiedError, InputError, ZeroTrialsError
+from bayeseval.methods import parse_method
+from bayeseval.model import validate_matrix
+from bayeseval.ranking import ScoredModel, kendall_tau_b, rank_without_ci
 from bayeseval.simulate import (
     REFERENCE_MEANS,
     CohortSpec,
     CoinModel,
+    fresh_tau_curves,
     generate_cohort,
     gold_ranking,
     reference_cohort,
@@ -154,3 +159,57 @@ class TestSeparationExperiment:
         assert n in res.n_grid
         _, z = res.at(n)
         assert z >= 1.645
+
+
+class TestFreshTauCurves:
+    def test_replicate_dual_route(self):
+        # engine vs the public per-replicate path: redraw each replicate's
+        # trials from its stream, Method.score() on prefixes, kendall_tau_b
+        # against the true-mean ranking
+        cohort = generate_cohort(CohortSpec(questions=4, seed=3))[:3]
+        n_max, replicates, seed = 6, 6, 9
+        methods = ["bayes", "avg", "pass@2", "mgpass@3"]
+        curves = fresh_tau_curves(cohort, methods, n_max, replicates, seed)
+        ids = [c.model_id for c in cohort]
+        gold_vec = gold_ranking(cohort).rank_vector(ids)
+        draws = [
+            [
+                stream_rng(seed, DOMAIN_FRESH, r, s).random((c.questions, n_max))
+                < c.probs[:, None]
+                for s, c in enumerate(cohort)
+            ]
+            for r in range(replicates)
+        ]
+        for name in methods:
+            method = parse_method(name)
+            for n in range(max(1, method.min_trials), n_max + 1):
+                taus = []
+                for rep in draws:
+                    table = rank_without_ci([
+                        ScoredModel(mid, method.score(validate_matrix(d[:, :n].astype(int), 2)))
+                        for mid, d in zip(ids, rep)
+                    ])
+                    try:
+                        taus.append(kendall_tau_b(gold_vec, table.rank_vector(ids)))
+                    except AllTiedError:
+                        pass
+                try:
+                    point = curves[name].at(n)
+                except KeyError:
+                    assert not taus
+                    continue
+                assert point.valid_replicates == len(taus)
+                assert abs(point.mean_tau - np.mean(taus)) < 1e-12
+
+    def test_replicates_validated(self):
+        with pytest.raises(InputError):
+            fresh_tau_curves(reference_cohort()[:3], ["bayes"], 4, replicates=0)
+
+    def test_no_count_wraparound(self):
+        # prefix counts past 32,767 trials must not wrap (int16 would)
+        cohort = [CoinModel("hi", [1.0]), CoinModel("lo", [0.0])]
+        n_max = 32_800
+        curve = fresh_tau_curves(cohort, ["bayes"], n_max, replicates=1)["bayes"]
+        assert [p.n for p in curve.points] == list(range(1, n_max + 1))
+        assert all(p.mean_tau == 1.0 for p in curve.points)
+
