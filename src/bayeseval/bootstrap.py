@@ -15,9 +15,11 @@ category indices in the smallest unsigned dtype; int64 running counts of
 shape (model, replicate, question, C) advance one trial per n, so no count
 width caps the trial budget; ``Method.scores_from_counts`` scores every
 prefix; reducers keep either tau-b sums or gold-match bits (convergence
-points). Chunk size depends on the problem shape only, never on the
-machine or thread count, because it fixes how tau sums are grouped and so
-the float rounding of every reported mean.
+points). A CI-aware gold match ranks each replicate as ``rank_with_ci``
+would, with sigmas from ``Method.sigmas_from_counts`` on the same counts.
+Chunk size depends on the problem shape only, never on the machine or
+thread count, because it fixes how tau sums are grouped and so the float
+rounding of every reported mean.
 
 Rankings inside replicates are point-estimate rankings; the gold standard
 is the posterior-mean ranking of the unresampled matrices at the full
@@ -36,10 +38,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._rng import DOMAIN_COLUMN, DOMAIN_ROW, stream_rng
-from .errors import AllTiedError, InputError
+from .bayes import evaluate_performance
+from .errors import AllTiedError, InputError, NegativeZError
 from .methods import Method, parse_method
 from .model import ResultsMatrix, WeightVector
-from .ranking import RankTable, ScoredModel, rank_with_ci, rank_without_ci
+from .ranking import RankTable, ScoredModel, rank_without_ci
 
 __all__ = [
     "ResampleScheme",
@@ -103,15 +106,6 @@ class ResamplePlan:
         return n
 
 
-def _resampled_cells(plan: ResamplePlan, cells: np.ndarray, r: int, stream: int, n_max: int):
-    """Cells of one (replicate, model) resample, shape (M, n_max)."""
-    rng = stream_rng(plan.seed, plan.scheme.domain, r, stream)
-    m, n_src = cells.shape
-    if plan.scheme is ResampleScheme.COLUMN:
-        return cells[:, rng.integers(0, n_src, size=n_max)]
-    return np.take_along_axis(cells, rng.integers(0, n_src, size=(m, n_max)), axis=1)
-
-
 def resample(
     matrix: ResultsMatrix, plan: ResamplePlan, replicate_index: int, stream: int = 0
 ) -> ResultsMatrix:
@@ -120,10 +114,15 @@ def resample(
     Column-wise applies one drawn index set to every row; row-wise draws
     independently per row. ``stream`` distinguishes models inside
     multi-model runs, so ``resample(matrix_i, plan, r, stream=i)`` is the
-    exact input the engine scored.
+    exact input the engine scored: the engine draws through this function.
     """
     n_max = plan.budget(matrix.trials)
-    cells = _resampled_cells(plan, matrix.cells, replicate_index, stream, n_max)
+    rng = stream_rng(plan.seed, plan.scheme.domain, replicate_index, stream)
+    m, n_src = matrix.cells.shape
+    if plan.scheme is ResampleScheme.COLUMN:
+        cells = matrix.cells[:, rng.integers(0, n_src, size=n_max)]
+    else:
+        cells = np.take_along_axis(matrix.cells, rng.integers(0, n_src, size=(m, n_max)), axis=1)
     return ResultsMatrix(cells, matrix.num_categories, matrix.question_ids)
 
 
@@ -139,6 +138,9 @@ def _model_items(matrices) -> list[tuple[str, ResultsMatrix]]:
     shapes = {(mx.questions, mx.trials, mx.num_categories) for _, mx in items}
     if len(shapes) > 1:
         raise InputError(f"matrices disagree on shape/categories: {sorted(shapes)}")
+    # rows are compared by position, so they must name the same questions
+    if len({mx.question_ids for _, mx in items if mx.question_ids is not None}) > 1:
+        raise InputError("matrices disagree on question ids or their row order")
     return items
 
 
@@ -146,15 +148,10 @@ def gold_table(
     matrices, n_max: int | None = None, weights: WeightVector | None = None
 ) -> RankTable:
     """Posterior-mean ranking of the unresampled matrices at the trial budget."""
-    from .bayes import evaluate_performance
-
     items = _model_items(matrices)
     n = n_max if n_max is not None else items[0][1].trials
-    scored = []
-    for model_id, mx in items:
-        summ = evaluate_performance(mx.prefix(n), weights=weights)
-        scored.append(ScoredModel(model_id, summ.mu, summ.sigma))
-    return rank_without_ci(scored)
+    summaries = [(mid, evaluate_performance(mx.prefix(n), weights=weights)) for mid, mx in items]
+    return rank_without_ci([ScoredModel(mid, s.mu, s.sigma) for mid, s in summaries])
 
 
 def _pair_structure(gold: RankTable, model_ids: Sequence[str]):
@@ -169,17 +166,6 @@ def _pair_structure(gold: RankTable, model_ids: Sequence[str]):
     if n2 == n0:
         raise AllTiedError("gold ranking entirely tied; tau-b undefined")
     return iu, ju, sg, n0, n2
-
-
-def _gold_order(gold: RankTable, model_ids: Sequence[str]):
-    """Model positions sorted by gold rank and the strictness of each step."""
-    ranks = gold.ranks()
-    perm = sorted(range(len(model_ids)), key=lambda i: (ranks[model_ids[i]], i))
-    rank_seq = [ranks[model_ids[i]] for i in perm]
-    strict = np.array(
-        [rank_seq[p + 1] > rank_seq[p] for p in range(len(perm) - 1)], dtype=bool
-    )
-    return np.asarray(perm), strict
 
 
 def _tau_against_gold(scores: np.ndarray, iu, ju, sg, n0, n2):
@@ -208,6 +194,21 @@ def _match_gold(scores: np.ndarray, perm: np.ndarray, strict: np.ndarray) -> np.
     return ok.all(axis=1)
 
 
+def _match_gold_ci(mu, sigma, z: float, gold_ranks: np.ndarray) -> np.ndarray:
+    """True where a replicate's CI-tied ranking equals the gold ranking:
+    ``rank_with_ci`` vectorized over the (reps, models) rows, with a new
+    dense rank wherever a consecutive z-score reaches the threshold."""
+    order = np.argsort(-mu, axis=1, kind="stable")
+    mu_s = np.take_along_axis(mu, order, axis=1)
+    sigma_s = np.take_along_axis(sigma, order, axis=1)
+    gap = mu_s[:, :-1] - mu_s[:, 1:]
+    denom = np.hypot(sigma_s[:, :-1], sigma_s[:, 1:])
+    zs = np.where(gap == 0, 0.0, np.inf)  # both sigmas zero: z_score's convention
+    np.divide(gap, denom, out=zs, where=denom > 0)
+    g = gold_ranks[order]  # dense ranks: start at 1, step by one at each break
+    return (g[:, 0] == 1) & (np.diff(g, axis=1) == (zs >= z)).all(axis=1)
+
+
 def _as_methods(method_specs, weights: WeightVector | None = None) -> list[Method]:
     if isinstance(method_specs, (str, Method)):
         method_specs = [method_specs]
@@ -222,15 +223,15 @@ def _as_methods(method_specs, weights: WeightVector | None = None) -> list[Metho
 # -- the replicate-prefix engine ---------------------------------------------
 
 def _resample_draw(items, plan: ResamplePlan, n_max: int):
-    """Source: bootstrap resamples on the same streams as ``resample``."""
+    """Source: ``resample`` of every (replicate, model), model index as stream."""
     dtype = np.min_scalar_type(items[0][1].num_categories - 1)
-    cells_list = [mx.cells.astype(dtype) for _, mx in items]
+    small = [ResultsMatrix(mx.cells.astype(dtype), mx.num_categories) for _, mx in items]
 
     def draw(start: int, stop: int) -> np.ndarray:
-        out = np.empty((n_max, len(cells_list), stop - start, cells_list[0].shape[0]), dtype)
-        for s, cells in enumerate(cells_list):
+        out = np.empty((n_max, len(small), stop - start, small[0].questions), dtype)
+        for s, mx in enumerate(small):
             for r in range(start, stop):
-                out[:, s, r - start] = _resampled_cells(plan, cells, r, s, n_max).T
+                out[:, s, r - start] = resample(mx, plan, r, s).cells.T
         return out
 
     return draw
@@ -242,8 +243,9 @@ def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducer, thre
     ``draw(start, stop)`` returns replicates start..stop-1 as an
     (n_max, models, reps, questions) array of category indices.
     ``reducer(method, reps)`` makes one reducer per method and chunk; its
-    ``add(n, scores)`` receives the (reps, models) scores at each n from
-    the method's onset, and its ``result()`` is the chunk's partial.
+    ``add(n, scores, counts)`` receives the (reps, models) scores and the
+    (models, reps, questions, C) running counts at each n from the
+    method's onset, and its ``result()`` is the chunk's partial.
     Returns each method's partials in chunk order, whatever ``threads``.
     """
     cats = np.arange(1, num_categories)
@@ -256,7 +258,7 @@ def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducer, thre
             counts += trials[n - 1, ..., None] == cats
             for m, red in zip(methods, reducers):
                 if n >= max(1, m.min_trials):
-                    red.add(n, m.scores_from_counts(counts, n, num_categories).T)
+                    red.add(n, m.scores_from_counts(counts, n, num_categories).T, counts)
         return [red.result() for red in reducers]
 
     spans = [(s, min(s + chunk, replicates)) for s in range(0, replicates, chunk)]
@@ -272,12 +274,28 @@ class _TauSums:
     def __init__(self, pairs, n_max: int):
         self.pairs, self.acc = pairs, np.zeros((3, n_max + 1))
 
-    def add(self, n: int, scores: np.ndarray) -> None:
+    def add(self, n: int, scores: np.ndarray, counts: np.ndarray) -> None:
         tau, valid = _tau_against_gold(scores, *self.pairs)
         self.acc[:, n] = tau[valid].sum(), (tau[valid] ** 2).sum(), valid.sum()
 
     def result(self) -> np.ndarray:
         return self.acc
+
+
+def _gold_matcher(gold: RankTable, model_ids, method: Method, ci_z, num_categories):
+    """``match(n, scores, counts)``: which replicates rank like ``gold`` at n,
+    by point ranking or, with ``ci_z``, by CI-tied ranking at that z."""
+    gold_ranks = np.asarray(gold.rank_vector(model_ids))
+    if ci_z is None:
+        perm = np.argsort(gold_ranks, kind="stable")
+        strict = np.diff(gold_ranks[perm]) > 0
+        return lambda n, scores, counts: _match_gold(scores, perm, strict)
+
+    def match(n, scores, counts):
+        sigma = method.sigmas_from_counts(counts, n, num_categories).T
+        return _match_gold_ci(scores, sigma, ci_z, gold_ranks)
+
+    return match
 
 
 class _GoldMatch:
@@ -287,12 +305,12 @@ class _GoldMatch:
     differs from gold, at lo if none does, and is censored if n_max does.
     """
 
-    def __init__(self, order, lo: int, n_max: int, reps: int):
-        self.order, self.lo, self.n_max = order, lo, n_max
+    def __init__(self, match, lo: int, n_max: int, reps: int):
+        self.matches_gold, self.lo, self.n_max = match, lo, n_max
         self.match = np.empty((reps, n_max - lo + 1), dtype=bool)
 
-    def add(self, n: int, scores: np.ndarray) -> None:
-        self.match[:, n - self.lo] = _match_gold(scores, *self.order)
+    def add(self, n: int, scores: np.ndarray, counts: np.ndarray) -> None:
+        self.match[:, n - self.lo] = self.matches_gold(n, scores, counts)
 
     def result(self):
         rev = ~self.match[:, ::-1]
@@ -484,16 +502,17 @@ class ConvergenceDistribution:
         }
 
 
-def _convergence_points(items, methods, plan, gold, n_max, threads):
+def _convergence_points(items, methods, plan, gold, n_max, threads, ci_z=None):
     """Per method, every replicate's convergence point and censored flag."""
-    order = _gold_order(gold, [mid for mid, _ in items])
+    model_ids = [mid for mid, _ in items]
     num_categories = items[0][1].num_categories
     for m in methods:
         m.check_defined(n_max, num_categories)
     partials = _scan(
         _resample_draw(items, plan, n_max), num_categories, plan.replicates,
         _chunk_size(items, n_max), methods, n_max,
-        lambda m, reps: _GoldMatch(order, max(1, m.min_trials), n_max, reps),
+        lambda m, reps: _GoldMatch(_gold_matcher(gold, model_ids, m, ci_z, num_categories),
+                                   max(1, m.min_trials), n_max, reps),
         threads,
     )
     return [tuple(map(np.concatenate, zip(*parts))) for parts in partials]
@@ -512,18 +531,19 @@ def convergence_distributions(
 
     By default replicate rankings are point-estimate rankings compared to
     the gold point ranking. ``ci_z`` switches the replicate side to
-    CI-tied rankings at that z threshold (a slower per-replicate path;
-    posterior-based methods use their closed-form sigma).
+    CI-tied rankings at that z threshold, as ``rank_with_ci`` would rank
+    them: ``bayes`` and ``avg`` use their closed-form sigma, subset
+    estimators sigma 0. Both run on the same engine and replicates.
     """
+    if ci_z is not None and not ci_z > 0:
+        raise NegativeZError(f"z threshold must be > 0, got {ci_z}")
     items = _model_items(matrices)
     methods = _as_methods(methods, weights)
     n_max = plan.budget(items[0][1].trials)
     if gold is None:
         gold = gold_table(dict(items), n_max, weights)
-    if ci_z is not None:
-        return _convergence_ci(items, methods, plan, gold, ci_z, n_max)
     out = {}
-    points = _convergence_points(items, methods, plan, gold, n_max, threads)
+    points = _convergence_points(items, methods, plan, gold, n_max, threads, ci_z)
     for m, (conv, censored) in zip(methods, points):
         hist = np.bincount(conv[~censored], minlength=n_max + 2)[: n_max + 1]
         out[m.name] = ConvergenceDistribution(
@@ -547,42 +567,6 @@ def convergence_at_n(
     return convergence_distributions(
         matrices, [m], plan, weights, threads, gold, ci_z
     )[m.name]
-
-
-def _convergence_ci(items, methods, plan, gold, ci_z, n_max):
-    """CI-tied replicate rankings against the gold point ranking.
-
-    Per-replicate Python path: exact but much slower than the point
-    engine; meant for moderate replicate counts.
-    """
-    model_ids = [mid for mid, _ in items]
-    gold_vec = gold.rank_vector(model_ids)
-    out = {}
-    for m in methods:
-        lo = max(1, m.min_trials)
-        hist = np.zeros(n_max + 1, dtype=np.int64)
-        censored = 0
-        for r in range(plan.replicates):
-            resampled = [
-                resample(mx, plan, r, stream=s) for s, (_, mx) in enumerate(items)
-            ]
-            last_mismatch = 0
-            for n in range(lo, n_max + 1):
-                scored = [
-                    ScoredModel(mid, *m.score_with_sigma(rx.prefix(n)))
-                    for (mid, _), rx in zip(items, resampled)
-                ]
-                table = rank_with_ci(scored, ci_z)
-                if table.rank_vector(model_ids) != gold_vec:
-                    last_mismatch = n
-            if last_mismatch == n_max:
-                censored += 1
-            else:
-                hist[max(lo, last_mismatch + 1)] += 1
-        out[m.name] = ConvergenceDistribution(
-            m.name, plan.scheme.value, n_max, hist, censored, plan.replicates
-        )
-    return out
 
 
 # -- worst-case trajectory ----------------------------------------------------
@@ -639,16 +623,11 @@ def worst_case_trajectory(
     conv_n = None if censored[worst_rep] else int(conv[worst_rep])
 
     lo = max(1, m.min_trials)
-    tables = []
-    resampled = [
-        resample(mx, plan, worst_rep, stream=s) for s, (_, mx) in enumerate(items)
-    ]
-    for n in range(lo, n_max + 1):
-        scored = [
-            ScoredModel(mid, m.score(rx.prefix(n)), 0.0)
-            for (mid, _), rx in zip(items, resampled)
-        ]
-        tables.append(rank_without_ci(scored))
-    return WorstCaseTrajectory(
-        m.name, plan.scheme.value, worst_rep, lo, conv_n, tuple(tables)
+    resampled = [resample(mx, plan, worst_rep, stream=s) for s, (_, mx) in enumerate(items)]
+    tables = tuple(
+        rank_without_ci([
+            ScoredModel(mid, m.score(rx.prefix(n)), 0.0) for (mid, _), rx in zip(items, resampled)
+        ])
+        for n in range(lo, n_max + 1)
     )
+    return WorstCaseTrajectory(m.name, plan.scheme.value, worst_rep, lo, conv_n, tables)

@@ -118,13 +118,7 @@ def _cmd_rank(args) -> None:
     items = _load_dir(args.results_dir, args.categories)
     weights = _parse_weights(args.weights)
     method = parse_method(args.method, weights)
-    scored = []
-    for mid, mx in items:
-        if method.kind == "bayes":
-            summ = evaluate_performance(mx, UNIFORM, method._weights_for(mx))
-            scored.append(ScoredModel(mid, summ.mu, summ.sigma))
-        else:
-            scored.append(ScoredModel(mid, method.score(mx), 0.0))
+    scored = [ScoredModel(mid, *method.score_with_sigma(mx)) for mid, mx in items]
     report = {
         "method": method.name,
         "models": [mid for mid, _ in items],

@@ -71,6 +71,10 @@ class NegativeZError(InputError):
     """z-score argument must be non-negative."""
 
 
+class NonFiniteScoreError(InputError):
+    """A score or its sigma is NaN or infinite, so it has no rank."""
+
+
 class LengthMismatchError(InputError):
     """Rank vectors to correlate have different lengths."""
 

@@ -2,8 +2,10 @@
 
 A method wraps two evaluation surfaces: whole-matrix scoring (used by the
 ``eval``/``rank`` commands) and vectorized scoring from per-category
-count tensors (used by the bootstrap engines, where thousands of
-replicate prefixes are scored at once).
+count tensors (used by the bootstrap engine, where thousands of replicate
+prefixes are scored at once). Both give the same score for the same
+counts: the pass family reads ``passk`` kernels either way, and
+``sigmas_from_counts`` is ``evaluate_performance``'s closed form.
 
 Method spec grammar: ``bayes``, ``avg``, ``pass@K``, ``pass^K``,
 ``naive^K``, ``gpass@K:TAU``, ``mgpass@K``. TAU parses as a decimal or a
@@ -15,12 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import passk
-from .bayes import evaluate_performance, naive_weighted_average
+from .bayes import avg_sigma_from_bayes, evaluate_performance, naive_weighted_average
 from .errors import InputError, MethodUndefinedError
 from .model import UNIFORM, ResultsMatrix, WeightVector
 
@@ -45,16 +46,12 @@ class Method:
             return 1
         return self.k  # subset estimators need n >= k
 
-    @property
-    def needs_binary(self) -> bool:
-        return self.kind not in ("bayes", "avg")
-
     def check_defined(self, trials: int, num_categories: int) -> None:
         if trials < self.min_trials:
             raise MethodUndefinedError(
                 f"{self.name} undefined at N={trials} (needs N >= {self.min_trials})"
             )
-        if self.needs_binary and num_categories != 2:
+        if self.kind not in ("bayes", "avg") and num_categories != 2:
             raise MethodUndefinedError(f"{self.name} requires binary outcomes (C = 1)")
 
     def score(self, matrix: ResultsMatrix) -> float:
@@ -64,18 +61,10 @@ class Method:
             return evaluate_performance(matrix, UNIFORM, self._weights_for(matrix)).mu
         if self.kind == "avg":
             return naive_weighted_average(matrix, self._weights_for(matrix))
+        # pass family: the estimator in ``passk`` is named after the kind
         tally = passk.BinaryTally.from_matrix(matrix)
-        if self.kind == "pass_at_k":
-            return passk.pass_at_k(tally, self.k)
-        if self.kind == "pass_hat_k":
-            return passk.pass_hat_k(tally, self.k)
-        if self.kind == "naive_pass_hat_k":
-            return passk.naive_pass_hat_k(tally, self.k)
-        if self.kind == "g_pass_at_k_tau":
-            return passk.g_pass_at_k_tau(tally, self.k, self.tau)
-        if self.kind == "mg_pass_at_k":
-            return passk.mg_pass_at_k(tally, self.k)
-        raise AssertionError(self.kind)
+        tau = () if self.tau is None else (self.tau,)
+        return getattr(passk, self.kind)(tally, self.k, *tau)
 
     def _weights_for(self, matrix: ResultsMatrix) -> WeightVector:
         return self.weights or WeightVector.identity(matrix.num_categories)
@@ -88,13 +77,10 @@ class Method:
         estimators report zero.
         """
         self.check_defined(matrix.trials, matrix.num_categories)
-        if self.kind == "bayes":
+        if self.kind in ("bayes", "avg"):
             s = evaluate_performance(matrix, UNIFORM, self._weights_for(matrix))
-            return s.mu, s.sigma
-        if self.kind == "avg":
-            from .bayes import avg_sigma_from_bayes
-
-            s = evaluate_performance(matrix, UNIFORM, self._weights_for(matrix))
+            if self.kind == "bayes":
+                return s.mu, s.sigma
             return (
                 naive_weighted_average(matrix, self._weights_for(matrix)),
                 avg_sigma_from_bayes(s.sigma, matrix.trials, matrix.num_categories),
@@ -114,29 +100,43 @@ class Method:
         """
         self.check_defined(trials, num_categories)
         if self.kind in ("bayes", "avg"):
-            w = np.asarray(
-                (self.weights or WeightVector.identity(num_categories)).weights
-            )
-            if w.shape[0] != num_categories:
-                raise InputError(
-                    f"{w.shape[0]} weights for {num_categories} categories"
-                )
+            w = self._weight_array(num_categories)
+            dw = w[1:] - w[0]
             if self.kind == "bayes":
-                # mu = w0 + (mean_alpha sum_j nu_j (w_j - w0)) / T, nu = counts + 1
-                dw = w[1:] - w[0]
-                t = num_categories + trials  # 1 + C + N, uniform prior
+                # mu = w0 + (mean_alpha sum_j nu_j (w_j - w0)) / T, nu = counts + 1,
+                # T = 1 + C + N under the uniform prior
                 per_q = counts @ dw + dw.sum()
-                return w[0] + per_q.mean(axis=-1) / t
+                return w[0] + per_q.mean(axis=-1) / (num_categories + trials)
             # avg: (1/N) mean_alpha [ w0 n0 + sum_{j>=1} w_j n_j ]
-            per_q = counts @ (w[1:] - w[0]) + w[0] * trials
-            return per_q.mean(axis=-1) / trials
-        table = self._score_table(trials)
-        per_q = table[counts[..., 0]]
-        return per_q.mean(axis=-1)
+            return (counts @ dw + w[0] * trials).mean(axis=-1) / trials
+        table = passk.score_table(self.kind, trials, self.k, self.tau)
+        return table[counts[..., 0]].mean(axis=-1)
 
-    @lru_cache(maxsize=None)
-    def _score_table(self, trials: int) -> np.ndarray:
-        return passk._score_table(self.kind, trials, self.k, self.tau)
+    def sigmas_from_counts(
+        self, counts: np.ndarray, trials: int, num_categories: int
+    ) -> np.ndarray:
+        """Posterior sigmas from the same counts as ``scores_from_counts``.
+
+        The closed form of ``evaluate_performance`` under the uniform prior;
+        ``avg`` scales it by ``(1 + C + N) / N`` as ``avg_sigma_from_bayes``
+        does, and subset estimators have zero sigma.
+        """
+        self.check_defined(trials, num_categories)
+        if self.kind not in ("bayes", "avg"):
+            return np.zeros(counts.shape[:-2])
+        w = self._weight_array(num_categories)
+        dw, t, m = w - w[0], float(num_categories + trials), counts.shape[-2]
+        n0 = trials - counts.sum(axis=-1, keepdims=True)
+        nu = np.concatenate([n0, counts], axis=-1) + 1.0  # posterior counts, sum T
+        per_q_var = (nu @ (dw * dw)) / t - ((nu @ dw) / t) ** 2
+        sigma = np.sqrt(np.maximum(per_q_var.sum(axis=-1) / (m * m * (t + 1.0)), 0.0))
+        return (num_categories + trials) / trials * sigma if self.kind == "avg" else sigma
+
+    def _weight_array(self, num_categories: int) -> np.ndarray:
+        w = np.asarray((self.weights or WeightVector.identity(num_categories)).weights)
+        if w.shape[0] != num_categories:
+            raise InputError(f"{w.shape[0]} weights for {num_categories} categories")
+        return w
 
 
 _PATTERNS = (
@@ -152,7 +152,7 @@ _PATTERNS = (
 
 def _parse_tau(text: str) -> Fraction:
     try:
-        tau = Fraction(text) if "/" in text else Fraction(str(float(text)))
+        tau = Fraction(text) if "/" in text else passk.tau_fraction(float(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse tolerance {text!r}") from exc
     if not 0 < tau <= 1:

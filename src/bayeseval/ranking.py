@@ -22,6 +22,7 @@ from .errors import (
     EmptyInputError,
     LengthMismatchError,
     NegativeZError,
+    NonFiniteScoreError,
     NotReachableError,
 )
 
@@ -47,6 +48,8 @@ class ScoredModel:
     sigma: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise NonFiniteScoreError(f"{self.model_id}: mu={self.mu}, sigma={self.sigma}")
         if self.sigma < 0:
             raise NegativeZError(f"sigma must be >= 0, got {self.sigma}")
 
@@ -147,7 +150,7 @@ def rank_with_ci(
     z-score exceeds the threshold; with ``clique=True`` a model joins a
     group only when it is below threshold against every group member.
     """
-    if z_threshold <= 0:
+    if not z_threshold > 0:  # also rejects NaN, which would tie every model
         raise NegativeZError(f"z threshold must be > 0, got {z_threshold}")
     ordered = _sorted_desc(models)
     entries = [RankEntry(ordered[0].model_id, ordered[0].mu, ordered[0].sigma, 1)]

@@ -149,7 +149,7 @@ def test_criterion_3_pass_family_brute_force():
     worst = 0.0
     for n in range(1, 9):
         for c in range(n + 1):
-            tally = BinaryTally(((n, c),))
+            tally = BinaryTally.from_counts([(n, c)])
             trials = [1] * c + [0] * (n - c)
             for k in range(1, n + 1):
                 subsets = list(combinations(range(n), k))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bayeseval import bootstrap
 from bayeseval.bootstrap import (
     ConvergenceDistribution,
     ResamplePlan,
@@ -13,10 +14,10 @@ from bayeseval.bootstrap import (
     tau_curves,
     worst_case_trajectory,
 )
-from bayeseval.errors import AllTiedError, InputError, MethodUndefinedError
+from bayeseval.errors import AllTiedError, InputError, MethodUndefinedError, NegativeZError
 from bayeseval.methods import parse_method
-from bayeseval.model import validate_matrix
-from bayeseval.ranking import ScoredModel, kendall_tau_b, rank_without_ci
+from bayeseval.model import WeightVector, validate_matrix
+from bayeseval.ranking import ScoredModel, kendall_tau_b, rank_with_ci, rank_without_ci
 from bayeseval.simulate import reference_cohort, sample_trials
 
 
@@ -273,6 +274,69 @@ class TestConvergence:
         assert not any(p.high_variance for p in pass3[1:])
         assert not any(p.high_variance for p in curves["naive^3"].points)
         assert not any(p.high_variance for p in curves["bayes"].points)
+
+
+def ci_convergence_oracle(matrices, method, plan, z, weights=None):
+    """Per-replicate CI-tied convergence@n: resample, score with sigma, rank."""
+    method = parse_method(method, weights)
+    ids = list(matrices)
+    gold = gold_table(matrices, weights=weights).rank_vector(ids)
+    n_max = next(iter(matrices.values())).trials
+    lo = max(1, method.min_trials)
+    hist, censored = np.zeros(n_max + 1, dtype=np.int64), 0
+    for r in range(plan.replicates):
+        resampled = [resample(mx, plan, r, stream=s) for s, mx in enumerate(matrices.values())]
+        last_mismatch = 0
+        for n in range(lo, n_max + 1):
+            scored = [
+                ScoredModel(mid, *method.score_with_sigma(rx.prefix(n)))
+                for mid, rx in zip(ids, resampled)
+            ]
+            if rank_with_ci(scored, z).rank_vector(ids) != gold:
+                last_mismatch = n
+        if last_mismatch == n_max:
+            censored += 1
+        else:
+            hist[max(lo, last_mismatch + 1)] += 1
+    return hist.tolist(), censored
+
+
+class TestConvergenceCI:
+    @pytest.mark.parametrize("scheme", ["row", "column"])
+    def test_engine_matches_per_replicate_oracle(self, scheme):
+        mats = small_cohort(n_models=3, n=10, seed=2)
+        plan = ResamplePlan(scheme, replicates=20, seed=5)
+        for z in (0.3, 1.0):
+            dists = convergence_distributions(mats, ["bayes", "avg", "pass@2"], plan, ci_z=z)
+            for name, dist in dists.items():
+                got = (dist.counts.tolist(), dist.censored_count)
+                assert got == ci_convergence_oracle(mats, name, plan, z)
+
+    def test_five_categories_with_weights(self):
+        rng = np.random.default_rng(22)
+        mats = {
+            f"m{j}": validate_matrix(
+                [rng.choice(5, size=8, p=rng.dirichlet(1 + 6 * np.eye(5)[j + 1])) for _ in range(12)],
+                5,
+            )
+            for j in range(3)
+        }
+        weights = WeightVector((0.0, 0.0, 1.0, 2.0, 3.0))
+        plan = ResamplePlan("row", replicates=20, seed=3)
+        dists = convergence_distributions(mats, ["bayes", "avg"], plan, weights=weights, ci_z=1.0)
+        for name, dist in dists.items():
+            got = (dist.counts.tolist(), dist.censored_count)
+            assert got == ci_convergence_oracle(mats, name, plan, 1.0, weights)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, float("nan")])
+    def test_non_positive_z_rejected_before_drawing(self, z, monkeypatch):
+        def no_draws(*args):
+            pytest.fail("a replicate was drawn")
+
+        monkeypatch.setattr(bootstrap, "stream_rng", no_draws)
+        plan = ResamplePlan("row", replicates=3, seed=0)
+        with pytest.raises(NegativeZError):
+            convergence_distributions(small_cohort(n_models=3, n=6), ["bayes"], plan, ci_z=z)
 
 
 class TestWorstCase:

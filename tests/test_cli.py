@@ -117,6 +117,30 @@ class TestRank:
         ranks = {e["model"]: e["rank"] for e in data["without_ci"]["entries"]}
         assert ranks == {"a": 1, "b": 1}
 
+    def test_avg_ties_where_bayes_ties(self, capsys, tmp_path):
+        # avg carries bayes' sigma scaled by (1 + C + N) / N, so the CI rule
+        # ties the same pair under both methods
+        d = tmp_path / "pair"
+        d.mkdir()
+        for name, solved in (("a", 11), ("b", 10)):
+            cells = np.zeros((20, 8), dtype=int)
+            cells[:solved] = 1
+            write_csv(d / f"{name}.csv", cells)
+        tables = {}
+        for method in ("bayes", "avg"):
+            code, out, _ = run(capsys, "rank", "--results-dir", str(d), "--method", method)
+            assert code == 0
+            data = json.loads(out)
+            assert [e["rank"] for e in data["without_ci"]["entries"]] == [1, 2]
+            assert all(e["sigma"] > 0 for e in data["with_ci"]["entries"])
+            tables[method] = {e["model"]: e["rank"] for e in data["with_ci"]["entries"]}
+        assert tables["bayes"] == {"a": 1, "b": 1}
+        assert tables["avg"] == tables["bayes"]
+
+    def test_nan_threshold_rejected(self, capsys, model_dir):
+        code, out, _ = run(capsys, "rank", "--results-dir", model_dir, "--ci", "nan")
+        assert code == 2 and out == ""
+
     def test_shape_mismatch_rejected(self, capsys, tmp_path):
         d = tmp_path / "bad"
         d.mkdir()
@@ -127,6 +151,18 @@ class TestRank:
 
 
 class TestConverge:
+    def test_question_order_mismatch_rejected(self, capsys, tmp_path):
+        d = tmp_path / "order"
+        d.mkdir()
+        (d / "a.csv").write_text("question_id,t1,t2\nq1,1,0\nq2,0,0\n")
+        (d / "b.csv").write_text("question_id,t1,t2\nq2,1,1\nq1,0,1\n")
+        code, out, err = run(
+            capsys, "converge", "--results-dir", str(d), "--replicates", "4",
+            "--methods", "bayes",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+
     def test_deterministic_json(self, capsys, model_dir):
         args = (
             "converge", "--results-dir", model_dir, "--methods", "bayes,pass@2",

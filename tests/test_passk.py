@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bayeseval.errors import (
+    CategoryOutOfRangeError,
     KExceedsNError,
     KTooSmallError,
     KZeroError,
@@ -21,6 +22,7 @@ from bayeseval.passk import (
     naive_pass_hat_k,
     pass_at_k,
     pass_hat_k,
+    score_table,
 )
 
 TOL = 1e-12
@@ -39,7 +41,31 @@ def subset_fraction(n, c, k, min_correct):
 
 
 def one(n, c):
-    return BinaryTally(((n, c),))
+    return BinaryTally.from_counts([(n, c)])
+
+
+class TestBinaryTally:
+    def test_counts_are_frozen_int64(self):
+        t = BinaryTally.from_counts([(4, 2), (5, 0)])
+        assert t.trials.dtype == t.correct.dtype == np.int64
+        assert len(t) == 2 and t.min_trials == 4
+        with pytest.raises(ValueError):
+            t.correct[0] = 3
+
+    @pytest.mark.parametrize("pairs", [[(4, 5)], [(4, 2), (3, -1)]])
+    def test_rejects_counts_outside_zero_to_n(self, pairs):
+        with pytest.raises(CategoryOutOfRangeError):
+            BinaryTally.from_counts(pairs)
+
+    def test_mixed_trial_counts_average_per_question(self):
+        pairs = [(4, 2), (6, 2), (4, 2), (6, 5)]
+        want = np.mean([pass_at_k(one(n, c), 2) for n, c in pairs])
+        assert pass_at_k(BinaryTally.from_counts(pairs), 2) == want
+
+    def test_score_table_matches_estimators(self):
+        for n in (3, 80):
+            table = score_table("mg_pass_at_k", n, 3)
+            assert table.tolist() == [mg_pass_at_k(one(n, c), 3) for c in range(n + 1)]
 
 
 class TestPassAtK:
@@ -60,7 +86,7 @@ class TestPassAtK:
             pass_at_k(one(4, 2), 0)
 
     def test_mean_over_questions(self):
-        t = BinaryTally(((4, 2), (4, 4)))
+        t = BinaryTally.from_counts([(4, 2), (4, 4)])
         assert abs(pass_at_k(t, 2) - (5 / 6 + 1) / 2) < TOL
 
     def test_from_matrix(self):
@@ -117,6 +143,16 @@ class TestGPassAtKTau:
             g_pass_at_k_tau(one(4, 2), 2, 0.0)
         with pytest.raises(TauOutOfRangeError):
             g_pass_at_k_tau(one(4, 2), 2, 1.5)
+
+    def test_float_tau_means_its_decimal(self):
+        # 0.1 is stored as slightly more than 1/10; the threshold for k = 10
+        # must still be ceil(10 * 1/10) = 1, which makes gpass equal pass@k
+        assert g_pass_at_k_tau(one(10, 1), 10, 0.1) == pass_at_k(one(10, 1), 10) == 1.0
+        texts = [f"0.{i:02d}" for i in range(5, 100, 5)] + ["0.3", "0.7", "1.0"]
+        for k in range(1, 65):
+            t = BinaryTally.from_counts([(k, c) for c in range(k + 1)])
+            for text in texts:
+                assert g_pass_at_k_tau(t, k, float(text)) == g_pass_at_k_tau(t, k, Fraction(text))
 
     def test_fraction_threshold_is_exact(self):
         # ceil(tau k) with tau = i/k must hit i exactly for every i

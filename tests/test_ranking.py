@@ -8,7 +8,9 @@ from scipy.stats import kendalltau
 from bayeseval.errors import (
     AllTiedError,
     LengthMismatchError,
+    InputError,
     NegativeZError,
+    NonFiniteScoreError,
     NotReachableError,
 )
 from bayeseval.ranking import (
@@ -112,6 +114,15 @@ class TestRankWithoutCI:
         t = rank_without_ci(models([0.5, 0.5]))
         assert [e.model_id for e in t.entries] == ["m0", "m1"]
 
+    @pytest.mark.parametrize(
+        "mu, sigma", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.1), (0.5, math.nan), (0.5, math.inf)]
+    )
+    def test_non_finite_scores_rejected(self, mu, sigma):
+        # a NaN would otherwise sort as an ordinary value: 0.5, nan, 0.7 ranked 1, 2, 3
+        with pytest.raises(NonFiniteScoreError) as info:
+            ScoredModel("m", mu, sigma)
+        assert isinstance(info.value, InputError)
+
 
 class TestRankWithCI:
     def test_small_z_ties(self):
@@ -145,6 +156,12 @@ class TestRankWithCI:
         cliques = rank_with_ci(ms, 1.645, clique=True)
         assert [e.rank for e in chained.entries] == [1, 1, 1]
         assert [e.rank for e in cliques.entries] == [1, 1, 2]
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, math.nan])
+    def test_threshold_must_be_positive(self, z):
+        # z >= nan is never true, so a NaN threshold would tie every model
+        with pytest.raises(NegativeZError):
+            rank_with_ci(models([0.9, 0.1], [0.01, 0.01]), z)
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(2)
