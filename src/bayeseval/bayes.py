@@ -34,8 +34,9 @@ __all__ = [
     "avg_sigma_from_bayes",
 ]
 
-# Above this many cells the per-question terms are reduced with
-# compensated summation to keep the 1e-12 oracle tolerance honest.
+# Above this many cells the per-question variance terms are reduced with
+# compensated summation to keep the 1e-12 oracle tolerance honest. Means
+# need none: they come from exact integer totals.
 _FSUM_CELL_THRESHOLD = 10**6
 
 
@@ -79,8 +80,11 @@ def evaluate_performance(
     nu = t.nu.astype(float)
     n_cells = matrix.questions * max(matrix.trials, 1)
 
+    # integer totals over questions first, so mu is the same bits in any
+    # question order
+    mu = w[0] + float(t.nu.sum(axis=0) @ dw) / (m * big_t)
+
     first = nu @ dw                     # per question: sum_j nu_j (w_j - w_0)
-    mu = w[0] + _reduce(first, n_cells) / (m * big_t)
 
     second = nu @ (dw * dw)             # per question: sum_j nu_j (w_j - w_0)^2
     per_q_var = second / big_t - (first / big_t) ** 2
@@ -110,11 +114,9 @@ def naive_weighted_average(matrix: ResultsMatrix, weights: WeightVector | None =
     if weights is None:
         weights = WeightVector.identity(matrix.num_categories)
     weights.check_compatible(matrix)
-    counts = matrix.category_counts().astype(float)
+    totals = matrix.category_counts().sum(axis=0)  # int64, order-free
     w = np.asarray(weights.weights, dtype=float)
-    per_q = counts @ w
-    total = _reduce(per_q, matrix.questions * matrix.trials)
-    return total / (matrix.questions * matrix.trials)
+    return float(totals @ w) / (matrix.questions * matrix.trials)
 
 
 def affine_bridge(

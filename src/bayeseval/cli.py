@@ -13,6 +13,7 @@ undefined at the requested trial count, 4 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .errors import (
     MethodUndefinedError,
 )
 from .methods import parse_method, parse_methods
-from .model import UNIFORM, WeightVector, validate_matrix
+from .model import UNIFORM, WeightVector
 from .ranking import rank_with_ci, rank_without_ci, ScoredModel
 
 _Z_REPORT_LEVELS = (1.645, 1.96)
@@ -48,12 +49,11 @@ def _load_dir(dirpath: str, num_categories: int | None):
     paths = sorted(Path(dirpath).glob("*.csv"))
     if not paths:
         raise InputError(f"no .csv files in {dirpath}")
-    loaded = [(p.stem, io.load_results_csv(p, None)) for p in paths]
-    shared = num_categories or max(mx.num_categories for _, mx in loaded)
-    items = []
-    for mid, mx in loaded:
-        items.append((mid, validate_matrix(mx.cells, shared, mx.question_ids)))
-    return items
+    loaded = [(p.stem, io.load_results_csv(p, num_categories)) for p in paths]
+    shared = max(mx.num_categories for _, mx in loaded)
+    # cells already lie in [0, C] of their own file, so a wider shared C
+    # needs no second validation
+    return [(mid, dataclasses.replace(mx, num_categories=shared)) for mid, mx in loaded]
 
 
 def _emit(args, result) -> None:

@@ -35,6 +35,14 @@ class CategoryOutOfRangeError(InputError):
     """A cell value falls outside [0, C]."""
 
 
+class NonIntegerCellError(InputError):
+    """A cell is not an integer (a fraction, NaN, inf, text or None)."""
+
+
+class NotAGridError(InputError):
+    """Input is not a two-dimensional grid of rows and cells."""
+
+
 class PriorShapeMismatchError(InputError):
     """Prior matrix does not share M and C with the results matrix."""
 

@@ -39,9 +39,16 @@ __all__ = [
 ]
 
 
-def _read_grid_csv(path, labels=None) -> tuple[list[str], list[list[int]]]:
+def _read_grid_csv(path, labels=None) -> tuple[list[str], np.ndarray]:
+    """Question ids and the int64 cell grid of a ``question_id,...`` CSV.
+
+    A cell is a ``labels`` name or anything ``int()`` accepts. Each
+    distinct token is converted once, through a memo filled row by row, so
+    a malformed cell is still reported at its line and column.
+    """
     ids: list[str] = []
     rows: list[list[int]] = []
+    memo: dict[str, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -59,21 +66,33 @@ def _read_grid_csv(path, labels=None) -> tuple[list[str], list[list[int]]]:
                     f"{path}: expected {width + 1} fields, got {len(row)}", line=line_no
                 )
             ids.append(row[0])
-            cells = []
-            for col, text in enumerate(row[1:], start=2):
-                if labels and text in labels:
-                    cells.append(labels[text])
-                    continue
-                try:
-                    cells.append(int(text))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-integer cell {text!r}", line=line_no, column=col
-                    ) from None
-            rows.append(cells)
+            try:
+                rows.append(list(map(memo.__getitem__, row[1:])))
+            except KeyError:
+                _learn_tokens(memo, row, labels, path, line_no)
+                rows.append(list(map(memo.__getitem__, row[1:])))
     if not rows:
         raise EmptyMatrixError(f"{path}: no data rows")
-    return ids, rows
+    return ids, np.array(rows, dtype=np.int64)
+
+
+def _learn_tokens(memo: dict[str, int], row: list[str], labels, path, line_no: int) -> None:
+    """Add the row's new tokens to ``memo``; raise at the first bad cell."""
+    for col, text in enumerate(row[1:], start=2):
+        if text in memo:
+            continue
+        if labels and text in labels:
+            value = labels[text]
+        else:
+            try:
+                value = int(text)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: non-integer cell {text!r}", line=line_no, column=col
+                ) from None
+        if not -(2**63) <= value < 2**63:
+            raise ParseError(f"{path}: cell {text!r} out of range", line=line_no, column=col)
+        memo[text] = value
 
 
 def load_results_csv(
@@ -83,22 +102,25 @@ def load_results_csv(
 ) -> ResultsMatrix:
     """Load a results matrix from ``question_id,t1,...,tN`` CSV.
 
-    ``num_categories`` defaults to one more than the largest observed
-    cell (at least 2); pass it explicitly when trailing categories may be
-    absent from the data. ``labels`` optionally maps category names to
-    indices so named cells can be ingested; the core stays numeric.
+    A cell is a ``labels`` name or an integer as ``int()`` reads it
+    (surrounding spaces, a sign, leading zeros and ``_`` digit separators
+    are accepted); blank lines are skipped. ``num_categories`` defaults to
+    one more than the largest observed cell (at least 2); pass it
+    explicitly when trailing categories may be absent from the data.
+    ``labels`` optionally maps category names to indices so named cells
+    can be ingested; the core stays numeric.
 
     Raises:
         ParseError: malformed row or non-integer cell, with location.
         EmptyMatrixError / RaggedRowsError / CategoryOutOfRangeError.
     """
-    ids, rows = _read_grid_csv(path, labels=labels)
+    ids, cells = _read_grid_csv(path, labels=labels)
     if num_categories is None:
-        observed = max((c for row in rows for c in row), default=1)
+        observed = int(cells.max()) if cells.size else 1
         num_categories = max(2, observed + 1)
         if labels:
             num_categories = max(num_categories, max(labels.values()) + 1)
-    return validate_matrix(rows, num_categories, question_ids=ids)
+    return validate_matrix(cells, num_categories, question_ids=ids)
 
 
 def load_label_map(path) -> dict[str, int]:

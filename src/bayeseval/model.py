@@ -16,6 +16,8 @@ import numpy as np
 from .errors import (
     CategoryOutOfRangeError,
     EmptyMatrixError,
+    NonIntegerCellError,
+    NotAGridError,
     PriorShapeMismatchError,
     RaggedRowsError,
     WeightLengthMismatchError,
@@ -38,27 +40,50 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _validate_grid(raw, num_categories: int, *, what: str) -> np.ndarray:
-    """Shared cell validation for results and prior grids."""
+    """Shared cell validation for results and prior grids.
+
+    Always returns a new int64 array, so freezing it never freezes the
+    caller's data.
+    """
     if num_categories < 1:
         raise CategoryOutOfRangeError(f"need C >= 1, got C={num_categories}")
-    rows = [list(r) for r in raw]
-    if len(rows) == 0:
+    try:
+        cells = np.array(raw)
+    except ValueError:
+        _raise_ragged(raw, what)
+        raise NotAGridError(f"{what} is not a grid of integer cells") from None
+    if cells.ndim and cells.shape[0] == 0:
         raise EmptyMatrixError(f"{what} has no rows")
-    width = len(rows[0])
-    for i, r in enumerate(rows):
-        if len(r) != width:
-            raise RaggedRowsError(
-                f"{what} row {i} has {len(r)} entries, expected {width}"
+    if cells.ndim != 2:
+        raise NotAGridError(f"{what} must be rows of cells, got shape {cells.shape}")
+    if cells.dtype.kind == "f":
+        bad = ~(np.isfinite(cells) & (cells == np.trunc(cells)))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise NonIntegerCellError(
+                f"{what} row {i} column {j} holds {float(cells[i, j])!r}, not an integer"
             )
-    cells = np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
+    elif cells.dtype.kind not in "biu":
+        raise NonIntegerCellError(f"{what} cells must be integers, got {cells.dtype} values")
     if cells.size:
-        lo, hi = int(cells.min()), int(cells.max())
+        lo, hi = cells.min(), cells.max()
         if lo < 0 or hi > num_categories:
-            bad = lo if lo < 0 else hi
+            bad = int(lo if lo < 0 else hi)
             raise CategoryOutOfRangeError(
                 f"{what} contains value {bad} outside [0, {num_categories}]"
             )
-    return cells
+    return cells.astype(np.int64, copy=False)
+
+
+def _raise_ragged(raw, what: str) -> None:
+    """Raise RaggedRowsError if the rows of ``raw`` differ in length."""
+    try:
+        lengths = [len(r) for r in raw]
+    except TypeError:
+        return
+    for i, n in enumerate(lengths):
+        if n != lengths[0]:
+            raise RaggedRowsError(f"{what} row {i} has {n} entries, expected {lengths[0]}")
 
 
 @dataclass(frozen=True)
@@ -117,16 +142,22 @@ def validate_matrix(
 ) -> ResultsMatrix:
     """Validate a rectangular integer grid into a ResultsMatrix.
 
-    ``num_categories`` is C+1; cells must lie in ``[0, C]``.
+    ``num_categories`` is C+1; cells must be integers in ``[0, C]``.
+    Integral floats such as ``1.0`` and booleans are accepted. The cells
+    are always copied into a new read-only int64 array.
 
     Raises:
         EmptyMatrixError: no rows.
         RaggedRowsError: rows of unequal length.
+        NotAGridError: not two-dimensional (a flat list, a scalar or a
+            3-D array).
+        NonIntegerCellError: a fraction, NaN, inf, text or ``None`` cell;
+            nothing is truncated.
         CategoryOutOfRangeError: cell outside ``[0, C]``.
     """
     c = num_categories - 1
     cells = _validate_grid(raw, c, what="results matrix")
-    ids = tuple(str(q) for q in question_ids) if question_ids is not None else None
+    ids = tuple(map(str, question_ids)) if question_ids is not None else None
     return ResultsMatrix(cells, num_categories, ids)
 
 

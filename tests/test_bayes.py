@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayeseval.bayes import (
     affine_bridge,
@@ -159,6 +160,42 @@ class TestEvaluatePerformance:
         var_oracle = math.fsum((a * b / ((a + b) ** 2 * (a + b + 1))).tolist()) / m**2
         assert abs(s.mu - mu_oracle) < TOL
         assert abs(s.sigma**2 - var_oracle) < TOL
+
+
+@st.composite
+def permuted_instance(draw):
+    """A matrix, a prior, the same two with rows permuted, and tenths weights."""
+    m, n, d, c = (draw(st.integers(lo, hi)) for lo, hi in ((1, 9), (1, 6), (0, 3), (1, 3)))
+    grid = st.integers(0, c)
+    cells = np.array(draw(st.lists(st.lists(grid, min_size=n, max_size=n), min_size=m, max_size=m)))
+    prior = np.array(draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=m, max_size=m)))
+    perm = draw(st.permutations(range(m)))
+    w = WeightVector(tuple(draw(st.integers(-50, 50)) / 10 for _ in range(c + 1)))
+
+    def build(order):
+        rows = list(order)
+        p = PriorData.from_matrix(prior[rows], c + 1) if d else UNIFORM
+        return validate_matrix(cells[rows], c + 1), p
+
+    return build(range(m)), build(perm), w
+
+
+class TestQuestionOrder:
+    @settings(max_examples=300)
+    @given(permuted_instance())
+    def test_row_permutation_keeps_mu_and_avg_bits(self, case):
+        (x, px), (y, py), w = case
+        assert evaluate_performance(x, px, w).mu == evaluate_performance(y, py, w).mu
+        assert naive_weighted_average(x, w) == naive_weighted_average(y, w)
+
+    def test_sigma_unchanged_within_tolerance(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            matrix, w = random_instance(rng)
+            shuffled = validate_matrix(rng.permutation(matrix.cells), matrix.num_categories)
+            s0 = evaluate_performance(matrix, UNIFORM, w).sigma
+            s1 = evaluate_performance(shuffled, UNIFORM, w).sigma
+            assert abs(s0 - s1) < TOL
 
 
 class TestNaiveAverage:

@@ -74,6 +74,15 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["D"] == 2
 
+    def test_non_integer_prior_cell_exits_2_with_location(self, capsys, tmp_path, binary_csv):
+        prior = tmp_path / "p.csv"
+        prior.write_text("question_id,t1,t2\nq1,1,1\nq2,0,half\n")
+        code, out, err = run(capsys, "eval", "--results", binary_csv, "--prior", str(prior))
+        assert code == 2 and out == ""
+        data = json.loads(err)
+        assert data["error"] == "ParseError"
+        assert "'half'" in data["message"] and "(line 3, column 3)" in data["message"]
+
     def test_gpass_fraction_tau(self, capsys, binary_csv):
         code, out, _ = run(
             capsys, "eval", "--results", binary_csv, "--method", "gpass@2:1/2"
@@ -136,6 +145,28 @@ class TestRank:
             tables[method] = {e["model"]: e["rank"] for e in data["with_ci"]["entries"]}
         assert tables["bayes"] == {"a": 1, "b": 1}
         assert tables["avg"] == tables["bayes"]
+
+    def test_files_share_the_largest_inferred_category_count(self, capsys, tmp_path):
+        d = tmp_path / "mixed"
+        d.mkdir()
+        write_csv(d / "a.csv", [[1, 0], [0, 1]])
+        write_csv(d / "b.csv", [[2, 0], [0, 1]], num_categories=3)
+        code, out, _ = run(capsys, "rank", "--results-dir", str(d), "--ci", "off")
+        assert code == 0
+        entries = json.loads(out)["without_ci"]["entries"]
+        assert [e["model"] for e in entries] == ["b", "a"]
+        # a scored over C = 2: each row has nu = (2, 2, 1) and T = 5, so
+        # mu = (4 + 4) / (2 * 5); scored as binary it would be 0.5
+        assert entries[1]["mu"] == pytest.approx(0.8, abs=1e-12)
+
+    def test_cell_above_pinned_categories_rejected(self, capsys, tmp_path):
+        d = tmp_path / "pinned"
+        d.mkdir()
+        write_csv(d / "a.csv", [[1, 0]])
+        write_csv(d / "b.csv", [[2, 0]], num_categories=3)
+        code, out, err = run(capsys, "rank", "--results-dir", str(d), "--categories", "2")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "CategoryOutOfRangeError"
 
     def test_nan_threshold_rejected(self, capsys, model_dir):
         code, out, _ = run(capsys, "rank", "--results-dir", model_dir, "--ci", "nan")

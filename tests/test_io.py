@@ -1,7 +1,9 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bayeseval.bootstrap import ConvergenceDistribution, TauCurve, TauPoint
 from bayeseval.errors import (
@@ -14,6 +16,7 @@ from bayeseval.errors import (
 )
 from bayeseval.io import (
     emit_report,
+    load_prior_csv,
     load_results_csv,
     load_signals_jsonl,
     save_results_csv,
@@ -213,3 +216,136 @@ class TestLabelMap:
         sidecar.write_text('["correct"]')
         with pytest.raises(ParseError):
             load_label_map(sidecar)
+
+
+# -- reader equivalence ---------------------------------------------------------
+
+def reference_read_grid(path, labels=None):
+    """The per-cell reader the memoized one replaced, kept as the oracle."""
+    ids = []
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyMatrixError(f"{path}: empty file") from None
+        if not header or header[0] != "question_id":
+            raise ParseError(f"{path}: header must start with 'question_id'", line=1)
+        width = len(header) - 1
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width + 1:
+                raise ParseError(
+                    f"{path}: expected {width + 1} fields, got {len(row)}", line=line_no
+                )
+            ids.append(row[0])
+            cells = []
+            for col, text in enumerate(row[1:], start=2):
+                if labels and text in labels:
+                    cells.append(labels[text])
+                    continue
+                try:
+                    cells.append(int(text))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-integer cell {text!r}", line=line_no, column=col
+                    ) from None
+            rows.append(cells)
+    if not rows:
+        raise EmptyMatrixError(f"{path}: no data rows")
+    return ids, rows
+
+
+def reference_load(path, labels=None):
+    ids, rows = reference_read_grid(path, labels)
+    observed = max((c for row in rows for c in row), default=1)
+    num_categories = max(2, observed + 1)
+    if labels:
+        num_categories = max(num_categories, max(labels.values()) + 1)
+    return validate_matrix(rows, num_categories, question_ids=ids)
+
+
+def outcome(load, path, labels):
+    try:
+        m = load(path, labels=labels)
+    except InputError as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    assert m.cells.dtype == np.int64
+    return m.cells.tolist(), m.question_ids, m.num_categories
+
+
+# cells int() reads, cells it rejects or reads out of range, and names
+VALID = ["0", "1", "2", " 1", "+1", "01", "1_0", '"1"', '" 1"', '"0"']
+INVALID = ["-1", "x", "", "1.0", '""', '"1,0"', "ok", "bad"]
+LABEL_NAMES = ["ok", "bad", "1_0", "2"]
+
+
+@st.composite
+def grid_csv(draw):
+    """CSV text and a label map; half the cases hold no malformed cell."""
+    labels = draw(
+        st.none() | st.dictionaries(st.sampled_from(LABEL_NAMES), st.integers(0, 3), max_size=3)
+    )
+    malformed = draw(st.booleans())
+    pool = VALID + sorted(labels or ()) + (INVALID if malformed else [])
+    width = draw(st.integers(0, 4))
+    lines = ["question_id" + "".join(f",t{j + 1}" for j in range(width))]
+    for i in range(draw(st.integers(0 if malformed else 1, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        qid = draw(st.sampled_from([f"q{i}", f'"q,{i}"', " q"]))
+        n = width + (draw(st.sampled_from([0, 0, 0, -1, 1])) if malformed else 0)
+        cells = draw(st.lists(st.sampled_from(pool), min_size=max(n, 0), max_size=max(n, 0)))
+        lines.append(",".join([qid] + cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"])), labels
+
+
+class TestReaderEquivalence:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(grid_csv())
+    def test_same_cells_ids_and_errors_as_per_cell_reader(self, tmp_path, case):
+        text, labels = case
+        p = write(tmp_path / "g.csv", text)
+        assert outcome(load_results_csv, p, labels) == outcome(reference_load, p, labels)
+
+    def test_repeated_bad_token_reported_at_each_first_use(self, tmp_path):
+        # a token that failed once must fail the same way, not be memoized
+        p = write(tmp_path / "r.csv", "question_id,t1,t2\nq1,0,1\nq2,1,y\n")
+        with pytest.raises(ParseError) as err:
+            load_results_csv(p)
+        assert (err.value.line, err.value.column) == (3, 3)
+
+    def test_label_takes_precedence_over_integer_reading(self, tmp_path):
+        p = write(tmp_path / "r.csv", "question_id,t1,t2\nq1,1,2\nq2,2,1\n")
+        assert load_results_csv(p, labels={"2": 0}).cells.tolist() == [[1, 0], [0, 1]]
+
+    def test_cell_beyond_int64_is_a_located_parse_error(self, tmp_path):
+        p = write(tmp_path / "r.csv", "question_id,t1,t2\nq1,0,1\nq2,1,99999999999999999999\n")
+        with pytest.raises(ParseError) as err:
+            load_results_csv(p)
+        assert (err.value.line, err.value.column) == (3, 3)
+
+    def test_inferred_categories_from_int64_grid(self, tmp_path):
+        p = write(tmp_path / "r.csv", "question_id,t1,t2\nq1,0,4\n\nq2,1,1\n")
+        m = load_results_csv(p)
+        assert m.num_categories == 5 and m.cells.tolist() == [[0, 4], [1, 1]]
+
+    def test_zero_width_grid_infers_binary(self, tmp_path):
+        p = write(tmp_path / "r.csv", "question_id\nq1\nq2\n")
+        m = load_results_csv(p)
+        assert (m.questions, m.trials, m.num_categories) == (2, 0, 2)
+
+
+class TestPriorCsv:
+    def test_prior_cells_are_int64(self, tmp_path):
+        p = write(tmp_path / "p.csv", "question_id,t1\nq1,1\nq2,0\n")
+        prior = load_prior_csv(p, 2)
+        assert prior.matrix.dtype == np.int64 and prior.matrix.tolist() == [[1], [0]]
+
+    def test_non_integer_prior_cell_location(self, tmp_path):
+        p = write(tmp_path / "p.csv", "question_id,t1\nq1,1\nq2,0.5\n")
+        with pytest.raises(ParseError) as err:
+            load_prior_csv(p, 2)
+        assert (err.value.line, err.value.column) == (3, 2)

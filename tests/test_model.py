@@ -5,6 +5,9 @@ from hypothesis import given, strategies as st
 from bayeseval.errors import (
     CategoryOutOfRangeError,
     EmptyMatrixError,
+    InputError,
+    NonIntegerCellError,
+    NotAGridError,
     PriorShapeMismatchError,
     RaggedRowsError,
 )
@@ -42,6 +45,49 @@ class TestValidateMatrix:
     def test_question_id_length_checked(self):
         with pytest.raises(RaggedRowsError):
             validate_matrix([[0, 1]], 2, question_ids=["a", "b"])
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [[0.5, 1]],
+            np.array([[0.7, 1.0]]),
+            [[0, float("nan")]],
+            [[0, float("inf")]],
+            [[0, None]],
+            [["1", "0"]],
+        ],
+    )
+    def test_non_integer_cells_rejected_not_truncated(self, raw):
+        with pytest.raises(NonIntegerCellError):
+            validate_matrix(raw, 2)
+
+    @pytest.mark.parametrize(
+        "raw", [np.array([0, 1]), [0, 1], np.zeros((1, 2, 1), dtype=int), 1, [[0, 1], 1]]
+    )
+    def test_non_grid_input_rejected(self, raw):
+        with pytest.raises(NotAGridError):
+            validate_matrix(raw, 2)
+
+    def test_new_rejections_are_input_errors(self):
+        # InputError maps to CLI exit code 2
+        assert issubclass(NonIntegerCellError, InputError)
+        assert issubclass(NotAGridError, InputError)
+
+    def test_integral_floats_and_bools_accepted(self):
+        assert validate_matrix([[1.0, 0.0]], 2).cells.tolist() == [[1, 0]]
+        assert validate_matrix(np.array([[True, False]]), 2).cells.tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.float64])
+    def test_copies_to_int64_and_leaves_caller_writable(self, dtype):
+        raw = np.array([[0, 1], [1, 1]], dtype=dtype)
+        m = validate_matrix(raw, 2)
+        assert m.cells.dtype == np.int64 and not m.cells.flags.writeable
+        raw[0, 0] = 1
+        assert raw.flags.writeable and m.cells[0, 0] == 0
+
+    def test_prior_rejects_non_integer_cells(self):
+        with pytest.raises(NonIntegerCellError):
+            PriorData.from_matrix([[0.5]], 2)
 
 
 class TestTally:
