@@ -32,6 +32,7 @@ __all__ = [
     "naive_weighted_average",
     "affine_bridge",
     "avg_sigma_from_bayes",
+    "weighted_total",
 ]
 
 # Above this many cells the per-question variance terms are reduced with
@@ -44,6 +45,18 @@ def _reduce(per_question: np.ndarray, n_cells: int) -> float:
     if n_cells > _FSUM_CELL_THRESHOLD:
         return math.fsum(per_question.tolist())
     return float(per_question.sum())
+
+
+def weighted_total(totals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_j totals[..., j] * weights[j]``, added in category order.
+
+    One model's category totals and a stack of replicates' give the same
+    bits for the same totals, which a BLAS dot product does not promise.
+    """
+    acc = totals[..., 0] * weights[0]
+    for j in range(1, weights.shape[0]):
+        acc = acc + totals[..., j] * weights[j]
+    return acc
 
 
 def evaluate_performance(
@@ -82,7 +95,7 @@ def evaluate_performance(
 
     # integer totals over questions first, so mu is the same bits in any
     # question order
-    mu = w[0] + float(t.nu.sum(axis=0) @ dw) / (m * big_t)
+    mu = w[0] + float(weighted_total(t.nu.sum(axis=0), dw)) / (m * big_t)
 
     first = nu @ dw                     # per question: sum_j nu_j (w_j - w_0)
 
@@ -116,7 +129,7 @@ def naive_weighted_average(matrix: ResultsMatrix, weights: WeightVector | None =
     weights.check_compatible(matrix)
     totals = matrix.category_counts().sum(axis=0)  # int64, order-free
     w = np.asarray(weights.weights, dtype=float)
-    return float(totals @ w) / (matrix.questions * matrix.trials)
+    return float(weighted_total(totals, w)) / (matrix.questions * matrix.trials)
 
 
 def affine_bridge(

@@ -17,9 +17,15 @@ width caps the trial budget; ``Method.scores_from_counts`` scores every
 prefix; reducers keep either tau-b sums or gold-match bits (convergence
 points). A CI-aware gold match ranks each replicate as ``rank_with_ci``
 would, with sigmas from ``Method.sigmas_from_counts`` on the same counts.
-Chunk size depends on the problem shape only, never on the machine or
-thread count, because it fixes how tau sums are grouped and so the float
-rounding of every reported mean.
+One pass serves both artifacts: ``scan_replicates`` scans max(R_tau,
+R_conv) replicates and feeds the tau reducers the first R_tau of them and
+the gold-match reducers the first R_conv, so the tau replicates are the
+first R_tau convergence replicates; ``tau_curves`` and
+``convergence_distributions`` read that result through ``scan=`` or, left
+without it, scan for their own artifact alone. Chunk size depends on the
+problem shape only, never on the machine or thread count, because it
+fixes how tau sums are grouped and so the float rounding of every
+reported mean.
 
 Rankings inside replicates are point-estimate rankings; the gold standard
 is the posterior-mean ranking of the unresampled matrices at the full
@@ -33,6 +39,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,7 +58,9 @@ __all__ = [
     "TauCurve",
     "ConvergenceDistribution",
     "WorstCaseTrajectory",
+    "ReplicateScan",
     "resample",
+    "scan_replicates",
     "tau_curve",
     "tau_curves",
     "tau_curves_from_draws",
@@ -237,45 +246,50 @@ def _resample_draw(items, plan: ResamplePlan, n_max: int):
     return draw
 
 
-def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducer, threads=1):
+def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducers, threads=1):
     """Score every method at every prefix of every replicate and reduce.
 
     ``draw(start, stop)`` returns replicates start..stop-1 as an
     (n_max, models, reps, questions) array of category indices.
-    ``reducer(method, reps)`` makes one reducer per method and chunk; its
-    ``add(n, scores, counts)`` receives the (reps, models) scores and the
-    (models, reps, questions, C) running counts at each n from the
-    method's onset, and its ``result()`` is the chunk's partial.
-    Returns each method's partials in chunk order, whatever ``threads``.
+    ``reducers(method, start, stop)`` makes a method's reducers for one
+    chunk as a dict by name; each one's ``add(n, scores, counts)`` receives
+    the (reps, models) scores and the (models, reps, questions, C) running
+    counts at each n from the method's onset, and its ``result()`` is the
+    chunk's partial. Returns, per method, one ``{name: partial}`` dict per
+    chunk, in chunk order whatever ``threads``.
     """
     cats = np.arange(1, num_categories)
 
-    def worker(start: int, stop: int) -> list:
+    def worker(span) -> list[dict]:
+        start, stop = span
         trials = draw(start, stop)
         counts = np.zeros(trials.shape[1:] + (cats.size,), dtype=np.int64)
-        reducers = [reducer(m, stop - start) for m in methods]
+        chunk_reducers = [reducers(m, start, stop) for m in methods]
         for n in range(1, n_max + 1):
             counts += trials[n - 1, ..., None] == cats
-            for m, red in zip(methods, reducers):
+            for m, reds in zip(methods, chunk_reducers):
                 if n >= max(1, m.min_trials):
-                    red.add(n, m.scores_from_counts(counts, n, num_categories).T, counts)
-        return [red.result() for red in reducers]
+                    scores = m.scores_from_counts(counts, n, num_categories).T
+                    for red in reds.values():
+                        red.add(n, scores, counts)
+        return [{name: red.result() for name, red in reds.items()} for reds in chunk_reducers]
 
     spans = [(s, min(s + chunk, replicates)) for s in range(0, replicates, chunk)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(zip(*ex.map(lambda sp: worker(*sp), spans)))
-    return list(zip(*(worker(*sp) for sp in spans)))
+            return list(zip(*ex.map(worker, spans)))
+    return list(zip(*map(worker, spans)))
 
 
 class _TauSums:
-    """Reducer: per-n sum, sum of squares and count of valid tau-b values."""
+    """Reducer: per-n sum, sum of squares and count of valid tau-b values
+    over a chunk's first ``rows`` replicates."""
 
-    def __init__(self, pairs, n_max: int):
-        self.pairs, self.acc = pairs, np.zeros((3, n_max + 1))
+    def __init__(self, pairs, n_max: int, rows: int):
+        self.pairs, self.rows, self.acc = pairs, rows, np.zeros((3, n_max + 1))
 
     def add(self, n: int, scores: np.ndarray, counts: np.ndarray) -> None:
-        tau, valid = _tau_against_gold(scores, *self.pairs)
+        tau, valid = _tau_against_gold(scores[: self.rows], *self.pairs)
         self.acc[:, n] = tau[valid].sum(), (tau[valid] ** 2).sum(), valid.sum()
 
     def result(self) -> np.ndarray:
@@ -299,18 +313,20 @@ def _gold_matcher(gold: RankTable, model_ids, method: Method, ci_z, num_categori
 
 
 class _GoldMatch:
-    """Reducer: each replicate's convergence point and censored flag.
+    """Reducer: convergence point and censored flag of a chunk's first
+    ``rows`` replicates.
 
     A replicate converges one past its last prefix (n >= lo) whose ranking
     differs from gold, at lo if none does, and is censored if n_max does.
     """
 
-    def __init__(self, match, lo: int, n_max: int, reps: int):
-        self.matches_gold, self.lo, self.n_max = match, lo, n_max
-        self.match = np.empty((reps, n_max - lo + 1), dtype=bool)
+    def __init__(self, match, lo: int, n_max: int, rows: int):
+        self.matches_gold, self.lo, self.n_max, self.rows = match, lo, n_max, rows
+        self.match = np.empty((rows, n_max - lo + 1), dtype=bool)
 
     def add(self, n: int, scores: np.ndarray, counts: np.ndarray) -> None:
-        self.match[:, n - self.lo] = self.matches_gold(n, scores, counts)
+        rows = self.rows
+        self.match[:, n - self.lo] = self.matches_gold(n, scores[:rows], counts[:, :rows])
 
     def result(self):
         rev = ~self.match[:, ::-1]
@@ -318,6 +334,142 @@ class _GoldMatch:
         # first mismatch scanning backwards = last mismatching prefix length
         last_mm = self.n_max - np.argmax(rev, axis=1)
         return np.where(any_mm, last_mm + 1, self.lo), any_mm & (last_mm == self.n_max)
+
+
+def _reduce_replicates(
+    draw, model_ids, methods, gold: RankTable, n_max: int, tau_reps: int, conv_reps: int,
+    *, chunk: int, num_categories: int, threads: int = 1, ci_z: float | None = None,
+):
+    """One scan over replicates 0..max(tau_reps, conv_reps)-1.
+
+    Returns, per method, the tau-b sums of the first ``tau_reps``
+    replicates (a (3, n_max + 1) array, summed in chunk order so the float
+    grouping is fixed) and the convergence points and censored flags of
+    the first ``conv_reps``; either is None when its count is 0.
+    """
+    pairs = _pair_structure(gold, model_ids) if tau_reps else None
+    for m in methods:
+        m.check_defined(n_max, num_categories)
+
+    def reducers(m, start: int, stop: int) -> dict:
+        out = {}
+        if start < tau_reps:
+            out["tau"] = _TauSums(pairs, n_max, min(stop, tau_reps) - start)
+        if start < conv_reps:
+            match = _gold_matcher(gold, model_ids, m, ci_z, num_categories)
+            out["conv"] = _GoldMatch(match, max(1, m.min_trials), n_max,
+                                     min(stop, conv_reps) - start)
+        return out
+
+    partials = _scan(draw, num_categories, max(tau_reps, conv_reps), chunk, methods,
+                     n_max, reducers, threads)
+    tau, points = [], []
+    for parts in partials:
+        tau.append(sum(p["tau"] for p in parts if "tau" in p) if tau_reps else None)
+        conv = [p["conv"] for p in parts if "conv" in p]
+        points.append(tuple(map(np.concatenate, zip(*conv))) if conv_reps else None)
+    return tau, points
+
+
+# -- one scan for tau curves and convergence@n -------------------------------
+
+@dataclass(frozen=True)
+class ReplicateScan:
+    """What one pass over shared replicates leaves for ``tau_curves`` and
+    ``convergence_distributions``; made by ``scan_replicates``.
+
+    ``tau_sums[name]`` is a method's (3, n_max + 1) per-n sum, sum of
+    squares and count of valid tau-b values over the first
+    ``tau_plan.replicates`` replicates; ``points[name]`` holds the
+    convergence point and censored flag of each of the first
+    ``convergence_plan.replicates``. The arrays are read-only.
+    """
+
+    model_ids: tuple[str, ...]
+    methods: tuple[Method, ...]
+    weights: WeightVector | None
+    gold: RankTable
+    n_max: int
+    tau_plan: ResamplePlan | None
+    convergence_plan: ResamplePlan | None
+    ci_z: float | None
+    tau_sums: Mapping[str, np.ndarray]
+    points: Mapping[str, tuple[np.ndarray, np.ndarray]]
+
+
+def scan_replicates(
+    matrices,
+    methods: Sequence[Method | str] | str,
+    tau_plan: ResamplePlan | None = None,
+    convergence_plan: ResamplePlan | None = None,
+    weights: WeightVector | None = None,
+    threads: int = 1,
+    gold: RankTable | None = None,
+    ci_z: float | None = None,
+) -> ReplicateScan:
+    """Draw, count and score every replicate of both plans in one pass.
+
+    Replicate r of model s is keyed by (seed, scheme, r, s) alone, so the
+    tau replicates are the first R_tau of the convergence replicates (or
+    the other way round): one scan over max(R_tau, R_conv) replicates feeds
+    each method's tau-b reducer the first R_tau of them and its gold-match
+    reducer the first R_conv. A plan left as None gets no reducer. Pass the
+    result as ``scan=`` to ``tau_curves`` and ``convergence_distributions``;
+    both then read it instead of scanning. ``gold`` and ``ci_z`` are as in
+    those functions.
+
+    Raises:
+        NegativeZError: ``ci_z`` not > 0, before any draw.
+        InputError: no plan, or plans that differ in scheme, seed or
+            trial budget.
+    """
+    if ci_z is not None and not ci_z > 0:
+        raise NegativeZError(f"z threshold must be > 0, got {ci_z}")
+    items = _model_items(matrices)
+    methods = _as_methods(methods, weights)
+    plans = [p for p in (tau_plan, convergence_plan) if p is not None]
+    if not plans:
+        raise InputError("a replicate scan needs a tau plan, a convergence plan or both")
+    trials = items[0][1].trials
+    if len({(p.scheme, p.seed, p.budget(trials)) for p in plans}) > 1:
+        raise InputError("tau and convergence plans must share scheme, seed and n_max")
+    n_max = plans[0].budget(trials)
+    if gold is None:
+        gold = gold_table(dict(items), n_max, weights)
+    model_ids = tuple(mid for mid, _ in items)
+    tau, points = _reduce_replicates(
+        _resample_draw(items, plans[0], n_max), model_ids, methods, gold, n_max,
+        tau_plan.replicates if tau_plan else 0,
+        convergence_plan.replicates if convergence_plan else 0,
+        chunk=_chunk_size(items, n_max), num_categories=items[0][1].num_categories,
+        threads=threads, ci_z=ci_z,
+    )
+    tau_sums = {m.name: t for m, t in zip(methods, tau) if t is not None}
+    conv_points = {m.name: p for m, p in zip(methods, points) if p is not None}
+    for a in [*tau_sums.values(), *(a for p in conv_points.values() for a in p)]:
+        a.setflags(write=False)
+    return ReplicateScan(
+        model_ids, tuple(methods), weights, gold, n_max, tau_plan, convergence_plan, ci_z,
+        MappingProxyType(tau_sums), MappingProxyType(conv_points),
+    )
+
+
+def _served_methods(scan: ReplicateScan, artifact, matrices, methods, plan, weights, gold,
+                    ci_z=None) -> list[Method]:
+    """The requested methods, once ``scan`` is shown to hold ``artifact``
+    ("tau" or "convergence") for exactly these arguments."""
+    methods = _as_methods(methods, weights)
+    made_with = scan.tau_plan if artifact == "tau" else scan.convergence_plan
+    if not (
+        plan == made_with
+        and tuple(mid for mid, _ in _model_items(matrices)) == scan.model_ids
+        and weights == scan.weights
+        and (gold is None or gold == scan.gold)
+        and (artifact == "tau" or ci_z == scan.ci_z)
+        and all(m in scan.methods for m in methods)
+    ):
+        raise InputError(f"the replicate scan was not made for this {artifact} request")
+    return methods
 
 
 # -- tau curves ---------------------------------------------------------------
@@ -364,6 +516,21 @@ class TauCurve:
         }
 
 
+def _tau_curve(m: Method, total: np.ndarray, n_max: int, scheme: str) -> TauCurve:
+    points = []
+    for n in range(max(1, m.min_trials), n_max + 1):
+        s, ss, cnt = total[0, n], total[1, n], total[2, n]
+        if cnt == 0:
+            continue
+        mean = s / cnt
+        var = max(ss / cnt - mean * mean, 0.0)
+        stderr = math.sqrt(var / cnt) if cnt > 1 else 0.0
+        # subset estimators rank from a single subset at n == k
+        onset = m.k is not None and m.kind != "naive_pass_hat_k" and n == m.k
+        points.append(TauPoint(n, mean, stderr, int(cnt), onset))
+    return TauCurve(m.name, scheme, tuple(points))
+
+
 def tau_curves_from_draws(
     draw, model_ids, methods, gold: RankTable, n_max: int, replicates: int, *,
     scheme: str, chunk: int, num_categories: int = 2, threads: int = 1,
@@ -378,29 +545,11 @@ def tau_curves_from_draws(
     if replicates < 1:
         raise InputError("need at least one replicate")
     methods = _as_methods(methods)
-    pairs = _pair_structure(gold, model_ids)
-    for m in methods:
-        m.check_defined(n_max, num_categories)
-    partials = _scan(
-        draw, num_categories, replicates, chunk, methods, n_max,
-        lambda m, reps: _TauSums(pairs, n_max), threads,
+    tau, _ = _reduce_replicates(
+        draw, model_ids, methods, gold, n_max, replicates, 0,
+        chunk=chunk, num_categories=num_categories, threads=threads,
     )
-    curves: dict[str, TauCurve] = {}
-    for m, parts in zip(methods, partials):
-        total = sum(parts)  # in chunk order, so the float grouping is fixed
-        points = []
-        for n in range(max(1, m.min_trials), n_max + 1):
-            s, ss, cnt = total[0, n], total[1, n], total[2, n]
-            if cnt == 0:
-                continue
-            mean = s / cnt
-            var = max(ss / cnt - mean * mean, 0.0)
-            stderr = math.sqrt(var / cnt) if cnt > 1 else 0.0
-            # subset estimators rank from a single subset at n == k
-            onset = m.k is not None and m.kind != "naive_pass_hat_k" and n == m.k
-            points.append(TauPoint(n, mean, stderr, int(cnt), onset))
-        curves[m.name] = TauCurve(m.name, scheme, tuple(points))
-    return curves
+    return {m.name: _tau_curve(m, total, n_max, scheme) for m, total in zip(methods, tau)}
 
 
 def tau_curves(
@@ -410,6 +559,8 @@ def tau_curves(
     weights: WeightVector | None = None,
     threads: int = 1,
     gold: RankTable | None = None,
+    *,
+    scan: ReplicateScan | None = None,
 ) -> dict[str, TauCurve]:
     """Mean tau-b curves of one or more methods over shared replicates.
 
@@ -419,18 +570,19 @@ def tau_curves(
     method scores every model identically have no defined correlation
     and are excluded from that point's mean (their count shows up in
     ``valid_replicates``).
+
+    Without ``scan`` this runs ``scan_replicates`` with ``plan`` as its
+    only plan. With ``scan`` (made with this ``plan`` as its tau plan and
+    the same matrices, methods and weights) it reads the tau sums of that
+    pass, with the scan's gold, and draws nothing; ``threads`` is unused.
     """
-    items = _model_items(matrices)
-    methods = _as_methods(methods, weights)
-    n_max = plan.budget(items[0][1].trials)
-    if gold is None:
-        gold = gold_table(dict(items), n_max, weights)
-    return tau_curves_from_draws(
-        _resample_draw(items, plan, n_max), [mid for mid, _ in items], methods,
-        gold, n_max, plan.replicates, scheme=plan.scheme.value,
-        chunk=_chunk_size(items, n_max),
-        num_categories=items[0][1].num_categories, threads=threads,
-    )
+    if scan is None:
+        scan = scan_replicates(matrices, methods, plan, None, weights, threads, gold)
+    methods = _served_methods(scan, "tau", matrices, methods, plan, weights, gold)
+    return {
+        m.name: _tau_curve(m, scan.tau_sums[m.name], scan.n_max, plan.scheme.value)
+        for m in methods
+    }
 
 
 def tau_curve(
@@ -502,22 +654,6 @@ class ConvergenceDistribution:
         }
 
 
-def _convergence_points(items, methods, plan, gold, n_max, threads, ci_z=None):
-    """Per method, every replicate's convergence point and censored flag."""
-    model_ids = [mid for mid, _ in items]
-    num_categories = items[0][1].num_categories
-    for m in methods:
-        m.check_defined(n_max, num_categories)
-    partials = _scan(
-        _resample_draw(items, plan, n_max), num_categories, plan.replicates,
-        _chunk_size(items, n_max), methods, n_max,
-        lambda m, reps: _GoldMatch(_gold_matcher(gold, model_ids, m, ci_z, num_categories),
-                                   max(1, m.min_trials), n_max, reps),
-        threads,
-    )
-    return [tuple(map(np.concatenate, zip(*parts))) for parts in partials]
-
-
 def convergence_distributions(
     matrices,
     methods: Sequence[Method | str] | str,
@@ -526,6 +662,8 @@ def convergence_distributions(
     threads: int = 1,
     gold: RankTable | None = None,
     ci_z: float | None = None,
+    *,
+    scan: ReplicateScan | None = None,
 ) -> dict[str, ConvergenceDistribution]:
     """Convergence@n PMFs for one or more methods over shared replicates.
 
@@ -534,20 +672,22 @@ def convergence_distributions(
     CI-tied rankings at that z threshold, as ``rank_with_ci`` would rank
     them: ``bayes`` and ``avg`` use their closed-form sigma, subset
     estimators sigma 0. Both run on the same engine and replicates.
+
+    Without ``scan`` this runs ``scan_replicates`` with ``plan`` as its
+    only plan. With ``scan`` (made with this ``plan`` as its convergence
+    plan and the same matrices, methods, weights and ``ci_z``) it reads the
+    convergence points of that pass, with the scan's gold, and draws
+    nothing; ``threads`` is unused.
     """
-    if ci_z is not None and not ci_z > 0:
-        raise NegativeZError(f"z threshold must be > 0, got {ci_z}")
-    items = _model_items(matrices)
-    methods = _as_methods(methods, weights)
-    n_max = plan.budget(items[0][1].trials)
-    if gold is None:
-        gold = gold_table(dict(items), n_max, weights)
+    if scan is None:
+        scan = scan_replicates(matrices, methods, None, plan, weights, threads, gold, ci_z)
+    methods = _served_methods(scan, "convergence", matrices, methods, plan, weights, gold, ci_z)
     out = {}
-    points = _convergence_points(items, methods, plan, gold, n_max, threads, ci_z)
-    for m, (conv, censored) in zip(methods, points):
-        hist = np.bincount(conv[~censored], minlength=n_max + 2)[: n_max + 1]
+    for m in methods:
+        conv, censored = scan.points[m.name]
+        hist = np.bincount(conv[~censored], minlength=scan.n_max + 2)[: scan.n_max + 1]
         out[m.name] = ConvergenceDistribution(
-            m.name, plan.scheme.value, n_max, hist.astype(np.int64),
+            m.name, plan.scheme.value, scan.n_max, hist.astype(np.int64),
             int(censored.sum()), plan.replicates,
         )
     return out
@@ -613,11 +753,9 @@ def worst_case_trajectory(
     toward the lowest replicate index.
     """
     (m,) = _as_methods(method, weights)
-    items = _model_items(matrices)
-    n_max = plan.budget(items[0][1].trials)
-    if gold is None:
-        gold = gold_table(dict(items), n_max, weights)
-    ((conv, censored),) = _convergence_points(items, [m], plan, gold, n_max, threads)
+    scan = scan_replicates(matrices, [m], None, plan, weights, threads, gold)
+    conv, censored = scan.points[m.name]
+    items, n_max = _model_items(matrices), scan.n_max
     key = np.where(censored, n_max + 1, conv)
     worst_rep = int(np.argmax(key))  # first occurrence wins
     conv_n = None if censored[worst_rep] else int(conv[worst_rep])

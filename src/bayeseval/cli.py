@@ -134,33 +134,38 @@ def _cmd_rank(args) -> None:
 
 
 def _cmd_converge(args) -> None:
-    items = _load_dir(args.results_dir, None)
+    items = dict(_load_dir(args.results_dir, None))
     methods = parse_methods(args.methods)
+    if args.format == "tsv" and len(methods) != 1:
+        raise InputError("TSV output requires exactly one --methods entry")
     scheme = {"col": "column", "row": "row"}.get(args.scheme, args.scheme)
     reps_tau = args.replicates or 10_000
     reps_conv = args.replicates or 100_000
     n_max = args.nmax
     plan_tau = bootstrap.ResamplePlan(scheme, reps_tau, args.seed, n_max)
     plan_conv = bootstrap.ResamplePlan(scheme, reps_conv, args.seed, n_max)
-    curves = bootstrap.tau_curves(dict(items), methods, plan_tau, threads=args.threads)
-    convs = bootstrap.convergence_distributions(
-        dict(items), methods, plan_conv, threads=args.threads
-    )
     if args.format == "tsv":
-        if len(methods) != 1:
-            raise InputError("TSV output requires exactly one --methods entry")
+        # scan and reduce only the artifact emitted
         name = methods[0].name
-        result = curves[name] if args.artifact == "tau" else convs[name]
-        _emit(args, result)
+        if args.artifact == "tau":
+            result = bootstrap.tau_curves(items, methods, plan_tau, threads=args.threads)
+        else:
+            result = bootstrap.convergence_distributions(
+                items, methods, plan_conv, threads=args.threads
+            )
+        _emit(args, result[name])
         return
-    budget = plan_tau.budget(items[0][1].trials)
+    # one pass and one gold ranking for both artifacts and the report
+    scan = bootstrap.scan_replicates(items, methods, plan_tau, plan_conv, threads=args.threads)
+    curves = bootstrap.tau_curves(items, methods, plan_tau, scan=scan)
+    convs = bootstrap.convergence_distributions(items, methods, plan_conv, scan=scan)
     report = {
         "scheme": scheme,
         "seed": args.seed,
-        "n_max": budget,
+        "n_max": scan.n_max,
         "replicates_tau": reps_tau,
         "replicates_convergence": reps_conv,
-        "gold": bootstrap.gold_table(dict(items), budget).to_report(),
+        "gold": scan.gold.to_report(),
         "methods": {
             m.name: {
                 "tau_curve": curves[m.name].to_report(),

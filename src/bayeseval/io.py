@@ -124,15 +124,23 @@ def load_results_csv(
 
 
 def load_label_map(path) -> dict[str, int]:
-    """Category-name to index sidecar: a JSON object of name -> integer."""
+    """Category-name to index sidecar: a JSON object of name -> integer.
+
+    An index is a JSON integer or an integral number such as ``2.0``;
+    a fraction, boolean, string or null is a ``ParseError`` naming its key.
+    """
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: label map must be a JSON object")
-    try:
-        return {str(k): int(v) for k, v in raw.items()}
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: label indices must be integers: {exc}") from None
+    labels = {}
+    for name, index in raw.items():
+        if isinstance(index, bool) or not (
+            isinstance(index, int) or isinstance(index, float) and index.is_integer()
+        ):
+            raise ParseError(f"{path}: label {name!r} has index {index!r}, not an integer")
+        labels[str(name)] = int(index)
+    return labels
 
 
 def load_prior_csv(path, num_categories: int) -> PriorData:

@@ -21,7 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import passk
-from .bayes import avg_sigma_from_bayes, evaluate_performance, naive_weighted_average
+from .bayes import (
+    avg_sigma_from_bayes,
+    evaluate_performance,
+    naive_weighted_average,
+    weighted_total,
+)
 from .errors import InputError, MethodUndefinedError
 from .model import UNIFORM, ResultsMatrix, WeightVector
 
@@ -100,15 +105,20 @@ class Method:
         """
         self.check_defined(trials, num_categories)
         if self.kind in ("bayes", "avg"):
+            # int64 category totals over questions first, then one weighted
+            # sum: the bits of evaluate_performance / naive_weighted_average,
+            # in any question order
             w = self._weight_array(num_categories)
-            dw = w[1:] - w[0]
+            m = counts.shape[-2]
+            totals = np.einsum("...mc->...c", counts)
+            n0 = m * trials - totals.sum(axis=-1, keepdims=True)
+            totals = np.concatenate([n0, totals], axis=-1)
             if self.kind == "bayes":
-                # mu = w0 + (mean_alpha sum_j nu_j (w_j - w0)) / T, nu = counts + 1,
-                # T = 1 + C + N under the uniform prior
-                per_q = counts @ dw + dw.sum()
-                return w[0] + per_q.mean(axis=-1) / (num_categories + trials)
-            # avg: (1/N) mean_alpha [ w0 n0 + sum_{j>=1} w_j n_j ]
-            return (counts @ dw + w[0] * trials).mean(axis=-1) / trials
+                # uniform prior: one pseudo-count per (question, category),
+                # T = 1 + C + N
+                t = float(num_categories + trials)
+                return w[0] + weighted_total(totals + m, w - w[0]) / (m * t)
+            return weighted_total(totals, w) / (m * trials)
         table = passk.score_table(self.kind, trials, self.k, self.tau)
         return table[counts[..., 0]].mean(axis=-1)
 

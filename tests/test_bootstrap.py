@@ -408,3 +408,110 @@ class TestCountWidth:
         curve = tau_curve(self.pair(), "bayes", ResamplePlan("column", 1, seed=0))
         assert curve.at(self.TRIALS).mean_tau == 1.0
 
+
+
+class TestSharedScan:
+    """One ``scan_replicates`` pass gives what two separate calls give."""
+
+    @pytest.mark.parametrize("scheme", ["row", "column"])
+    @pytest.mark.parametrize("reps", [(10, 23), (16, 16), (23, 10)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ci_z", [None, 1.0])
+    def test_equals_separate_calls(self, scheme, reps, threads, ci_z, monkeypatch):
+        # chunks of 7 put chunk boundaries inside and around both counts
+        monkeypatch.setattr(bootstrap, "_chunk_size", lambda items, n_max: 7)
+        mats = small_cohort(n_models=4, n=12, seed=3)
+        methods = ["bayes", "avg", "pass@2"]
+        tau_plan = ResamplePlan(scheme, reps[0], seed=5)
+        conv_plan = ResamplePlan(scheme, reps[1], seed=5)
+        curves = tau_curves(mats, methods, tau_plan, threads=threads)
+        convs = convergence_distributions(mats, methods, conv_plan, threads=threads, ci_z=ci_z)
+        scan = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan,
+                                         threads=threads, ci_z=ci_z)
+        assert tau_curves(mats, methods, tau_plan, scan=scan) == curves
+        shared_convs = convergence_distributions(mats, methods, conv_plan, ci_z=ci_z, scan=scan)
+        for name, dist in convs.items():
+            assert np.array_equal(shared_convs[name].counts, dist.counts)
+            assert shared_convs[name].censored_count == dist.censored_count
+            assert shared_convs[name].replicates == dist.replicates == reps[1]
+
+    def test_five_categories_with_weights(self, monkeypatch):
+        monkeypatch.setattr(bootstrap, "_chunk_size", lambda items, n_max: 6)
+        rng = np.random.default_rng(4)
+        mats = {f"m{i}": validate_matrix(rng.integers(0, 5, size=(8, 6)), 5) for i in range(4)}
+        w = WeightVector((0.0, 0.1, 0.7, 1.3, 2.9))
+        tau_plan, conv_plan = ResamplePlan("row", 9, seed=2), ResamplePlan("row", 14, seed=2)
+        curves = tau_curves(mats, ["bayes", "avg"], tau_plan, weights=w)
+        convs = convergence_distributions(mats, ["bayes", "avg"], conv_plan, weights=w)
+        scan = bootstrap.scan_replicates(mats, ["bayes", "avg"], tau_plan, conv_plan, weights=w)
+        assert tau_curves(mats, ["bayes", "avg"], tau_plan, weights=w, scan=scan) == curves
+        shared = convergence_distributions(mats, ["bayes", "avg"], conv_plan, weights=w, scan=scan)
+        for name, dist in convs.items():
+            assert np.array_equal(shared[name].counts, dist.counts)
+            assert shared[name].censored_count == dist.censored_count
+
+    def test_each_replicate_drawn_once(self, monkeypatch):
+        calls = []
+        real = bootstrap.resample
+        monkeypatch.setattr(bootstrap, "resample",
+                            lambda mx, plan, r, stream=0: calls.append((r, stream)) or
+                            real(mx, plan, r, stream))
+        mats = small_cohort(n_models=3, n=6)
+        bootstrap.scan_replicates(mats, ["bayes", "pass@2"], ResamplePlan("row", 4),
+                                  ResamplePlan("row", 9))
+        assert sorted(calls) == [(r, s) for r in range(9) for s in range(3)]
+
+    @pytest.mark.parametrize("other", [
+        ResamplePlan("column", 8, seed=1, n_max=10),
+        ResamplePlan("row", 8, seed=2, n_max=10),
+        ResamplePlan("row", 8, seed=1, n_max=9),
+        ResamplePlan("row", 8, seed=1),
+    ])
+    def test_plans_must_share_scheme_seed_and_budget(self, other, monkeypatch):
+        monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
+        with pytest.raises(InputError):
+            bootstrap.scan_replicates(small_cohort(n=12), ["bayes"],
+                                      ResamplePlan("row", 5, seed=1, n_max=10), other)
+
+    def test_budget_is_compared_not_the_field(self):
+        mats = small_cohort(n=12)
+        scan = bootstrap.scan_replicates(mats, ["bayes"], ResamplePlan("row", 3, n_max=12),
+                                         ResamplePlan("row", 4))
+        assert scan.n_max == 12
+
+    def test_needs_a_plan(self):
+        with pytest.raises(InputError):
+            bootstrap.scan_replicates(small_cohort(), ["bayes"])
+
+    def test_mismatched_requests_rejected(self):
+        mats = small_cohort(n=12)
+        tau_plan, conv_plan = ResamplePlan("row", 4, seed=1), ResamplePlan("row", 6, seed=1)
+        scan = bootstrap.scan_replicates(mats, ["bayes"], tau_plan, conv_plan)
+        tau_only = bootstrap.scan_replicates(mats, ["bayes"], tau_plan)
+        with pytest.raises(InputError):
+            tau_curves(mats, ["bayes"], conv_plan, scan=scan)            # wrong plan
+        with pytest.raises(InputError):
+            tau_curves(mats, ["pass@2"], tau_plan, scan=scan)            # method not scanned
+        with pytest.raises(InputError):
+            convergence_distributions(mats, ["bayes"], conv_plan, ci_z=1.0, scan=scan)
+        with pytest.raises(InputError):
+            convergence_distributions(mats, ["bayes"], conv_plan, scan=tau_only)
+        with pytest.raises(InputError):
+            tau_curves(mats, ["bayes"], tau_plan, weights=WeightVector((0.0, 2.0)), scan=scan)
+        fewer = dict(list(mats.items())[:3])
+        with pytest.raises(InputError):
+            tau_curves(fewer, ["bayes"], tau_plan, scan=scan)
+        other_gold = gold_table(fewer | {"x": next(iter(mats.values()))})
+        with pytest.raises(InputError):
+            tau_curves(mats, ["bayes"], tau_plan, gold=other_gold, scan=scan)
+
+    def test_result_is_read_only(self):
+        mats = small_cohort(n=12)
+        scan = bootstrap.scan_replicates(mats, ["bayes"], ResamplePlan("row", 3),
+                                         ResamplePlan("row", 3))
+        with pytest.raises(ValueError):
+            scan.tau_sums["bayes"][0, 1] = 1.0
+        with pytest.raises(ValueError):
+            scan.points["bayes"][0][0] = 1
+        with pytest.raises(TypeError):
+            scan.points["pass@2"] = scan.points["bayes"]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bayeseval import bootstrap
 from bayeseval.cli import main
 from bayeseval.io import save_results_csv
 from bayeseval.model import validate_matrix
@@ -82,6 +83,16 @@ class TestEval:
         data = json.loads(err)
         assert data["error"] == "ParseError"
         assert "'half'" in data["message"] and "(line 3, column 3)" in data["message"]
+
+    def test_fractional_label_index_exits_2(self, capsys, tmp_path):
+        results = tmp_path / "r.csv"
+        results.write_text("question_id,t1,t2\nq1,ok,bad\n")
+        labels = tmp_path / "labels.json"
+        labels.write_text('{"ok": 1, "bad": 0.5}')
+        code, out, err = run(capsys, "eval", "--results", str(results), "--labels", str(labels))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+        assert "'bad'" in json.loads(err)["message"]
 
     def test_gpass_fraction_tau(self, capsys, binary_csv):
         code, out, _ = run(
@@ -232,6 +243,47 @@ class TestConverge:
             "--methods", "bayes,pass@2", "--replicates", "10", "--format", "tsv",
         )
         assert code == 2
+
+    def test_tsv_options_checked_before_any_draw(self, capsys, model_dir, monkeypatch):
+        monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
+        code, _, err = run(
+            capsys, "converge", "--results-dir", model_dir,
+            "--methods", "bayes,pass@2", "--format", "tsv",
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
+
+    @staticmethod
+    def count_resamples(monkeypatch) -> list:
+        calls = []
+        real = bootstrap.resample
+        monkeypatch.setattr(bootstrap, "resample",
+                            lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+        return calls
+
+    def test_one_draw_per_replicate_and_model(self, capsys, model_dir, monkeypatch):
+        calls = self.count_resamples(monkeypatch)
+        code, out, _ = run(
+            capsys, "converge", "--results-dir", model_dir, "--methods", "bayes,pass@2",
+            "--replicates", "7",
+        )
+        assert code == 0
+        assert sorted(calls) == sorted(list(range(7)) * 3)   # 3 models
+        assert json.loads(out)["replicates_tau"] == json.loads(out)["replicates_convergence"] == 7
+
+    @pytest.mark.parametrize("artifact, skipped", [
+        ("tau", "convergence_distributions"), ("convergence", "tau_curves"),
+    ])
+    def test_tsv_computes_only_its_artifact(self, capsys, model_dir, monkeypatch,
+                                            artifact, skipped):
+        calls = self.count_resamples(monkeypatch)
+        monkeypatch.setattr(bootstrap, skipped, lambda *a, **k: pytest.fail(f"ran {skipped}"))
+        code, out, _ = run(
+            capsys, "converge", "--results-dir", model_dir, "--methods", "bayes",
+            "--replicates", "5", "--format", "tsv", "--artifact", artifact,
+        )
+        assert code == 0 and out
+        assert len(calls) == 5 * 3
 
     def test_replicate_one_degenerate_pmf(self, capsys, model_dir):
         code, out, _ = run(

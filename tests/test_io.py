@@ -217,6 +217,24 @@ class TestLabelMap:
         with pytest.raises(ParseError):
             load_label_map(sidecar)
 
+    def test_integral_indices_accepted(self, tmp_path):
+        from bayeseval.io import load_label_map
+
+        sidecar = tmp_path / "labels.json"
+        sidecar.write_text('{"wrong": 0, "partial": 1.0, "correct": 2e0}')
+        labels = load_label_map(sidecar)
+        assert labels == {"wrong": 0, "partial": 1, "correct": 2}
+        assert all(type(v) is int for v in labels.values())
+
+    @pytest.mark.parametrize("index", ["1.5", '"0"', "true", "false", "null", "1e400"])
+    def test_non_integer_index_rejected_by_key(self, tmp_path, index):
+        from bayeseval.io import load_label_map
+
+        sidecar = tmp_path / "labels.json"
+        sidecar.write_text(f'{{"ok": 1, "bad key": {index}}}')
+        with pytest.raises(ParseError, match="'bad key'"):
+            load_label_map(sidecar)
+
 
 # -- reader equivalence ---------------------------------------------------------
 

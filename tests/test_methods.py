@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bayeseval.bayes import avg_sigma_from_bayes, evaluate_performance
+from bayeseval.bayes import avg_sigma_from_bayes, evaluate_performance, naive_weighted_average
+from bayeseval.bootstrap import ResamplePlan, resample
 from bayeseval.methods import parse_method
 from bayeseval.model import WeightVector, validate_matrix
 
@@ -51,3 +54,41 @@ class TestSigmasFromCounts:
     def test_subset_estimators_have_zero_sigma(self):
         counts = np.zeros((3, 2, 6, 1), dtype=np.int64)
         assert parse_method("pass@2").sigmas_from_counts(counts, 4, 2).tolist() == [[0.0] * 2] * 3
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@st.composite
+def resampled_cohort(draw):
+    """Three resampled models (4 replicates each), tenths weights, a row order."""
+    k, m, n = draw(st.integers(2, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plan = ResamplePlan(draw(st.sampled_from(["row", "column"])), 4, seed=draw(st.integers(0, 99)))
+    replicates = [
+        [resample(mx, plan, r, stream=s) for r in range(4)]
+        for s, mx in enumerate(validate_matrix(rng.integers(0, k, size=(m, n)), k) for _ in range(3))
+    ]
+    w = WeightVector(tuple(draw(st.integers(-50, 50)) / 10 for _ in range(k)))
+    return replicates, w, draw(st.permutations(range(m)))
+
+
+class TestOrderFreeReplicateMeans:
+    @settings(max_examples=150, deadline=None)
+    @given(resampled_cohort())
+    def test_question_order_free_and_equal_to_whole_matrix_scores(self, case):
+        replicates, w, perm = case
+        k, trials = replicates[0][0].num_categories, replicates[0][0].trials
+        bayes, avg = parse_method("bayes", w), parse_method("avg", w)
+        for n in range(1, trials + 1):
+            prefixes = [[rx.prefix(n) for rx in reps] for reps in replicates]
+            counts = np.stack([counts_of(reps) for reps in prefixes])  # (model, rep, M, C)
+            shuffled = counts[:, :, list(perm)]
+            for method in (bayes, avg):
+                assert bits(method.scores_from_counts(shuffled, n, k)) == bits(
+                    method.scores_from_counts(counts, n, k))
+            assert bits(bayes.scores_from_counts(counts, n, k)) == bits(
+                [[evaluate_performance(p, weights=w).mu for p in reps] for reps in prefixes])
+            assert bits(avg.scores_from_counts(counts, n, k)) == bits(
+                [[naive_weighted_average(p, w) for p in reps] for reps in prefixes])
