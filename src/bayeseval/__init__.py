@@ -57,6 +57,7 @@ from .rubric import (
     SCHEMATA,
     AttemptSignals,
     Schema,
+    SignalTable,
     ThresholdSet,
     build_matrix,
     categorize,

@@ -230,8 +230,8 @@ def _cmd_rubric(args) -> None:
     signals = io.load_signals_jsonl(args.signals)
     for w in signals.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    thresholds = rubric.compute_thresholds(signals.records.values())
-    matrix = rubric.build_matrix(signals.records, schema, thresholds)
+    thresholds = rubric.compute_thresholds(signals.table)
+    matrix = rubric.build_matrix(signals.table, schema, thresholds)
     report = {
         "schema": schema.name,
         "num_categories": schema.num_categories,

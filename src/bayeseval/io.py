@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -23,10 +24,9 @@ from .errors import (
     InputError,
     MissingFieldError,
     ParseError,
-    RangeViolationError,
 )
 from .model import PriorData, ResultsMatrix, validate_matrix
-from .rubric import AttemptSignals
+from .rubric import SignalTable
 
 __all__ = [
     "load_results_csv",
@@ -174,29 +174,120 @@ _VERIFIER_FIELDS = {
     "compass_context_B": "verifier_wrong",
     "compass_context_C": "verifier_offtask",
 }
+# (JSON key, AttemptSignals field, integral) in the order a record's values are read
+_SIGNAL_COLUMNS = tuple(
+    [(key, key, key == "repeated_pattern") for key in _REQUIRED_SIGNAL_FIELDS[2:]]
+    + [(key, name, False) for key, name in _VERIFIER_FIELDS.items()]
+)
+_NUMBER_TYPES = frozenset((int, float, bool))
 
 
 @dataclass(frozen=True)
 class SignalSet:
-    """Parsed signal records keyed by (question_id, trial), plus warnings."""
+    """Parsed signal records as one column table, plus warnings."""
 
-    records: dict[tuple[str, int], AttemptSignals]
+    table: SignalTable
     warnings: tuple[str, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.table)
+
+
+def _int64(value) -> int | None:
+    """A JSON integer or integral float as an int64 value, else None."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is int and -(2**63) <= value < 2**63:
+        return value
+    return None
+
+
+def _value_problem(name: str, value, integral: bool) -> str | None:
+    """Why ``value`` cannot be read as signal ``name``, or None if it can."""
+    if type(value) not in _NUMBER_TYPES:
+        return f"{name} must be a number, got {value!r}"
+    try:
+        number = float(value)
+    except OverflowError:
+        return f"{name}={value} is beyond the float64 range"
+    if integral and not number.is_integer():
+        return f"{name} must be an integer, got {value!r}"
+    return None
+
+
+def _signal_column(name: str, values, integral: bool):
+    """``(float64 column, None)``, or ``(None, (row, problem))`` for the
+    first value that cannot be read as signal ``name``."""
+    if set(map(type, values)) <= _NUMBER_TYPES:
+        try:
+            column = np.array(values, dtype=np.float64)
+        except OverflowError:   # an integer beyond the float64 range
+            pass
+        else:
+            if not integral or (np.isfinite(column) & (column == np.trunc(column))).all():
+                return column, None
+    problems = ((row, _value_problem(name, value, integral)) for row, value in enumerate(values))
+    return None, next((row, problem) for row, problem in problems if problem)
+
+
+def _signal_table(path, rows: list[tuple], lines: list[int]) -> SignalTable:
+    """The column table of ``(question_id, trial, *values)`` rows read at ``lines``.
+
+    Raises the error of the lowest row whose values fail: a value that is
+    not a number (or not integral) as ``ParseError``, else one outside its
+    range as ``RangeViolationError`` from the table.
+    """
+    qids, trials, *raw = list(zip(*rows)) or [()] * (2 + len(_SIGNAL_COLUMNS))
+    columns, first = {}, None
+    for (key, name, integral), values in zip(_SIGNAL_COLUMNS, raw):
+        columns[name], bad = _signal_column(key, values, integral)
+        if bad and (first is None or bad[0] < first[0]):
+            first = bad
+    if first:
+        row, problem = first
+        _signal_table(path, rows[:row], lines[:row])   # numbers above, maybe out of range
+        raise ParseError(f"{path}: {problem}", line=lines[row])
+    index = {q: i for i, q in enumerate(dict.fromkeys(qids))}
+    return SignalTable(
+        question_ids=tuple(index),
+        question=np.fromiter(map(index.__getitem__, qids), np.int64, len(qids)),
+        trial=np.array(trials, dtype=np.int64),
+        lines=np.array(lines, dtype=np.int64),
+        source=str(path),
+        **columns,
+    )
 
 
 def load_signals_jsonl(path) -> SignalSet:
     """Load per-attempt signal records, one JSON object per line.
 
+    One pass parses each line, checks its fields and its (question, trial)
+    cell, and keeps its values; they become the columns of one
+    ``SignalTable``, whose value types and ranges are checked a column at
+    a time. ``question_id`` is read with ``str()``; ``trial`` is a JSON
+    integer or integral float (``2.0``) within int64. The other values are
+    JSON numbers, ``true``/``false`` reading as 1/0, and
+    ``repeated_pattern`` must be integral. Blank lines are skipped.
     Records missing the verifier fields default them to zero and add a
-    warning. Raises with the offending line number on malformed JSON,
-    missing required fields, out-of-range values, or duplicate cells.
+    warning.
+
+    Raises, for the lowest-numbered bad line, the first check it fails in
+    this order:
+        ParseError: malformed JSON, or a line that is not a JSON object.
+        MissingFieldError: a required field is absent.
+        ParseError: a ``trial`` that is not an int64 integer.
+        DuplicateCellError: the (question, trial) cell was already read.
+        ParseError: a value that is not a number, or not integral.
+        RangeViolationError: a value outside its range, in
+            ``AttemptSignals`` checking order.
     """
-    records: dict[tuple[str, int], AttemptSignals] = {}
-    warnings: list[str] = []
+    take = itemgetter(*_REQUIRED_SIGNAL_FIELDS)
+    take_verifier = itemgetter(*_VERIFIER_FIELDS)
+    rows: list[tuple] = []
+    lines: list[int] = []
+    seen: set[tuple[str, int]] = set()
     defaulted = 0
+    error = None
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -205,41 +296,46 @@ def load_signals_jsonl(path) -> SignalSet:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=line_no) from None
-            for name in _REQUIRED_SIGNAL_FIELDS:
-                if name not in obj:
-                    raise MissingFieldError(f"{path}: missing field {name!r}", line=line_no)
-            key = (str(obj["question_id"]), int(obj["trial"]))
-            if key in records:
-                raise DuplicateCellError(
+                error = ParseError(f"{path}: invalid JSON: {exc.msg}", line=line_no)
+                break
+            if type(obj) is not dict:
+                error = ParseError(
+                    f"{path}: expected a JSON object, got {type(obj).__name__}", line=line_no
+                )
+                break
+            try:
+                row = take(obj)
+            except KeyError as exc:
+                error = MissingFieldError(f"{path}: missing field {exc.args[0]!r}", line=line_no)
+                break
+            key = (str(row[0]), _int64(row[1]))
+            if key[1] is None:
+                error = ParseError(
+                    f"{path}: trial must be an int64 integer, got {row[1]!r}", line=line_no
+                )
+                break
+            if key in seen:
+                error = DuplicateCellError(
                     f"{path}: duplicate record for question {key[0]!r} trial {key[1]}",
                     line=line_no,
                 )
-            kwargs = {
-                "has_box": float(obj["has_box"]),
-                "is_correct": float(obj["is_correct"]),
-                "token_ratio": float(obj["token_ratio"]),
-                "repeated_pattern": int(obj["repeated_pattern"]),
-                "prompt_bpt": float(obj["prompt_bpt"]),
-                "completion_bpt": float(obj["completion_bpt"]),
-            }
-            missing_verifier = False
-            for src, dst in _VERIFIER_FIELDS.items():
-                if src in obj:
-                    kwargs[dst] = float(obj[src])
-                else:
-                    missing_verifier = True
-            if missing_verifier:
-                defaulted += 1
+                break
+            seen.add(key)
             try:
-                records[key] = AttemptSignals(**kwargs)
-            except InputError as exc:
-                raise RangeViolationError(f"{path}: {exc}", line=line_no) from None
+                verifier = take_verifier(obj)
+            except KeyError:
+                verifier = tuple(obj.get(name, 0.0) for name in _VERIFIER_FIELDS)
+                defaulted += 1
+            rows.append(key + row[2:] + verifier)
+            lines.append(line_no)
+    # built before raising, so a bad value above the bad line is reported first
+    table = _signal_table(path, rows, lines)
+    if error:
+        raise error
+    warnings = ()
     if defaulted:
-        warnings.append(
-            f"{defaulted} record(s) missing verifier fields; defaulted to (0, 0, 0)"
-        )
-    return SignalSet(records, tuple(warnings))
+        warnings = (f"{defaulted} record(s) missing verifier fields; defaulted to (0, 0, 0)",)
+    return SignalSet(table, warnings)
 
 
 # -- report emission ----------------------------------------------------------

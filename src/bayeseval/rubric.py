@@ -8,6 +8,15 @@ category. Category 0 is always reserved for invalid attempts (degenerate
 repetition or a high off-task verifier probability), which dominates all
 other rules.
 
+Signals are processed as columns. A ``SignalTable`` holds one row per
+attempt: question codes, int64 trials, one float64 array per
+``AttemptSignals`` field and the source line of each row. Thresholds are
+percentiles of its columns, each rubric variable is one boolean array,
+each rule ANDs its literals' arrays into a mask, and ``build_matrix``
+places the categories on the (question, trial) grid with ``np.unique``.
+A single ``AttemptSignals``, or a mapping of them, runs through the same
+code as a table of one row per record.
+
 Percentile thresholds use linear interpolation between closest ranks
 (the numpy default), fixed here so threshold values are stable across
 implementations and runs.
@@ -15,8 +24,8 @@ implementations and runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -26,12 +35,14 @@ from .errors import (
     InputError,
     NoCorrectItemsError,
     NoWrongItemsError,
+    RangeViolationError,
     UncoveredCaseError,
 )
 from .model import ResultsMatrix, WeightVector
 
 __all__ = [
     "AttemptSignals",
+    "SignalTable",
     "ThresholdSet",
     "RubricVariables",
     "Schema",
@@ -43,6 +54,36 @@ __all__ = [
     "categorize",
     "build_matrix",
 ]
+
+_PROBABILITIES = ("has_box", "is_correct", "verifier_correct", "verifier_wrong", "verifier_offtask")
+_NON_NEGATIVE = ("token_ratio", "prompt_bpt", "completion_bpt")
+
+
+def _range_problem(s) -> tuple[int, str] | None:
+    """The first row of ``s`` holding a value outside its range, and why.
+
+    ``s`` is an ``AttemptSignals`` (one row) or a ``SignalTable``. A row's
+    probabilities are checked first, then its non-negative reals, then
+    ``repeated_pattern``; NaN fails every check.
+    """
+    checks = []     # (field, values, failing rows, message), in checking order
+    for name in _PROBABILITIES:
+        v = np.atleast_1d(np.asarray(getattr(s, name), dtype=np.float64))
+        checks.append((name, v, ~((v >= 0.0) & (v <= 1.0)), "{}={} outside [0, 1]"))
+    for name in _NON_NEGATIVE:
+        v = np.atleast_1d(np.asarray(getattr(s, name), dtype=np.float64))
+        checks.append((name, v, ~(np.isfinite(v) & (v >= 0.0)), "{}={} must be finite and >= 0"))
+    v = np.atleast_1d(np.asarray(s.repeated_pattern, dtype=np.float64))
+    checks.append(("repeated_pattern", v, (v != 0.0) & (v != 1.0), "{} must be 0 or 1, got {}"))
+    bad = np.logical_or.reduce([failing for _, _, failing, _ in checks])
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    name, v, _, message = next(check for check in checks if check[2][row])
+    value = float(v[row])
+    if name == "repeated_pattern" and value.is_integer():
+        value = int(value)
+    return row, message.format(name, value)
 
 
 @dataclass(frozen=True)
@@ -66,16 +107,97 @@ class AttemptSignals:
     verifier_offtask: float = 0.0   # C
 
     def __post_init__(self):
-        for name in ("has_box", "is_correct", "verifier_correct", "verifier_wrong", "verifier_offtask"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"{name}={v} outside [0, 1]")
-        for name in ("token_ratio", "prompt_bpt", "completion_bpt"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0.0:
-                raise InputError(f"{name}={v} must be finite and >= 0")
-        if self.repeated_pattern not in (0, 1):
-            raise InputError(f"repeated_pattern must be 0 or 1, got {self.repeated_pattern}")
+        found = _range_problem(self)
+        if found:
+            raise InputError(found[1])
+
+
+_SIGNAL_FIELDS = tuple(f.name for f in fields(AttemptSignals))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SignalTable:
+    """Attempt signals as columns, one row per attempt.
+
+    ``question`` holds int64 codes into ``question_ids``, ``trial`` the
+    int64 trial numbers, and each ``AttemptSignals`` field is a float64
+    column under the same name. ``lines`` gives each row's line in
+    ``source``, the file the rows were read from (empty for tables built
+    in memory, whose lines number the rows from 1). Construction checks
+    the ranges ``AttemptSignals`` checks, row by row.
+
+    Raises:
+        InputError: columns of different lengths.
+        RangeViolationError: the first row holding a value outside its
+            range, at that row's line.
+    """
+
+    question_ids: tuple[str, ...]
+    question: np.ndarray
+    trial: np.ndarray
+    has_box: np.ndarray
+    is_correct: np.ndarray
+    token_ratio: np.ndarray
+    repeated_pattern: np.ndarray
+    prompt_bpt: np.ndarray
+    completion_bpt: np.ndarray
+    verifier_correct: np.ndarray
+    verifier_wrong: np.ndarray
+    verifier_offtask: np.ndarray
+    lines: np.ndarray
+    source: str = ""
+
+    def __post_init__(self):
+        n = len(self.trial)
+        if any(len(getattr(self, name)) != n for name in ("question", *_SIGNAL_FIELDS, "lines")):
+            raise InputError("signal table columns differ in length")
+        found = _range_problem(self)
+        if found:
+            row, problem = found
+            where = f"{self.source}: " if self.source else ""
+            raise RangeViolationError(where + problem, line=int(self.lines[row]))
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+    @classmethod
+    def from_records(cls, records: Mapping[tuple[str, int], AttemptSignals]) -> "SignalTable":
+        """One row per (question, trial) -> signals entry, in mapping order."""
+        codes: dict[str, int] = {}
+        question = [codes.setdefault(q, len(codes)) for q, _ in records]
+        values = list(records.values())
+        return cls(
+            question_ids=tuple(codes),
+            question=np.array(question, dtype=np.int64),
+            trial=np.array([t for _, t in records], dtype=np.int64),
+            lines=np.arange(1, len(values) + 1),
+            **{
+                name: np.array([getattr(s, name) for s in values], dtype=np.float64)
+                for name in _SIGNAL_FIELDS
+            },
+        )
+
+    def take(self, rows: np.ndarray) -> "SignalTable":
+        """The rows at index ``rows``, in that order."""
+        return replace(
+            self,
+            question=self.question[rows],
+            trial=self.trial[rows],
+            lines=self.lines[rows],
+            **{name: getattr(self, name)[rows] for name in _SIGNAL_FIELDS},
+        )
+
+
+def _as_table(signals) -> SignalTable:
+    """``signals`` as a table: a table itself, one ``AttemptSignals``, a
+    (question, trial) -> signals mapping, or an iterable of signals."""
+    if isinstance(signals, SignalTable):
+        return signals
+    if isinstance(signals, AttemptSignals):
+        signals = (signals,)
+    if not isinstance(signals, Mapping):
+        signals = {("", i): s for i, s in enumerate(signals, start=1)}
+    return SignalTable.from_records(signals)
 
 
 @dataclass(frozen=True)
@@ -108,21 +230,19 @@ class ThresholdSet:
         }
 
 
-def compute_thresholds(signals: Iterable[AttemptSignals]) -> ThresholdSet:
-    """Percentile thresholds over a signal collection (order-invariant).
+def compute_thresholds(signals: SignalTable | Iterable[AttemptSignals]) -> ThresholdSet:
+    """Percentile thresholds over a signal table or collection (order-invariant).
 
     Raises:
         EmptyInputError: no signals.
         NoWrongItemsError / NoCorrectItemsError: a conditional percentile
             has no supporting items.
     """
-    sigs = list(signals)
-    if not sigs:
+    table = _as_table(signals)
+    if not len(table):
         raise EmptyInputError("cannot compute thresholds without signals")
-    completion = np.array([s.completion_bpt for s in sigs])
-    prompt = np.array([s.prompt_bpt for s in sigs])
-    ratio = np.array([s.token_ratio for s in sigs])
-    correct_mask = np.array([s.is_correct >= 0.5 for s in sigs])
+    completion = table.completion_bpt
+    correct_mask = table.is_correct >= 0.5
     wrong_bpt = completion[~correct_mask]
     correct_bpt = completion[correct_mask]
     if wrong_bpt.size == 0:
@@ -133,9 +253,9 @@ def compute_thresholds(signals: Iterable[AttemptSignals]) -> ThresholdSet:
     return ThresholdSet(
         tau_high=pct(completion, 40),
         tau_low_wrong=pct(wrong_bpt, 60),
-        tau_prompt=pct(prompt, 90),
-        len_p33=pct(ratio, 33),
-        len_p66=pct(ratio, 66),
+        tau_prompt=pct(table.prompt_bpt, 90),
+        len_p33=pct(table.token_ratio, 33),
+        len_p66=pct(table.token_ratio, 66),
         corr_p33=pct(correct_bpt, 33),
         corr_p66=pct(correct_bpt, 66),
     )
@@ -143,7 +263,8 @@ def compute_thresholds(signals: Iterable[AttemptSignals]) -> ThresholdSet:
 
 @dataclass(frozen=True)
 class RubricVariables:
-    """Boolean rubric variables derived from one attempt's signals."""
+    """Boolean rubric variables: one bool per variable for an
+    ``AttemptSignals``, one boolean array (a row per attempt) for a table."""
 
     invalid: bool
     correct: bool
@@ -166,51 +287,47 @@ class RubricVariables:
     top_wrong: bool
     top_correct: bool
 
-    def flags(self) -> dict[str, bool]:
-        return dict(self.__dict__)
 
-
-def _verifier_argmax(a: float, b: float, c: float) -> str:
-    # ties resolve pessimistically: off-task, then wrong, then correct
-    best = max(a, b, c)
-    if c == best:
-        return "offtask"
-    if b == best:
-        return "wrong"
-    return "correct"
-
-
-def derive_variables(s: AttemptSignals, t: ThresholdSet) -> RubricVariables:
+def derive_variables(s: AttemptSignals | SignalTable, t: ThresholdSet) -> RubricVariables:
     """Map signals to rubric variables using the dataset thresholds.
 
     Boundary conventions are fixed: invalid when the off-task probability
     reaches 0.50; confident when ``completion_bpt`` does not exceed the
     cutoff; economical when ``token_ratio`` does not exceed the tercile.
+    The verifier argmax resolves ties pessimistically: off-task, then
+    wrong, then correct.
     """
-    correct = s.is_correct >= 0.5
-    top = _verifier_argmax(s.verifier_correct, s.verifier_wrong, s.verifier_offtask)
-    return RubricVariables(
-        invalid=(s.repeated_pattern == 1) or (s.verifier_offtask >= 0.50),
+    table = _as_table(s)
+    correct = table.is_correct >= 0.5
+    bpt, ratio, prompt = table.completion_bpt, table.token_ratio, table.prompt_bpt
+    a, b, c = table.verifier_correct, table.verifier_wrong, table.verifier_offtask
+    top_offtask = (c >= a) & (c >= b)
+    top_wrong = ~top_offtask & (b >= a)
+    variables = RubricVariables(
+        invalid=(table.repeated_pattern == 1) | (c >= 0.50),
         correct=correct,
-        wrong=not correct,
-        high_conf=s.completion_bpt <= t.tau_high,
-        low_conf=s.completion_bpt > t.tau_high,
-        wrong_high_conf=(not correct) and s.completion_bpt <= t.tau_low_wrong,
-        ood=s.prompt_bpt >= t.tau_prompt,
-        ind=s.prompt_bpt < t.tau_prompt,
-        economical=s.token_ratio <= t.len_p33,
-        moderate=t.len_p33 < s.token_ratio <= t.len_p66,
-        verbose=s.token_ratio > t.len_p66,
-        boxed=s.has_box >= 0.5,
-        unboxed=s.has_box < 0.5,
-        a_high=s.verifier_correct >= 0.6,
-        conf_top=s.completion_bpt <= t.corr_p33,
-        conf_mid=t.corr_p33 < s.completion_bpt <= t.corr_p66,
-        conf_low=s.completion_bpt > t.corr_p66,
-        top_offtask=top == "offtask",
-        top_wrong=top == "wrong",
-        top_correct=top == "correct",
+        wrong=~correct,
+        high_conf=bpt <= t.tau_high,
+        low_conf=bpt > t.tau_high,
+        wrong_high_conf=~correct & (bpt <= t.tau_low_wrong),
+        ood=prompt >= t.tau_prompt,
+        ind=prompt < t.tau_prompt,
+        economical=ratio <= t.len_p33,
+        moderate=(t.len_p33 < ratio) & (ratio <= t.len_p66),
+        verbose=ratio > t.len_p66,
+        boxed=table.has_box >= 0.5,
+        unboxed=table.has_box < 0.5,
+        a_high=a >= 0.6,
+        conf_top=bpt <= t.corr_p33,
+        conf_mid=(t.corr_p33 < bpt) & (bpt <= t.corr_p66),
+        conf_low=bpt > t.corr_p66,
+        top_offtask=top_offtask,
+        top_wrong=top_wrong,
+        top_correct=~(top_offtask | top_wrong),
     )
+    if not isinstance(s, AttemptSignals):
+        return variables
+    return RubricVariables(**{name: bool(mask[0]) for name, mask in vars(variables).items()})
 
 
 @dataclass(frozen=True)
@@ -269,71 +386,82 @@ class Schema:
         )
 
 
-def _rule_matches(lits: tuple[str, ...], flags: dict[str, bool]) -> bool:
-    for lit in lits:
-        if lit.startswith("~"):
-            if flags[lit[1:]]:
-                return False
-        elif not flags[lit]:
-            return False
-    return True
+def categorize(s: AttemptSignals | SignalTable, schema: Schema, t: ThresholdSet):
+    """Category of each attempt under a schema; invalid always maps to 0.
 
-
-def categorize(s: AttemptSignals, schema: Schema, t: ThresholdSet) -> int:
-    """Category of one attempt under a schema; invalid always maps to 0.
+    Returns an int for an ``AttemptSignals`` and an int64 array (one entry
+    per row) for a table. Each rule's literals are ANDed into a row mask;
+    the masks of one category are ORed, and every valid row must be hit by
+    exactly one category.
 
     Raises:
-        UncoveredCaseError: the schema's rules leave the attempt unmapped
-            or map it to more than one category.
+        UncoveredCaseError: the schema's rules leave an attempt unmapped or
+            map it to more than one category; the first such row is named
+            by its true variables.
     """
-    variables = derive_variables(s, t)
-    if variables.invalid:
-        return 0
-    flags = variables.flags()
-    hits = {cat for cat, lits in schema.rules if _rule_matches(lits, flags)}
-    if len(hits) != 1:
-        state = ", ".join(k for k, v in sorted(flags.items()) if v)
-        what = "no rule covers" if not hits else f"rules {sorted(hits)} overlap on"
+    table = _as_table(s)
+    variables = derive_variables(table, t)
+    hit: dict[int, np.ndarray] = {}
+    for cat, lits in schema.rules:
+        mask = np.ones(len(table), dtype=bool)
+        for lit in lits:
+            mask &= ~getattr(variables, lit[1:]) if lit.startswith("~") else getattr(variables, lit)
+        hit[cat] = hit[cat] | mask if cat in hit else mask
+    valid = ~variables.invalid
+    uncovered = valid & (sum(hit.values()) != 1)
+    if uncovered.any():
+        row = int(uncovered.argmax())
+        cats = sorted(cat for cat, mask in hit.items() if mask[row])
+        state = ", ".join(k for k, mask in sorted(vars(variables).items()) if mask[row])
+        what = "no rule covers" if not cats else f"rules {cats} overlap on"
         raise UncoveredCaseError(f"schema {schema.name}: {what} [{state}]")
-    return hits.pop()
+    category = np.where(valid, sum(cat * mask for cat, mask in hit.items()), 0)
+    return int(category[0]) if isinstance(s, AttemptSignals) else category
 
 
 def build_matrix(
-    records: Mapping[tuple[str, int], AttemptSignals],
+    records: SignalTable | Mapping[tuple[str, int], AttemptSignals],
     schema: Schema,
     thresholds: ThresholdSet | None = None,
 ) -> ResultsMatrix:
     """Categorical results matrix from a complete (question, trial) grid.
 
-    Thresholds default to percentiles of the very records being mapped.
-    Question rows are ordered by first appearance; trials sort ascending.
+    ``records`` is a signal table or a (question, trial) -> signals
+    mapping, which is made a table once. Thresholds default to
+    percentiles of the very records being mapped. Question rows are
+    ordered by first appearance; trials sort ascending. The table's rows
+    are put in that grid order and categorized by one ``categorize`` call,
+    so an uncovered case is reported at its first grid cell.
 
     Raises:
+        EmptyInputError: no records.
         IncompleteGridError: some (question, trial) pair is missing.
+        InputError: a table holds two rows for one (question, trial) pair.
     """
-    if not records:
+    table = _as_table(records)
+    if not len(table):
         raise EmptyInputError("no signal records")
     if thresholds is None:
-        thresholds = compute_thresholds(records.values())
-    questions: list[str] = []
-    seen = set()
-    for q, _ in records:
-        if q not in seen:
-            seen.add(q)
-            questions.append(q)
-    trials = sorted({t for _, t in records})
-    missing = [
-        (q, t) for q in questions for t in trials if (q, t) not in records
-    ]
-    if missing:
-        raise IncompleteGridError(
-            f"{len(missing)} missing (question, trial) cells, first: {missing[0]}"
-        )
-    cells = np.empty((len(questions), len(trials)), dtype=np.int64)
-    for qi, q in enumerate(questions):
-        for ti, t in enumerate(trials):
-            cells[qi, ti] = categorize(records[(q, t)], schema, thresholds)
-    return ResultsMatrix(cells, schema.num_categories, tuple(questions))
+        thresholds = compute_thresholds(table)
+    codes, first, question = np.unique(table.question, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    ids = tuple(table.question_ids[code] for code in codes[by_appearance])
+    trials, trial = np.unique(table.trial, return_inverse=True)
+    m, n = len(ids), len(trials)
+    cell = np.argsort(by_appearance)[question.reshape(-1)] * n + trial.reshape(-1)
+    order = np.argsort(cell)
+    if len(table) != m * n or (cell[order] != np.arange(m * n)).any():
+        placed = np.unique(cell)     # memory stays O(rows) however sparse the grid
+        if placed.size < m * n:
+            gaps = np.flatnonzero(placed != np.arange(placed.size))
+            q, t = divmod(int(gaps[0]) if gaps.size else placed.size, n)
+            raise IncompleteGridError(
+                f"{m * n - placed.size} missing (question, trial) cells, "
+                f"first: {(ids[q], int(trials[t]))}"
+            )
+        raise InputError(f"{len(table) - m * n} duplicate (question, trial) rows")
+    cells = categorize(table.take(order), schema, thresholds)
+    return ResultsMatrix(cells.reshape(m, n), schema.num_categories, ids)
 
 
 def _schema(name, num_categories, rules, weights=None):

@@ -430,6 +430,21 @@ class TestRubric:
         assert code == 2
         assert "exact-match" in err and "concise-high-conf" in err
 
+    def test_bad_signal_value_exits_2_with_field_and_line(self, capsys, tmp_path):
+        signals = signals_jsonl(tmp_path)
+        with open(signals) as fh:
+            lines = fh.read().splitlines()
+        record = json.loads(lines[3])
+        record["has_box"] = "yes"
+        lines[3] = json.dumps(record)
+        with open(signals, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "rubric", "--signals", signals, "--schema", "format-aware")
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "ParseError"
+        assert "has_box must be a number, got 'yes' (line 4)" in error["message"]
+
     def test_custom_schema_file(self, capsys, tmp_path):
         signals = signals_jsonl(tmp_path)
         schema_file = tmp_path / "box.json"

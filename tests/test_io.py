@@ -88,16 +88,17 @@ class TestSignalsJsonl:
         p = write(tmp_path / "s.jsonl", json.dumps(SIGNAL_RECORD) + "\n")
         signals = load_signals_jsonl(p)
         assert len(signals) == 1
-        rec = signals.records[("q1", 1)]
-        assert rec.verifier_correct == 0.8
+        rec = signals.table
+        assert (rec.question_ids, rec.trial.tolist()) == (("q1",), [1])
+        assert rec.verifier_correct.tolist() == [0.8]
         assert signals.warnings == ()
 
     def test_missing_verifier_defaults_with_warning(self, tmp_path):
         slim = {k: v for k, v in SIGNAL_RECORD.items() if not k.startswith("compass")}
         p = write(tmp_path / "s.jsonl", json.dumps(slim) + "\n")
         signals = load_signals_jsonl(p)
-        rec = signals.records[("q1", 1)]
-        assert (rec.verifier_correct, rec.verifier_wrong, rec.verifier_offtask) == (0, 0, 0)
+        rec = signals.table
+        assert (rec.verifier_correct, rec.verifier_wrong, rec.verifier_offtask) == ([0], [0], [0])
         assert len(signals.warnings) == 1
 
     def test_missing_required_field(self, tmp_path):
@@ -127,6 +128,42 @@ class TestSignalsJsonl:
         with pytest.raises(ParseError) as err:
             load_signals_jsonl(p)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("has_box", "yes"), ("repeated_pattern", None), ("compass_context_B", [0.1]),
+         ("token_ratio", "0.2")],
+    )
+    def test_non_number_value_located(self, tmp_path, field, value):
+        bad = dict(SIGNAL_RECORD, trial=2, **{field: value})
+        p = write(tmp_path / "s.jsonl", json.dumps(SIGNAL_RECORD) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ParseError, match=f"{field} must be a number") as err:
+            load_signals_jsonl(p)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"question_id trial"', "null"])
+    def test_non_object_line_located(self, tmp_path, line):
+        p = write(tmp_path / "s.jsonl", json.dumps(SIGNAL_RECORD) + "\n\n" + line + "\n")
+        with pytest.raises(ParseError, match="expected a JSON object") as err:
+            load_signals_jsonl(p)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("repeated_pattern", 0.7), ("trial", 1.5), ("trial", True), ("trial", "1"),
+         ("trial", 2**63)],
+    )
+    def test_fractional_or_non_integer_trial_and_pattern_rejected(self, tmp_path, field, value):
+        p = write(tmp_path / "s.jsonl", json.dumps(dict(SIGNAL_RECORD, **{field: value})) + "\n")
+        with pytest.raises(ParseError, match=f"{field} must be an (int64 )?integer") as err:
+            load_signals_jsonl(p)
+        assert err.value.line == 1
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        rec = dict(SIGNAL_RECORD, trial=3.0, repeated_pattern=1.0)
+        table = load_signals_jsonl(write(tmp_path / "s.jsonl", json.dumps(rec) + "\n")).table
+        assert table.trial.dtype == np.int64 and table.trial.tolist() == [3]
+        assert table.repeated_pattern.tolist() == [1.0]
 
 
 class TestEmitReport:
