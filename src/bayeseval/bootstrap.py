@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -276,6 +275,8 @@ def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducers, thr
 
     spans = [(s, min(s + chunk, replicates)) for s in range(0, replicates, chunk)]
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(zip(*ex.map(worker, spans)))
     return list(zip(*map(worker, spans)))
@@ -499,6 +500,9 @@ class TauCurve:
                 return p
         raise KeyError(n)
 
+    def tsv_rows(self) -> list[tuple]:
+        return [("N", "value", "stderr")] + [(p.n, p.mean_tau, p.stderr) for p in self.points]
+
     def to_report(self) -> dict:
         return {
             "method": self.method,
@@ -638,6 +642,13 @@ class ConvergenceDistribution:
         if converged == 0:
             return None
         return float(np.arange(self.n_max + 1) @ self.counts) / converged
+
+    def tsv_rows(self) -> list[tuple]:
+        pmf, cdf = self.pmf, self.cdf
+        rows = [("n", "pmf", "cdf")]
+        rows += [(n, pmf[n], cdf[n]) for n in range(1, self.n_max + 1)]
+        rows.append(("censored", self.censored_mass, ""))
+        return rows
 
     def to_report(self) -> dict:
         return {

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import bootstrap, io, rubric, simulate
+from . import io
 from .bayes import evaluate_performance
 from .errors import (
     BayesEvalError,
@@ -29,7 +29,9 @@ from .errors import (
 )
 from .methods import parse_method, parse_methods
 from .model import UNIFORM, WeightVector
-from .ranking import rank_with_ci, rank_without_ci, ScoredModel
+
+# bootstrap, ranking, simulate and rubric are imported by the handlers that
+# run them, so each command loads only its own modules
 
 _Z_REPORT_LEVELS = (1.645, 1.96)
 _DEFAULT_CONVERGE_METHODS = "bayes,pass@2,pass@4,pass@8"
@@ -60,13 +62,24 @@ def _emit(args, result) -> None:
     sys.stdout.buffer.write(io.emit_report(result, getattr(args, "format", "json")))
 
 
-def _cohort_from_args(args) -> list[simulate.CoinModel]:
+def _spec_int(raw: dict, key: str, default: int, path) -> int:
+    value = io.json_int(raw.get(key, default))
+    if value is None:
+        raise InputError(f"{path}: {key} must be an integer, got {raw[key]!r}")
+    return value
+
+
+def _cohort_from_args(args) -> list:
+    """The coin models named by ``--spec`` or ``--preset``."""
+    from . import simulate
+
     if getattr(args, "spec", None):
-        with open(args.spec) as fh:
-            raw = json.load(fh)
+        raw = io.load_json(args.spec)
+        if not isinstance(raw, dict):
+            raise InputError(f"{args.spec}: cohort spec must be a JSON object")
         spec = simulate.CohortSpec(
-            questions=int(raw.get("questions", 30)),
-            seed=int(raw.get("seed", getattr(args, "seed", 0))),
+            questions=_spec_int(raw, "questions", 30, args.spec),
+            seed=_spec_int(raw, "seed", getattr(args, "seed", 0), args.spec),
         )
         return simulate.generate_cohort(spec)
     preset = getattr(args, "preset", None) or "reference"
@@ -115,6 +128,8 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_rank(args) -> None:
+    from .ranking import ScoredModel, rank_with_ci, rank_without_ci
+
     items = _load_dir(args.results_dir, args.categories)
     weights = _parse_weights(args.weights)
     method = parse_method(args.method, weights)
@@ -133,7 +148,26 @@ def _cmd_rank(args) -> None:
     _emit(args, report)
 
 
+def _threads(args) -> int:
+    """``--threads``, else ``BAYESEVAL_THREADS``, else 1; at least 1."""
+    if args.threads is not None:
+        threads, source = args.threads, "--threads"
+    else:
+        source = "BAYESEVAL_THREADS"
+        text = os.environ.get(source, "1")
+        try:
+            threads = int(text)
+        except ValueError:
+            raise InputError(f"{source} must be an integer, got {text!r}") from None
+    if threads < 1:
+        raise InputError(f"{source} must be >= 1, got {threads}")
+    return threads
+
+
 def _cmd_converge(args) -> None:
+    from . import bootstrap
+
+    threads = _threads(args)
     items = dict(_load_dir(args.results_dir, None))
     methods = parse_methods(args.methods)
     if args.format == "tsv" and len(methods) != 1:
@@ -148,15 +182,15 @@ def _cmd_converge(args) -> None:
         # scan and reduce only the artifact emitted
         name = methods[0].name
         if args.artifact == "tau":
-            result = bootstrap.tau_curves(items, methods, plan_tau, threads=args.threads)
+            result = bootstrap.tau_curves(items, methods, plan_tau, threads=threads)
         else:
             result = bootstrap.convergence_distributions(
-                items, methods, plan_conv, threads=args.threads
+                items, methods, plan_conv, threads=threads
             )
         _emit(args, result[name])
         return
     # one pass and one gold ranking for both artifacts and the report
-    scan = bootstrap.scan_replicates(items, methods, plan_tau, plan_conv, threads=args.threads)
+    scan = bootstrap.scan_replicates(items, methods, plan_tau, plan_conv, threads=threads)
     curves = bootstrap.tau_curves(items, methods, plan_tau, scan=scan)
     convs = bootstrap.convergence_distributions(items, methods, plan_conv, scan=scan)
     report = {
@@ -178,6 +212,8 @@ def _cmd_converge(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    from . import simulate
+
     cohort = _cohort_from_args(args)
     gold = simulate.gold_ranking(cohort)
     report = {
@@ -208,24 +244,37 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_separation(args) -> None:
+    from . import simulate
+
     cohort = {m.model_id: m for m in _cohort_from_args(args)}
     try:
         a, b = cohort[args.a], cohort[args.b]
     except KeyError as exc:
         raise InputError(f"unknown model {exc.args[0]!r}; cohort has {sorted(cohort)}") from None
-    grid = [int(p) for p in args.ngrid.split(",") if p.strip()]
+    try:
+        grid = [int(p) for p in args.ngrid.split(",") if p.strip()]
+    except ValueError:
+        raise InputError(f"--ngrid must be comma-separated integers, got {args.ngrid!r}") from None
     result = simulate.separation_experiment(a, b, grid, args.replicates, args.seed)
     _emit(args, result)
 
 
-def _load_schema(spec: str) -> rubric.Schema:
-    if spec.endswith(".json"):
-        with open(spec) as fh:
-            return rubric.Schema.from_config(json.load(fh))
-    return rubric.schema_by_name(spec)
+def _load_schema(spec: str):
+    """A shipped schema by name, or one declared in a ``.json`` file."""
+    from . import rubric
+
+    if not spec.endswith(".json"):
+        return rubric.schema_by_name(spec)
+    config = io.load_json(spec)
+    try:
+        return rubric.Schema.from_config(config)
+    except InputError as exc:
+        raise InputError(f"{spec}: {exc}") from None
 
 
 def _cmd_rubric(args) -> None:
+    from . import rubric
+
     schema = _load_schema(args.schema)
     signals = io.load_signals_jsonl(args.signals)
     for w in signals.warnings:
@@ -250,13 +299,27 @@ def _cmd_rubric(args) -> None:
 
 # -- parser ---------------------------------------------------------------------
 
+class _SchemaHelpFormatter(argparse.HelpFormatter):
+    """Appends the shipped schema names to ``--schema``'s help text.
+
+    The names come from ``rubric.SCHEMATA`` when help is formatted, so
+    building the parser does not import ``rubric``.
+    """
+
+    def _get_help_string(self, action):
+        if action.dest != "schema":
+            return action.help
+        from .rubric import SCHEMATA
+
+        return action.help + ", ".join(s.name for s in SCHEMATA)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bayeseval",
         description="Posterior-based evaluation scores, rankings, and convergence analytics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_threads = int(os.environ.get("BAYESEVAL_THREADS", "1"))
 
     p = sub.add_parser("eval", help="score a single results matrix")
     p.add_argument("--results", required=True, help="results CSV (question_id,t1,...)")
@@ -285,7 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="default: 10^4 for tau curves, 10^5 for convergence PMFs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nmax", type=int, help="trial budget (default: full N)")
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=int,
+                   help="worker threads (default: $BAYESEVAL_THREADS, else 1)")
     p.add_argument("--format", default="json", choices=["json", "tsv"])
     p.add_argument("--artifact", default="tau", choices=["tau", "convergence"],
                    help="which series the TSV format emits")
@@ -313,11 +377,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--format", default="json", choices=["json", "tsv"])
     ps.set_defaults(func=_cmd_separation)
 
-    p = sub.add_parser("rubric", help="map attempt signals to a categorical matrix")
+    p = sub.add_parser("rubric", help="map attempt signals to a categorical matrix",
+                       formatter_class=_SchemaHelpFormatter)
     p.add_argument("--signals", required=True, help="JSONL of per-attempt signals")
     p.add_argument("--schema", required=True,
-                   help=f"a declarative schema JSON file, or one of: "
-                        f"{', '.join(rubric.schema_names())}")
+                   help="a declarative schema JSON file, or one of: ")
     p.add_argument("--emit-matrix", help="write the categorical matrix CSV here")
     p.set_defaults(func=_cmd_rubric)
 

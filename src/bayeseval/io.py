@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -26,13 +26,17 @@ from .errors import (
     ParseError,
 )
 from .model import PriorData, ResultsMatrix, validate_matrix
-from .rubric import SignalTable
+
+if TYPE_CHECKING:
+    from .rubric import SignalTable
 
 __all__ = [
     "load_results_csv",
     "save_results_csv",
     "load_prior_csv",
     "load_label_map",
+    "load_json",
+    "json_int",
     "SignalSet",
     "load_signals_jsonl",
     "emit_report",
@@ -129,18 +133,36 @@ def load_label_map(path) -> dict[str, int]:
     An index is a JSON integer or an integral number such as ``2.0``;
     a fraction, boolean, string or null is a ``ParseError`` naming its key.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = load_json(path)
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: label map must be a JSON object")
     labels = {}
     for name, index in raw.items():
-        if isinstance(index, bool) or not (
-            isinstance(index, int) or isinstance(index, float) and index.is_integer()
-        ):
+        value = json_int(index)
+        if value is None:
             raise ParseError(f"{path}: label {name!r} has index {index!r}, not an integer")
-        labels[str(name)] = int(index)
+        labels[str(name)] = value
     return labels
+
+
+def load_json(path):
+    """The JSON document in a file; malformed JSON is a ``ParseError``
+    naming the file and the line."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=exc.lineno) from None
+
+
+def json_int(value) -> int | None:
+    """A JSON integer or integral float (``2.0``) as an int, else None.
+
+    ``true`` and ``false`` are not integers here.
+    """
+    if type(value) is float and value.is_integer():
+        return int(value)
+    return value if type(value) is int else None
 
 
 def load_prior_csv(path, num_categories: int) -> PriorData:
@@ -195,11 +217,8 @@ class SignalSet:
 
 def _int64(value) -> int | None:
     """A JSON integer or integral float as an int64 value, else None."""
-    if type(value) is float and value.is_integer():
-        value = int(value)
-    if type(value) is int and -(2**63) <= value < 2**63:
-        return value
-    return None
+    value = json_int(value)
+    return value if value is not None and -(2**63) <= value < 2**63 else None
 
 
 def _value_problem(name: str, value, integral: bool) -> str | None:
@@ -237,6 +256,8 @@ def _signal_table(path, rows: list[tuple], lines: list[int]) -> SignalTable:
     not a number (or not integral) as ``ParseError``, else one outside its
     range as ``RangeViolationError`` from the table.
     """
+    from .rubric import SignalTable
+
     qids, trials, *raw = list(zip(*rows)) or [()] * (2 + len(_SIGNAL_COLUMNS))
     columns, first = {}, None
     for (key, name, integral), values in zip(_SIGNAL_COLUMNS, raw):
@@ -379,36 +400,19 @@ def _write_json(obj, out: list[str]) -> None:
         raise InputError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _tsv_rows(result) -> list[tuple]:
-    from .bootstrap import ConvergenceDistribution, TauCurve
-    from .simulate import SeparationResult
-
-    if isinstance(result, TauCurve):
-        rows = [("N", "value", "stderr")]
-        rows += [(p.n, p.mean_tau, p.stderr) for p in result.points]
-        return rows
-    if isinstance(result, ConvergenceDistribution):
-        rows = [("n", "pmf", "cdf")]
-        pmf, cdf = result.pmf, result.cdf
-        rows += [(n, pmf[n], cdf[n]) for n in range(1, result.n_max + 1)]
-        rows.append(("censored", result.censored_mass, ""))
-        return rows
-    if isinstance(result, SeparationResult):
-        rows = [("N", "p_correct", "mean_abs_z")]
-        rows += list(zip(result.n_grid, result.p_correct, result.mean_abs_z))
-        return rows
-    raise InputError(f"no TSV layout for {type(result).__name__}; use json")
-
-
 def emit_report(result, format: str = "json") -> bytes:
     """Serialize an analysis result with stable ordering and float width.
 
     ``result`` is either a mapping or any object with ``to_report()``.
-    ``format`` is ``json`` or ``tsv`` (curves and distributions only).
+    ``format`` is ``json`` or ``tsv``; TSV needs an object with
+    ``tsv_rows()`` (tau curves, convergence distributions, separation
+    results).
     """
     if format == "tsv":
+        if not hasattr(result, "tsv_rows"):
+            raise InputError(f"no TSV layout for {type(result).__name__}; use json")
         lines = []
-        for row in _tsv_rows(result):
+        for row in result.tsv_rows():
             lines.append(
                 "\t".join(
                     _fmt_float(v) if isinstance(v, (float, np.floating)) else str(v)

@@ -359,7 +359,8 @@ class Schema:
             if not 1 <= cat < self.num_categories:
                 raise InputError(f"schema {self.name}: rule category {cat} out of range")
             for lit in lits:
-                if lit.lstrip("~") not in RubricVariables.__dataclass_fields__:
+                # categorize reads a literal as "~" plus a variable, or a variable
+                if lit.removeprefix("~") not in RubricVariables.__dataclass_fields__:
                     raise InputError(f"schema {self.name}: unknown variable {lit!r}")
 
     @classmethod
@@ -369,21 +370,48 @@ class Schema:
         Expected keys: ``name``, ``num_categories``, ``rules`` (mapping of
         category -> list of conjunction strings like ``"wrong & ~boxed"``),
         optional ``weights``.
+
+        Raises:
+            InputError: a missing key, or a value of the wrong type.
         """
+        if not isinstance(config, Mapping):
+            raise InputError("schema config must be a JSON object")
+        missing = [k for k in ("name", "num_categories", "rules") if k not in config]
+        if missing:
+            raise InputError(f"schema config lacks {', '.join(map(repr, missing))}")
+        if not isinstance(config["rules"], Mapping):
+            raise InputError("schema rules must map categories to conjunctions")
         rules = []
         for cat, conjs in config["rules"].items():
+            category = _config_int(cat, "rule category")
             if isinstance(conjs, str):
                 conjs = [conjs]
+            if not isinstance(conjs, (list, tuple)) or not all(isinstance(c, str) for c in conjs):
+                raise InputError(f"schema rule {cat!r} must be a conjunction or a list of them")
             for conj in conjs:
                 lits = tuple(p.strip() for p in conj.split("&") if p.strip())
-                rules.append((int(cat), lits))
+                rules.append((category, lits))
         weights = config.get("weights")
+        if weights and not (
+            isinstance(weights, (list, tuple)) and all(type(w) in (int, float) for w in weights)
+        ):
+            raise InputError(f"schema weights must be a list of numbers, got {weights!r}")
         return cls(
             name=str(config["name"]),
-            num_categories=int(config["num_categories"]),
+            num_categories=_config_int(config["num_categories"], "num_categories"),
             rules=tuple(rules),
             default_weights=WeightVector(tuple(weights)) if weights else None,
         )
+
+
+def _config_int(value, what: str) -> int:
+    """A schema config integer: a JSON integer or a decimal string (a rule key)."""
+    try:
+        if type(value) in (int, str):
+            return int(value)
+    except ValueError:
+        pass
+    raise InputError(f"schema {what} must be an integer, got {value!r}")
 
 
 def categorize(s: AttemptSignals | SignalTable, schema: Schema, t: ThresholdSet):

@@ -23,7 +23,6 @@ from ._rng import (
     DOMAIN_TRIALS,
     stream_rng,
 )
-from .bootstrap import tau_curves_from_draws
 from .errors import InputError, ZeroTrialsError
 from .model import ResultsMatrix
 from .ranking import RankTable, ScoredModel, min_trials_for_confidence, rank_without_ci
@@ -195,6 +194,11 @@ class SeparationResult:
         i = self.n_grid.index(n)
         return self.p_correct[i], self.mean_abs_z[i]
 
+    def tsv_rows(self) -> list[tuple]:
+        return [("N", "p_correct", "mean_abs_z")] + list(
+            zip(self.n_grid, self.p_correct, self.mean_abs_z)
+        )
+
     def to_report(self) -> dict:
         return {
             "model_a": self.model_a,
@@ -285,6 +289,8 @@ def fresh_tau_curves(
     idealized baseline the bootstrap curves approximate; it runs on the
     same replicate-prefix engine.
     """
+    from .bootstrap import tau_curves_from_draws
+
     probs = np.stack([m.probs for m in cohort])
 
     def draw(start: int, stop: int) -> np.ndarray:

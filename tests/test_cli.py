@@ -1,9 +1,16 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bayeseval
 from bayeseval import bootstrap
 from bayeseval.cli import main
 from bayeseval.io import save_results_csv
@@ -93,6 +100,19 @@ class TestEval:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ParseError"
         assert "'bad'" in json.loads(err)["message"]
+
+    def test_malformed_label_map_exits_2(self, capsys, tmp_path, binary_csv):
+        labels = tmp_path / "labels.json"
+        labels.write_text('{"ok": 1,')
+        code, out, err = run(capsys, "eval", "--results", binary_csv, "--labels", str(labels))
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ParseError" and str(labels) in error["message"]
+
+    def test_threads_variable_is_not_read(self, capsys, binary_csv, monkeypatch):
+        monkeypatch.setenv("BAYESEVAL_THREADS", "abc")
+        code, out, _ = run(capsys, "eval", "--results", binary_csv)
+        assert code == 0 and json.loads(out)["method"] == "bayes"
 
     def test_gpass_fraction_tau(self, capsys, binary_csv):
         code, out, _ = run(
@@ -229,6 +249,37 @@ class TestConverge:
         _, out2, _ = run(capsys, *base, "--threads", "4")
         assert out1 == out2
 
+    @pytest.mark.parametrize("env, flag, message", [
+        ("abc", [], "BAYESEVAL_THREADS must be an integer, got 'abc'"),
+        ("0", [], "BAYESEVAL_THREADS must be >= 1, got 0"),
+        ("2", ["--threads", "0"], "--threads must be >= 1, got 0"),
+        (None, ["--threads", "-3"], "--threads must be >= 1, got -3"),
+    ], ids=["variable-not-integer", "variable-zero", "flag-zero", "flag-negative"])
+    def test_bad_thread_count_exits_2_before_any_draw(self, capsys, model_dir, monkeypatch,
+                                                     env, flag, message):
+        if env is None:
+            monkeypatch.delenv("BAYESEVAL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BAYESEVAL_THREADS", env)
+        monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda *a, **k: pytest.fail("started threads"))
+        threads_before = threading.active_count()
+        code, out, err = run(
+            capsys, "converge", "--results-dir", model_dir, "--replicates", "4", *flag,
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "InputError", "message": message}
+        assert threading.active_count() == threads_before
+
+    def test_threads_flag_overrides_variable(self, capsys, model_dir, monkeypatch):
+        monkeypatch.setenv("BAYESEVAL_THREADS", "abc")
+        code, _, _ = run(
+            capsys, "converge", "--results-dir", model_dir, "--replicates", "4",
+            "--methods", "bayes", "--threads", "1",
+        )
+        assert code == 0
+
     def test_tsv_single_method(self, capsys, model_dir):
         code, out, _ = run(
             capsys, "converge", "--results-dir", model_dir, "--methods", "bayes",
@@ -318,6 +369,42 @@ class TestSimulate:
         )
         assert code == 0
         assert len(list(out_dir.glob("*.csv"))) == 11
+
+    def test_non_integer_ngrid_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "separation", "--a", "LLM1", "--b", "LLM2", "--ngrid", "40,x",
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "'40,x'" in error["message"]
+
+    def test_spec_not_json_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "cohort.json"
+        spec.write_text('{"questions": 12,\n oops}')
+        code, out, err = run(capsys, "simulate", "--spec", str(spec))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "ParseError"
+        assert str(spec) in error["message"] and "(line 2" in error["message"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("questions", "abc"), ("questions", 2.5), ("questions", None),
+        ("seed", "7"), ("seed", True),
+    ])
+    def test_spec_non_integer_field_exits_2(self, capsys, tmp_path, field, value):
+        spec = tmp_path / "cohort.json"
+        spec.write_text(json.dumps({"questions": 12, "seed": 3, field: value}))
+        code, out, err = run(capsys, "simulate", "--spec", str(spec))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError"
+        assert f"{field} must be an integer, got {value!r}" in error["message"]
+
+    def test_spec_integral_float_accepted(self, capsys, tmp_path):
+        spec = tmp_path / "cohort.json"
+        spec.write_text(json.dumps({"questions": 12.0, "seed": 3}))
+        code, out, _ = run(capsys, "simulate", "--spec", str(spec))
+        assert code == 0 and json.loads(out)["questions"] == 12
 
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "simulate", "--preset", "mystery")
@@ -461,3 +548,126 @@ class TestRubric:
         data = json.loads(out)
         assert data["schema"] == "box-only"
         assert data["default_weights"] == [0, 0, 1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("{oops", "invalid JSON"),
+        (json.dumps({"name": "x", "num_categories": 3, "rules": {"one": "wrong", "2": "correct"}}),
+         "rule category must be an integer, got 'one'"),
+        (json.dumps({"name": "x", "num_categories": 3, "rules": {"1": "~~wrong", "2": "correct"}}),
+         "unknown variable '~~wrong'"),
+    ], ids=["not-json", "non-integer-category", "double-negation"])
+    def test_malformed_schema_file_exits_2_naming_it(self, capsys, tmp_path, text, message):
+        signals = signals_jsonl(tmp_path)
+        schema_file = tmp_path / "bad.json"
+        schema_file.write_text(text)
+        code, out, err = run(
+            capsys, "rubric", "--signals", signals, "--schema", str(schema_file)
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] in ("InputError", "ParseError")
+        assert error["message"].startswith(f"{schema_file}: ") and message in error["message"]
+
+    def test_help_lists_every_shipped_schema(self, capsys, monkeypatch):
+        from bayeseval.rubric import SCHEMATA
+
+        monkeypatch.setenv("COLUMNS", "1000")      # no wrapping inside a name
+        with pytest.raises(SystemExit) as exc:
+            main(["rubric", "--help"])
+        assert exc.value.code == 0
+        listed = capsys.readouterr().out.split("or one of: ")[1].splitlines()[0]
+        assert listed == ", ".join(s.name for s in SCHEMATA)
+        assert len(SCHEMATA) == 12
+
+
+# -- import footprint -------------------------------------------------------------
+
+_SRC = str(Path(bayeseval.__file__).resolve().parents[1])
+_RUN_AS_MAIN = """
+import json, runpy, sys
+sys.argv = ["bayeseval", *sys.argv[1:]]
+try:
+    runpy.run_module("bayeseval.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("bayeseval."))]),
+      file=sys.stderr)
+"""
+
+
+_PUBLIC = set("""
+    bayes bootstrap errors methods model passk ranking rubric simulate
+    affine_bridge avg_sigma_from_bayes evaluate_performance naive_weighted_average
+    ConvergenceDistribution ResamplePlan ResampleScheme TauCurve convergence_at_n
+    convergence_distributions resample tau_curve tau_curves worst_case_trajectory
+    Method parse_method parse_methods
+    UNIFORM PosteriorSummary PriorData ResultsMatrix TallyTable WeightVector tally
+    validate_matrix
+    BinaryTally g_pass_at_k_tau mg_pass_at_k naive_pass_hat_k pass_at_k pass_hat_k
+    RankTable ScoredModel kendall_tau_b min_trials_for_confidence rank_with_ci
+    rank_without_ci ranking_confidence z_score
+    SCHEMATA AttemptSignals Schema SignalTable ThresholdSet build_matrix categorize
+    compute_thresholds derive_variables schema_by_name
+    REFERENCE_MEANS CohortSpec CoinModel fresh_tau_curves generate_cohort gold_ranking
+    reference_cohort sample_trials separation_experiment
+""".split())
+
+
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+    )
+
+
+class TestImportFootprint:
+    """Each subcommand, run as ``python -m bayeseval.cli``, loads only its modules."""
+
+    @pytest.mark.parametrize("command, absent", [
+        ("eval", {"bootstrap", "ranking", "simulate", "rubric"}),
+        ("rank", {"bootstrap", "simulate", "rubric"}),
+        ("converge", {"simulate", "rubric"}),
+        ("simulate", {"bootstrap", "rubric"}),
+        ("separation", {"bootstrap", "rubric"}),
+        ("rubric", {"bootstrap", "simulate", "ranking"}),
+    ])
+    def test_subcommand_loads_only_its_modules(self, tmp_path, model_dir, binary_csv,
+                                                command, absent):
+        argv = {
+            "eval": ["eval", "--results", binary_csv],
+            "rank": ["rank", "--results-dir", model_dir],
+            "converge": ["converge", "--results-dir", model_dir, "--replicates", "2",
+                         "--methods", "bayes,pass@2"],
+            "simulate": ["simulate", "--trials", "2"],
+            "separation": ["simulate", "separation", "--a", "LLM1", "--b", "LLM2",
+                           "--ngrid", "2", "--replicates", "2"],
+            "rubric": ["rubric", "--signals", signals_jsonl(tmp_path), "--schema", "exact-match"],
+        }[command]
+        proc = _python(_RUN_AS_MAIN, *argv)
+        code, modules = json.loads(proc.stderr.splitlines()[-1])
+        assert code == 0
+        assert json.loads(proc.stdout)
+        loaded = {m.removeprefix("bayeseval.") for m in modules}
+        assert "io" in loaded and not loaded & absent
+
+    def test_bare_import_loads_no_submodule_and_not_numpy(self):
+        proc = _python(
+            "import sys, bayeseval; "
+            "print(sorted(m for m in sys.modules if m.startswith(('bayeseval.', 'numpy'))))"
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_every_public_name_resolves(self):
+        namespace = {}
+        exec("from bayeseval import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(bayeseval.__all__) == _PUBLIC
+        assert _PUBLIC <= set(dir(bayeseval))
+        assert bayeseval.bootstrap is sys.modules["bayeseval.bootstrap"]
+        assert bayeseval.tau_curves is bayeseval.bootstrap.tau_curves
+        assert bayeseval.SCHEMATA is bayeseval.rubric.SCHEMATA
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'tau_curvez'"):
+            bayeseval.tau_curvez
+        with pytest.raises(ImportError):
+            from bayeseval import tau_curvez  # noqa: F401

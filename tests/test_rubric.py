@@ -345,3 +345,22 @@ class TestSchemaConfig:
     def test_unknown_variable_rejected(self):
         with pytest.raises(InputError):
             Schema("bad", 2, ((1, ("sparkly",)),))
+
+    def test_double_negation_rejected(self):
+        with pytest.raises(InputError, match="unknown variable '~~wrong'"):
+            Schema("bad", 3, ((1, ("~~wrong",)), (2, ("correct",))))
+
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "must be a JSON object"),
+        ({"name": "x", "rules": {}}, "lacks 'num_categories'"),
+        ({"name": "x", "num_categories": 3, "rules": ["wrong"]}, "must map categories"),
+        ({"name": "x", "num_categories": 3, "rules": {"one": "wrong"}},
+         "rule category must be an integer, got 'one'"),
+        ({"name": "x", "num_categories": 3, "rules": {"1": 7}}, "rule '1' must be"),
+        ({"name": "x", "num_categories": "three", "rules": {}}, "num_categories must be"),
+        ({"name": "x", "num_categories": 3, "rules": {}, "weights": [0, "a", 1]},
+         "weights must be a list of numbers"),
+    ])
+    def test_malformed_config_is_input_error(self, config, message):
+        with pytest.raises(InputError, match=message):
+            Schema.from_config(config)
