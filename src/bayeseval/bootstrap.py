@@ -3,9 +3,8 @@
 Two bootstrap schemes over a results matrix: column-wise redraws trial
 indices (the same indices for every question) and row-wise redraws cell
 indices independently per question. Each (replicate, model) pair owns a
-counter-based random stream, so outputs are bit-identical regardless of
-chunking or worker count, and ``resample`` reproduces exactly what the
-engine scored.
+counter-based random stream keyed by those coordinates, so ``resample``
+reproduces exactly what the engine scored.
 
 One replicate-prefix engine serves tau curves, convergence@n, the
 worst-case trajectory and ``simulate.fresh_tau_curves``. Per chunk of
@@ -23,9 +22,8 @@ the gold-match reducers the first R_conv, so the tau replicates are the
 first R_tau convergence replicates; ``tau_curves`` and
 ``convergence_distributions`` read that result through ``scan=`` or, left
 without it, scan for their own artifact alone. Chunk size depends on the
-problem shape only, never on the machine or thread count, because it
-fixes how tau sums are grouped and so the float rounding of every
-reported mean.
+problem shape only, never on the machine, because it fixes how tau sums
+are grouped and so the float rounding of every reported mean.
 
 Rankings inside replicates are point-estimate rankings; the gold standard
 is the posterior-mean ranking of the unresampled matrices at the full
@@ -245,7 +243,7 @@ def _resample_draw(items, plan: ResamplePlan, n_max: int):
     return draw
 
 
-def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducers, threads=1):
+def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducers):
     """Score every method at every prefix of every replicate and reduce.
 
     ``draw(start, stop)`` returns replicates start..stop-1 as an
@@ -255,12 +253,12 @@ def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducers, thr
     the (reps, models) scores and the (models, reps, questions, C) running
     counts at each n from the method's onset, and its ``result()`` is the
     chunk's partial. Returns, per method, one ``{name: partial}`` dict per
-    chunk, in chunk order whatever ``threads``.
+    chunk, in chunk order.
     """
     cats = np.arange(1, num_categories)
-
-    def worker(span) -> list[dict]:
-        start, stop = span
+    partials = []
+    for start in range(0, replicates, chunk):
+        stop = min(start + chunk, replicates)
         trials = draw(start, stop)
         counts = np.zeros(trials.shape[1:] + (cats.size,), dtype=np.int64)
         chunk_reducers = [reducers(m, start, stop) for m in methods]
@@ -271,15 +269,9 @@ def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducers, thr
                     scores = m.scores_from_counts(counts, n, num_categories).T
                     for red in reds.values():
                         red.add(n, scores, counts)
-        return [{name: red.result() for name, red in reds.items()} for reds in chunk_reducers]
-
-    spans = [(s, min(s + chunk, replicates)) for s in range(0, replicates, chunk)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(zip(*ex.map(worker, spans)))
-    return list(zip(*map(worker, spans)))
+        partials.append([{name: red.result() for name, red in reds.items()}
+                         for reds in chunk_reducers])
+    return list(zip(*partials))
 
 
 class _TauSums:
@@ -339,7 +331,7 @@ class _GoldMatch:
 
 def _reduce_replicates(
     draw, model_ids, methods, gold: RankTable, n_max: int, tau_reps: int, conv_reps: int,
-    *, chunk: int, num_categories: int, threads: int = 1, ci_z: float | None = None,
+    *, chunk: int, num_categories: int, ci_z: float | None = None,
 ):
     """One scan over replicates 0..max(tau_reps, conv_reps)-1.
 
@@ -363,7 +355,7 @@ def _reduce_replicates(
         return out
 
     partials = _scan(draw, num_categories, max(tau_reps, conv_reps), chunk, methods,
-                     n_max, reducers, threads)
+                     n_max, reducers)
     tau, points = [], []
     for parts in partials:
         tau.append(sum(p["tau"] for p in parts if "tau" in p) if tau_reps else None)
@@ -404,7 +396,6 @@ def scan_replicates(
     tau_plan: ResamplePlan | None = None,
     convergence_plan: ResamplePlan | None = None,
     weights: WeightVector | None = None,
-    threads: int = 1,
     gold: RankTable | None = None,
     ci_z: float | None = None,
 ) -> ReplicateScan:
@@ -443,7 +434,7 @@ def scan_replicates(
         tau_plan.replicates if tau_plan else 0,
         convergence_plan.replicates if convergence_plan else 0,
         chunk=_chunk_size(items, n_max), num_categories=items[0][1].num_categories,
-        threads=threads, ci_z=ci_z,
+        ci_z=ci_z,
     )
     tau_sums = {m.name: t for m, t in zip(methods, tau) if t is not None}
     conv_points = {m.name: p for m, p in zip(methods, points) if p is not None}
@@ -537,7 +528,7 @@ def _tau_curve(m: Method, total: np.ndarray, n_max: int, scheme: str) -> TauCurv
 
 def tau_curves_from_draws(
     draw, model_ids, methods, gold: RankTable, n_max: int, replicates: int, *,
-    scheme: str, chunk: int, num_categories: int = 2, threads: int = 1,
+    scheme: str, chunk: int, num_categories: int = 2,
 ) -> dict[str, TauCurve]:
     """Mean tau-b curves against ``gold`` over the replicates ``draw`` yields.
 
@@ -551,7 +542,7 @@ def tau_curves_from_draws(
     methods = _as_methods(methods)
     tau, _ = _reduce_replicates(
         draw, model_ids, methods, gold, n_max, replicates, 0,
-        chunk=chunk, num_categories=num_categories, threads=threads,
+        chunk=chunk, num_categories=num_categories,
     )
     return {m.name: _tau_curve(m, total, n_max, scheme) for m, total in zip(methods, tau)}
 
@@ -561,7 +552,6 @@ def tau_curves(
     methods: Sequence[Method | str] | str,
     plan: ResamplePlan,
     weights: WeightVector | None = None,
-    threads: int = 1,
     gold: RankTable | None = None,
     *,
     scan: ReplicateScan | None = None,
@@ -578,10 +568,10 @@ def tau_curves(
     Without ``scan`` this runs ``scan_replicates`` with ``plan`` as its
     only plan. With ``scan`` (made with this ``plan`` as its tau plan and
     the same matrices, methods and weights) it reads the tau sums of that
-    pass, with the scan's gold, and draws nothing; ``threads`` is unused.
+    pass, with the scan's gold, and draws nothing.
     """
     if scan is None:
-        scan = scan_replicates(matrices, methods, plan, None, weights, threads, gold)
+        scan = scan_replicates(matrices, methods, plan, None, weights, gold)
     methods = _served_methods(scan, "tau", matrices, methods, plan, weights, gold)
     return {
         m.name: _tau_curve(m, scan.tau_sums[m.name], scan.n_max, plan.scheme.value)
@@ -594,12 +584,11 @@ def tau_curve(
     method: Method | str,
     plan: ResamplePlan,
     weights: WeightVector | None = None,
-    threads: int = 1,
     gold: RankTable | None = None,
 ) -> TauCurve:
     """Single-method convenience wrapper around ``tau_curves``."""
     (m,) = _as_methods(method)
-    return tau_curves(matrices, [m], plan, weights, threads, gold)[m.name]
+    return tau_curves(matrices, [m], plan, weights, gold)[m.name]
 
 
 # -- convergence@n ------------------------------------------------------------
@@ -670,7 +659,6 @@ def convergence_distributions(
     methods: Sequence[Method | str] | str,
     plan: ResamplePlan,
     weights: WeightVector | None = None,
-    threads: int = 1,
     gold: RankTable | None = None,
     ci_z: float | None = None,
     *,
@@ -688,10 +676,10 @@ def convergence_distributions(
     only plan. With ``scan`` (made with this ``plan`` as its convergence
     plan and the same matrices, methods, weights and ``ci_z``) it reads the
     convergence points of that pass, with the scan's gold, and draws
-    nothing; ``threads`` is unused.
+    nothing.
     """
     if scan is None:
-        scan = scan_replicates(matrices, methods, None, plan, weights, threads, gold, ci_z)
+        scan = scan_replicates(matrices, methods, None, plan, weights, gold, ci_z)
     methods = _served_methods(scan, "convergence", matrices, methods, plan, weights, gold, ci_z)
     out = {}
     for m in methods:
@@ -709,15 +697,12 @@ def convergence_at_n(
     method: Method | str,
     plan: ResamplePlan,
     weights: WeightVector | None = None,
-    threads: int = 1,
     gold: RankTable | None = None,
     ci_z: float | None = None,
 ) -> ConvergenceDistribution:
     """Single-method convenience wrapper around ``convergence_distributions``."""
     (m,) = _as_methods(method)
-    return convergence_distributions(
-        matrices, [m], plan, weights, threads, gold, ci_z
-    )[m.name]
+    return convergence_distributions(matrices, [m], plan, weights, gold, ci_z)[m.name]
 
 
 # -- worst-case trajectory ----------------------------------------------------
@@ -755,7 +740,6 @@ def worst_case_trajectory(
     method: Method | str,
     plan: ResamplePlan,
     weights: WeightVector | None = None,
-    threads: int = 1,
     gold: RankTable | None = None,
 ) -> WorstCaseTrajectory:
     """Rank tables per trial count for the replicate slowest to converge.
@@ -764,7 +748,7 @@ def worst_case_trajectory(
     toward the lowest replicate index.
     """
     (m,) = _as_methods(method, weights)
-    scan = scan_replicates(matrices, [m], None, plan, weights, threads, gold)
+    scan = scan_replicates(matrices, [m], None, plan, weights, gold)
     conv, censored = scan.points[m.name]
     items, n_max = _model_items(matrices), scan.n_max
     key = np.where(censored, n_max + 1, conv)

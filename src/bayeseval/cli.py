@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -148,33 +147,19 @@ def _cmd_rank(args) -> None:
     _emit(args, report)
 
 
-def _threads(args) -> int:
-    """``--threads``, else ``BAYESEVAL_THREADS``, else 1; at least 1."""
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
-    else:
-        source = "BAYESEVAL_THREADS"
-        text = os.environ.get(source, "1")
-        try:
-            threads = int(text)
-        except ValueError:
-            raise InputError(f"{source} must be an integer, got {text!r}") from None
-    if threads < 1:
-        raise InputError(f"{source} must be >= 1, got {threads}")
-    return threads
-
-
 def _cmd_converge(args) -> None:
     from . import bootstrap
 
-    threads = _threads(args)
     items = dict(_load_dir(args.results_dir, None))
     methods = parse_methods(args.methods)
     if args.format == "tsv" and len(methods) != 1:
         raise InputError("TSV output requires exactly one --methods entry")
     scheme = {"col": "column", "row": "row"}.get(args.scheme, args.scheme)
-    reps_tau = args.replicates or 10_000
-    reps_conv = args.replicates or 100_000
+    if args.replicates is None:
+        reps_tau, reps_conv = 10_000, 100_000
+    else:
+        # 0 and below reach ResamplePlan, which rejects them before any draw
+        reps_tau = reps_conv = args.replicates
     n_max = args.nmax
     plan_tau = bootstrap.ResamplePlan(scheme, reps_tau, args.seed, n_max)
     plan_conv = bootstrap.ResamplePlan(scheme, reps_conv, args.seed, n_max)
@@ -182,15 +167,13 @@ def _cmd_converge(args) -> None:
         # scan and reduce only the artifact emitted
         name = methods[0].name
         if args.artifact == "tau":
-            result = bootstrap.tau_curves(items, methods, plan_tau, threads=threads)
+            result = bootstrap.tau_curves(items, methods, plan_tau)
         else:
-            result = bootstrap.convergence_distributions(
-                items, methods, plan_conv, threads=threads
-            )
+            result = bootstrap.convergence_distributions(items, methods, plan_conv)
         _emit(args, result[name])
         return
     # one pass and one gold ranking for both artifacts and the report
-    scan = bootstrap.scan_replicates(items, methods, plan_tau, plan_conv, threads=threads)
+    scan = bootstrap.scan_replicates(items, methods, plan_tau, plan_conv)
     curves = bootstrap.tau_curves(items, methods, plan_tau, scan=scan)
     convs = bootstrap.convergence_distributions(items, methods, plan_conv, scan=scan)
     report = {
@@ -345,11 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=_DEFAULT_CONVERGE_METHODS)
     p.add_argument("--scheme", default="row", choices=["col", "row", "column"])
     p.add_argument("--replicates", type=int,
-                   help="default: 10^4 for tau curves, 10^5 for convergence PMFs")
+                   help="at least 1 (default: 10^4 for tau curves, 10^5 for convergence PMFs)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nmax", type=int, help="trial budget (default: full N)")
-    p.add_argument("--threads", type=int,
-                   help="worker threads (default: $BAYESEVAL_THREADS, else 1)")
     p.add_argument("--format", default="json", choices=["json", "tsv"])
     p.add_argument("--artifact", default="tau", choices=["tau", "convergence"],
                    help="which series the TSV format emits")

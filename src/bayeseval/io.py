@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -43,6 +44,17 @@ __all__ = [
 ]
 
 
+@contextmanager
+def _open_utf8(path, **kwargs):
+    """``path`` opened as UTF-8 text whatever the locale; a byte sequence
+    that does not decode is a ``ParseError`` naming the file."""
+    with open(path, encoding="utf-8", **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_grid_csv(path, labels=None) -> tuple[list[str], np.ndarray]:
     """Question ids and the int64 cell grid of a ``question_id,...`` CSV.
 
@@ -53,7 +65,7 @@ def _read_grid_csv(path, labels=None) -> tuple[list[str], np.ndarray]:
     ids: list[str] = []
     rows: list[list[int]] = []
     memo: dict[str, int] = {}
-    with open(path, newline="") as fh:
+    with _open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -115,7 +127,8 @@ def load_results_csv(
     can be ingested; the core stays numeric.
 
     Raises:
-        ParseError: malformed row or non-integer cell, with location.
+        ParseError: malformed row or non-integer cell, with location; a file
+            that is not UTF-8 text, naming it.
         EmptyMatrixError / RaggedRowsError / CategoryOutOfRangeError.
     """
     ids, cells = _read_grid_csv(path, labels=labels)
@@ -146,9 +159,10 @@ def load_label_map(path) -> dict[str, int]:
 
 
 def load_json(path):
-    """The JSON document in a file; malformed JSON is a ``ParseError``
-    naming the file and the line."""
-    with open(path) as fh:
+    """The JSON document in a UTF-8 file; malformed JSON is a ``ParseError``
+    naming the file and the line, and a file that is not UTF-8 one naming
+    the file."""
+    with _open_utf8(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -174,7 +188,7 @@ def load_prior_csv(path, num_categories: int) -> PriorData:
 def save_results_csv(matrix: ResultsMatrix, path) -> None:
     """Write a matrix in the layout ``load_results_csv`` reads back."""
     ids = matrix.question_ids or tuple(f"q{i + 1}" for i in range(matrix.questions))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["question_id"] + [f"t{j + 1}" for j in range(matrix.trials)])
         for qid, row in zip(ids, matrix.cells):
@@ -292,8 +306,9 @@ def load_signals_jsonl(path) -> SignalSet:
     Records missing the verifier fields default them to zero and add a
     warning.
 
-    Raises, for the lowest-numbered bad line, the first check it fails in
-    this order:
+    Raises ``ParseError`` naming the file if it is not UTF-8 text; else,
+    for the lowest-numbered bad line, the first check it fails in this
+    order:
         ParseError: malformed JSON, or a line that is not a JSON object.
         MissingFieldError: a required field is absent.
         ParseError: a ``trial`` that is not an int64 integer.
@@ -309,7 +324,7 @@ def load_signals_jsonl(path) -> SignalSet:
     seen: set[tuple[str, int]] = set()
     defaulted = 0
     error = None
-    with open(path) as fh:
+    with _open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

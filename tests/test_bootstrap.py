@@ -160,13 +160,12 @@ class TestTauCurves:
         with pytest.raises(MethodUndefinedError):
             tau_curve(mats, "pass@9", ResamplePlan("row", 5, seed=2))
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         mats = small_cohort(n_models=3, n=10, seed=5)
         plan = ResamplePlan("row", replicates=40, seed=33)
         a = tau_curves(mats, ["bayes", "pass@2"], plan)
         b = tau_curves(mats, ["bayes", "pass@2"], plan)
-        c = tau_curves(mats, ["bayes", "pass@2"], plan, threads=4)
-        assert a == b == c
+        assert a == b
 
     def test_separated_cohort_tau_is_one_everywhere(self):
         mats = separated_cohort()
@@ -415,19 +414,17 @@ class TestSharedScan:
 
     @pytest.mark.parametrize("scheme", ["row", "column"])
     @pytest.mark.parametrize("reps", [(10, 23), (16, 16), (23, 10)])
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("ci_z", [None, 1.0])
-    def test_equals_separate_calls(self, scheme, reps, threads, ci_z, monkeypatch):
+    def test_equals_separate_calls(self, scheme, reps, ci_z, monkeypatch):
         # chunks of 7 put chunk boundaries inside and around both counts
         monkeypatch.setattr(bootstrap, "_chunk_size", lambda items, n_max: 7)
         mats = small_cohort(n_models=4, n=12, seed=3)
         methods = ["bayes", "avg", "pass@2"]
         tau_plan = ResamplePlan(scheme, reps[0], seed=5)
         conv_plan = ResamplePlan(scheme, reps[1], seed=5)
-        curves = tau_curves(mats, methods, tau_plan, threads=threads)
-        convs = convergence_distributions(mats, methods, conv_plan, threads=threads, ci_z=ci_z)
-        scan = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan,
-                                         threads=threads, ci_z=ci_z)
+        curves = tau_curves(mats, methods, tau_plan)
+        convs = convergence_distributions(mats, methods, conv_plan, ci_z=ci_z)
+        scan = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan, ci_z=ci_z)
         assert tau_curves(mats, methods, tau_plan, scan=scan) == curves
         shared_convs = convergence_distributions(mats, methods, conv_plan, ci_z=ci_z, scan=scan)
         for name, dist in convs.items():

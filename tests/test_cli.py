@@ -1,10 +1,8 @@
-import concurrent.futures
 import json
 import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -109,10 +107,21 @@ class TestEval:
         error = json.loads(err)
         assert error["error"] == "ParseError" and str(labels) in error["message"]
 
-    def test_threads_variable_is_not_read(self, capsys, binary_csv, monkeypatch):
-        monkeypatch.setenv("BAYESEVAL_THREADS", "abc")
-        code, out, _ = run(capsys, "eval", "--results", binary_csv)
-        assert code == 0 and json.loads(out)["method"] == "bayes"
+    def test_results_csv_not_utf8_exits_2(self, capsys, tmp_path):
+        results = tmp_path / "r.csv"
+        results.write_bytes(b"question_id,t1\nq\xff,1\n")
+        code, out, err = run(capsys, "eval", "--results", str(results))
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ParseError" and str(results) in error["message"]
+
+    def test_label_map_not_utf8_exits_2(self, capsys, tmp_path, binary_csv):
+        labels = tmp_path / "labels.json"
+        labels.write_bytes(b'{"ok\xff": 1}')
+        code, out, err = run(capsys, "eval", "--results", binary_csv, "--labels", str(labels))
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ParseError" and str(labels) in error["message"]
 
     def test_gpass_fraction_tau(self, capsys, binary_csv):
         code, out, _ = run(
@@ -240,45 +249,33 @@ class TestConverge:
         pmf_total = sum(p["pmf"] for p in conv["pmf"]) + conv["censored_mass"]
         assert pmf_total == pytest.approx(1.0, abs=1e-9)
 
-    def test_threads_do_not_change_output(self, capsys, model_dir):
-        base = (
-            "converge", "--results-dir", model_dir, "--methods", "bayes",
-            "--replicates", "64", "--seed", "3",
-        )
-        _, out1, _ = run(capsys, *base, "--threads", "1")
-        _, out2, _ = run(capsys, *base, "--threads", "4")
-        assert out1 == out2
-
-    @pytest.mark.parametrize("env, flag, message", [
-        ("abc", [], "BAYESEVAL_THREADS must be an integer, got 'abc'"),
-        ("0", [], "BAYESEVAL_THREADS must be >= 1, got 0"),
-        ("2", ["--threads", "0"], "--threads must be >= 1, got 0"),
-        (None, ["--threads", "-3"], "--threads must be >= 1, got -3"),
-    ], ids=["variable-not-integer", "variable-zero", "flag-zero", "flag-negative"])
-    def test_bad_thread_count_exits_2_before_any_draw(self, capsys, model_dir, monkeypatch,
-                                                     env, flag, message):
-        if env is None:
-            monkeypatch.delenv("BAYESEVAL_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("BAYESEVAL_THREADS", env)
+    @pytest.mark.parametrize("replicates", ["0", "-2"])
+    def test_bad_replicate_count_exits_2_before_any_draw(self, capsys, model_dir, monkeypatch,
+                                                        replicates):
         monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            lambda *a, **k: pytest.fail("started threads"))
-        threads_before = threading.active_count()
         code, out, err = run(
-            capsys, "converge", "--results-dir", model_dir, "--replicates", "4", *flag,
+            capsys, "converge", "--results-dir", model_dir, "--methods", "bayes",
+            "--replicates", replicates,
         )
         assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": "InputError", "message": message}
-        assert threading.active_count() == threads_before
+        assert json.loads(err) == {"error": "InputError", "message": "replicates must be >= 1"}
 
-    def test_threads_flag_overrides_variable(self, capsys, model_dir, monkeypatch):
-        monkeypatch.setenv("BAYESEVAL_THREADS", "abc")
-        code, _, _ = run(
-            capsys, "converge", "--results-dir", model_dir, "--replicates", "4",
-            "--methods", "bayes", "--threads", "1",
+    def test_threads_option_is_rejected(self, capsys, model_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--results-dir", model_dir, "--threads", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_threads_variable_is_not_read(self, capsys, model_dir, monkeypatch):
+        args = (
+            "converge", "--results-dir", model_dir, "--methods", "bayes",
+            "--replicates", "16", "--seed", "3",
         )
-        assert code == 0
+        monkeypatch.delenv("BAYESEVAL_THREADS", raising=False)
+        _, plain, _ = run(capsys, *args)
+        monkeypatch.setenv("BAYESEVAL_THREADS", "abc")
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and out == plain
 
     def test_tsv_single_method(self, capsys, model_dir):
         code, out, _ = run(
@@ -531,6 +528,15 @@ class TestRubric:
         error = json.loads(err)
         assert error["error"] == "ParseError"
         assert "has_box must be a number, got 'yes' (line 4)" in error["message"]
+
+    def test_signals_not_utf8_exits_2(self, capsys, tmp_path):
+        signals = Path(signals_jsonl(tmp_path))
+        # an invalid byte in the question id of every q1 record
+        signals.write_bytes(signals.read_bytes().replace(b'"q1"', b'"q\xff"'))
+        code, out, err = run(capsys, "rubric", "--signals", str(signals), "--schema", "format-aware")
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "ParseError" and str(signals) in error["message"]
 
     def test_custom_schema_file(self, capsys, tmp_path):
         signals = signals_jsonl(tmp_path)
