@@ -6,24 +6,25 @@ indices independently per question. Each (replicate, model) pair owns a
 counter-based random stream keyed by those coordinates, so ``resample``
 reproduces exactly what the engine scored.
 
-One replicate-prefix engine serves tau curves, convergence@n, the
-worst-case trajectory and ``simulate.fresh_tau_curves``. Per chunk of
-replicates: a source draws each (replicate, model)'s trials (bootstrap
-resamples or fresh Bernoulli draws) as (n, model, replicate, question)
-category indices in the smallest unsigned dtype; int64 running counts of
-shape (model, replicate, question, C) advance one trial per n, so no count
-width caps the trial budget; ``Method.scores_from_counts`` scores every
-prefix; reducers keep either tau-b sums or gold-match bits (convergence
-points). A CI-aware gold match ranks each replicate as ``rank_with_ci``
-would, with sigmas from ``Method.sigmas_from_counts`` on the same counts.
-One pass serves both artifacts: ``scan_replicates`` scans max(R_tau,
-R_conv) replicates and feeds the tau reducers the first R_tau of them and
-the gold-match reducers the first R_conv, so the tau replicates are the
-first R_tau convergence replicates; ``tau_curves`` and
-``convergence_distributions`` read that result through ``scan=`` or, left
-without it, scan for their own artifact alone. Chunk size depends on the
-problem shape only, never on the machine, because it fixes how tau sums
-are grouped and so the float rounding of every reported mean.
+One replicate-prefix engine, ``_reduce_replicates``, serves tau curves,
+convergence@n, the worst-case trajectory and ``simulate.fresh_tau_curves``.
+Per chunk of replicates: a source draws each (replicate, model)'s trials
+(bootstrap resamples or fresh Bernoulli draws) as (n, model, replicate,
+question) category indices in the smallest unsigned dtype; int64 running
+counts of shape (model, replicate, question, C) advance one trial per n, so
+no count width caps the trial budget; ``Method.scores_from_counts`` scores
+every prefix. Each score row then adds its integer tau-b terms (numerator
+sums bucketed by tied-pair count) and records the prefixes whose ranking
+differs from gold, which give the convergence points. A CI-aware gold
+match ranks each replicate as ``rank_with_ci`` would, with sigmas from
+``Method.sigmas_from_counts`` on the same counts. One pass serves both
+artifacts: ``scan_replicates`` scans max(R_tau, R_conv) replicates, the
+tau terms cover the first R_tau and the convergence points the first
+R_conv, so the tau replicates are the first R_tau convergence replicates;
+``tau_curves`` and ``convergence_distributions`` read that result through
+``scan=`` or, left without it, scan for their own artifact alone. Every
+reduction is exact integer arithmetic, so no result depends on the chunk
+size, which a byte budget sets from the problem shape.
 
 Rankings inside replicates are point-estimate rankings; the gold standard
 is the posterior-mean ranking of the unresampled matrices at the full
@@ -66,20 +67,18 @@ __all__ = [
     "worst_case_trajectory",
 ]
 
-_CHUNK_TARGET_BYTES = 64 << 20
+_CHUNK_TARGET_BYTES = 32 << 20
 
 
-def _chunk_size(items, n_max: int) -> int:
-    """Replicates per bootstrap work chunk.
-
-    A pure function of the problem shape (never of the machine), so
-    aggregation grouping and therefore float rounding are reproducible.
-    The formula budgets 2 bytes per (model, question, category, n) cell;
-    changing it regroups the tau sums and changes reported digits.
-    """
-    mx = items[0][1]
-    per_rep = len(items) * mx.questions * (mx.num_categories - 1) * n_max * 2
-    return int(min(1024, max(16, _CHUNK_TARGET_BYTES // max(per_rep, 1))))
+def _chunk_size(empty_draw: np.ndarray, num_categories: int) -> int:
+    """Replicates per engine chunk: as many as the byte budget holds, at
+    least one. ``empty_draw`` is a zero-replicate draw. A replicate's
+    (model, question) cell costs its draws plus 24 bytes per category: the
+    int64 running counts and the float64 scratch of scoring them (CI
+    sigmas take the most). No result depends on the chunk size."""
+    n_max, models, _, questions = empty_draw.shape
+    per_rep = models * questions * (n_max * empty_draw.itemsize + 24 * num_categories)
+    return max(1, _CHUNK_TARGET_BYTES // max(per_rep, 1))
 
 
 class ResampleScheme(str, Enum):
@@ -174,17 +173,20 @@ def _pair_structure(gold: RankTable, model_ids: Sequence[str]):
     return iu, ju, sg, n0, n2
 
 
-def _tau_against_gold(scores: np.ndarray, iu, ju, sg, n0, n2):
-    """Vectorized tau-b of each replicate's scores against the gold ranking."""
-    diff = scores[:, iu] - scores[:, ju]
-    ss = np.sign(diff)
+def _tau_terms(scores: np.ndarray, iu, ju, sg, n0: int) -> np.ndarray:
+    """Tau-b terms of the (reps, models) ``scores`` against gold, bucketed
+    by each replicate's tied-pair count n1 = 0..n0-1.
+
+    A replicate's tau-b is ncd / sqrt((n0 - n1)(n0 - n2)) with integer ncd
+    and n1, and n0, n2 fixed by gold. Row 0 sums ncd, row 1 sums ncd**2 and
+    row 2 counts replicates: integers, exact in float64 while reps * n0**2
+    < 2**53, so any grouping of replicates gives the same bits. A
+    replicate with every pair tied (n1 = n0) has no tau-b and drops out.
+    """
+    ss = np.sign(scores[:, iu] - scores[:, ju])
     ncd = ss @ sg
-    n1 = (ss == 0.0).sum(axis=1)
-    denom_sq = (n0 - n1) * (n0 - n2)
-    valid = denom_sq > 0
-    tau = np.zeros(scores.shape[0])
-    np.divide(ncd, np.sqrt(np.where(valid, denom_sq, 1.0)), out=tau, where=valid)
-    return tau, valid
+    n1 = np.count_nonzero(ss == 0, axis=1)
+    return np.stack([np.bincount(n1, w, n0 + 1)[:n0] for w in (ncd, ncd * ncd, None)])
 
 
 def _match_gold(scores: np.ndarray, perm: np.ndarray, strict: np.ndarray) -> np.ndarray:
@@ -215,6 +217,22 @@ def _match_gold_ci(mu, sigma, z: float, gold_ranks: np.ndarray) -> np.ndarray:
     return (g[:, 0] == 1) & (np.diff(g, axis=1) == (zs >= z)).all(axis=1)
 
 
+def _gold_matcher(gold: RankTable, model_ids, method: Method, ci_z, num_categories):
+    """``match(n, scores, counts)``: which replicates rank like ``gold`` at n,
+    by point ranking or, with ``ci_z``, by CI-tied ranking at that z."""
+    gold_ranks = np.asarray(gold.rank_vector(model_ids))
+    if ci_z is None:
+        perm = np.argsort(gold_ranks, kind="stable")
+        strict = np.diff(gold_ranks[perm]) > 0
+        return lambda n, scores, counts: _match_gold(scores, perm, strict)
+
+    def match(n, scores, counts):
+        sigma = method.sigmas_from_counts(counts, n, num_categories).T
+        return _match_gold_ci(scores, sigma, ci_z, gold_ranks)
+
+    return match
+
+
 def _as_methods(method_specs, weights: WeightVector | None = None) -> list[Method]:
     if isinstance(method_specs, (str, Method)):
         method_specs = [method_specs]
@@ -243,125 +261,59 @@ def _resample_draw(items, plan: ResamplePlan, n_max: int):
     return draw
 
 
-def _scan(draw, num_categories, replicates, chunk, methods, n_max, reducers):
-    """Score every method at every prefix of every replicate and reduce.
-
-    ``draw(start, stop)`` returns replicates start..stop-1 as an
-    (n_max, models, reps, questions) array of category indices.
-    ``reducers(method, start, stop)`` makes a method's reducers for one
-    chunk as a dict by name; each one's ``add(n, scores, counts)`` receives
-    the (reps, models) scores and the (models, reps, questions, C) running
-    counts at each n from the method's onset, and its ``result()`` is the
-    chunk's partial. Returns, per method, one ``{name: partial}`` dict per
-    chunk, in chunk order.
-    """
-    cats = np.arange(1, num_categories)
-    partials = []
-    for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
-        trials = draw(start, stop)
-        counts = np.zeros(trials.shape[1:] + (cats.size,), dtype=np.int64)
-        chunk_reducers = [reducers(m, start, stop) for m in methods]
-        for n in range(1, n_max + 1):
-            counts += trials[n - 1, ..., None] == cats
-            for m, reds in zip(methods, chunk_reducers):
-                if n >= max(1, m.min_trials):
-                    scores = m.scores_from_counts(counts, n, num_categories).T
-                    for red in reds.values():
-                        red.add(n, scores, counts)
-        partials.append([{name: red.result() for name, red in reds.items()}
-                         for reds in chunk_reducers])
-    return list(zip(*partials))
-
-
-class _TauSums:
-    """Reducer: per-n sum, sum of squares and count of valid tau-b values
-    over a chunk's first ``rows`` replicates."""
-
-    def __init__(self, pairs, n_max: int, rows: int):
-        self.pairs, self.rows, self.acc = pairs, rows, np.zeros((3, n_max + 1))
-
-    def add(self, n: int, scores: np.ndarray, counts: np.ndarray) -> None:
-        tau, valid = _tau_against_gold(scores[: self.rows], *self.pairs)
-        self.acc[:, n] = tau[valid].sum(), (tau[valid] ** 2).sum(), valid.sum()
-
-    def result(self) -> np.ndarray:
-        return self.acc
-
-
-def _gold_matcher(gold: RankTable, model_ids, method: Method, ci_z, num_categories):
-    """``match(n, scores, counts)``: which replicates rank like ``gold`` at n,
-    by point ranking or, with ``ci_z``, by CI-tied ranking at that z."""
-    gold_ranks = np.asarray(gold.rank_vector(model_ids))
-    if ci_z is None:
-        perm = np.argsort(gold_ranks, kind="stable")
-        strict = np.diff(gold_ranks[perm]) > 0
-        return lambda n, scores, counts: _match_gold(scores, perm, strict)
-
-    def match(n, scores, counts):
-        sigma = method.sigmas_from_counts(counts, n, num_categories).T
-        return _match_gold_ci(scores, sigma, ci_z, gold_ranks)
-
-    return match
-
-
-class _GoldMatch:
-    """Reducer: convergence point and censored flag of a chunk's first
-    ``rows`` replicates.
-
-    A replicate converges one past its last prefix (n >= lo) whose ranking
-    differs from gold, at lo if none does, and is censored if n_max does.
-    """
-
-    def __init__(self, match, lo: int, n_max: int, rows: int):
-        self.matches_gold, self.lo, self.n_max, self.rows = match, lo, n_max, rows
-        self.match = np.empty((rows, n_max - lo + 1), dtype=bool)
-
-    def add(self, n: int, scores: np.ndarray, counts: np.ndarray) -> None:
-        rows = self.rows
-        self.match[:, n - self.lo] = self.matches_gold(n, scores[:rows], counts[:, :rows])
-
-    def result(self):
-        rev = ~self.match[:, ::-1]
-        any_mm = rev.any(axis=1)
-        # first mismatch scanning backwards = last mismatching prefix length
-        last_mm = self.n_max - np.argmax(rev, axis=1)
-        return np.where(any_mm, last_mm + 1, self.lo), any_mm & (last_mm == self.n_max)
-
-
 def _reduce_replicates(
     draw, model_ids, methods, gold: RankTable, n_max: int, tau_reps: int, conv_reps: int,
-    *, chunk: int, num_categories: int, ci_z: float | None = None,
+    *, num_categories: int, ci_z: float | None = None,
 ):
-    """One scan over replicates 0..max(tau_reps, conv_reps)-1.
+    """Score every method at every prefix of replicates 0..max(tau_reps,
+    conv_reps)-1 and reduce them, one chunk of replicates at a time.
 
-    Returns, per method, the tau-b sums of the first ``tau_reps``
-    replicates (a (3, n_max + 1) array, summed in chunk order so the float
-    grouping is fixed) and the convergence points and censored flags of
-    the first ``conv_reps``; either is None when its count is 0.
+    ``draw(start, stop)`` returns replicates start..stop-1 as an (n_max,
+    models, reps, questions) array of category indices; ``draw(0, 0)``
+    sizes the chunks. Per chunk, int64 running counts advance one trial
+    per n, every method scores them, the first ``tau_reps`` replicates add
+    their tau-b terms and the first ``conv_reps`` note each prefix whose
+    ranking differs from gold. Returns, per method, the (3, n_max + 1, n0)
+    tau-b terms of ``_tau_terms`` (None when ``tau_reps`` is 0) and the
+    convergence points and censored flags (None when ``conv_reps`` is 0).
+    A replicate converges one past its last prefix (n >= onset) that
+    differs from gold, at the onset if none does, and is censored if
+    n_max does. Every result is integer arithmetic per replicate, so the
+    chunk size never changes a bit.
     """
-    pairs = _pair_structure(gold, model_ids) if tau_reps else None
     for m in methods:
         m.check_defined(n_max, num_categories)
-
-    def reducers(m, start: int, stop: int) -> dict:
-        out = {}
-        if start < tau_reps:
-            out["tau"] = _TauSums(pairs, n_max, min(stop, tau_reps) - start)
-        if start < conv_reps:
-            match = _gold_matcher(gold, model_ids, m, ci_z, num_categories)
-            out["conv"] = _GoldMatch(match, max(1, m.min_trials), n_max,
-                                     min(stop, conv_reps) - start)
-        return out
-
-    partials = _scan(draw, num_categories, max(tau_reps, conv_reps), chunk, methods,
-                     n_max, reducers)
-    tau, points = [], []
-    for parts in partials:
-        tau.append(sum(p["tau"] for p in parts if "tau" in p) if tau_reps else None)
-        conv = [p["conv"] for p in parts if "conv" in p]
-        points.append(tuple(map(np.concatenate, zip(*conv))) if conv_reps else None)
-    return tau, points
+    if tau_reps:
+        iu, ju, sg, n0, _ = _pair_structure(gold, model_ids)
+        tau = np.zeros((len(methods), 3, n_max + 1, n0))
+    matchers = [_gold_matcher(gold, model_ids, m, ci_z, num_categories) for m in methods]
+    last_mismatch = np.zeros((len(methods), conv_reps), np.int64)
+    onsets = [max(1, m.min_trials) for m in methods]
+    cats = np.arange(1, num_categories)
+    replicates = max(tau_reps, conv_reps)
+    chunk = _chunk_size(draw(0, 0), num_categories)
+    for start in range(0, replicates, chunk):
+        stop = min(start + chunk, replicates)
+        t_rows, c_rows = min(stop, tau_reps) - start, min(stop, conv_reps) - start
+        trials = draw(start, stop)
+        counts = np.zeros(trials.shape[1:] + (cats.size,), dtype=np.int64)
+        for n in range(1, n_max + 1):
+            counts += trials[n - 1, ..., None] == cats
+            for i, (m, match) in enumerate(zip(methods, matchers)):
+                if n < onsets[i]:
+                    continue
+                scores = m.scores_from_counts(counts, n, num_categories).T
+                if t_rows > 0:
+                    tau[i, :, n] += _tau_terms(scores[:t_rows], iu, ju, sg, n0)
+                if c_rows > 0:
+                    differs = ~match(n, scores[:c_rows], counts[:, :c_rows])
+                    last_mismatch[i, start:start + c_rows][differs] = n
+        del trials, counts  # before the next chunk's draw
+    points = [
+        (np.maximum(last + 1, lo), last == n_max) if conv_reps else None
+        for last, lo in zip(last_mismatch, onsets)
+    ]
+    return list(tau) if tau_reps else [None] * len(methods), points
 
 
 # -- one scan for tau curves and convergence@n -------------------------------
@@ -371,10 +323,11 @@ class ReplicateScan:
     """What one pass over shared replicates leaves for ``tau_curves`` and
     ``convergence_distributions``; made by ``scan_replicates``.
 
-    ``tau_sums[name]`` is a method's (3, n_max + 1) per-n sum, sum of
-    squares and count of valid tau-b values over the first
-    ``tau_plan.replicates`` replicates; ``points[name]`` holds the
-    convergence point and censored flag of each of the first
+    ``tau_sums[name]`` is a method's (3, n_max + 1, n0) tau-b terms of the
+    first ``tau_plan.replicates`` replicates: per n and per tied-pair count
+    n1, the sum of tau-b numerators, the sum of their squares and the
+    replicate count, all integers (see ``_tau_terms``); ``points[name]``
+    holds the convergence point and censored flag of each of the first
     ``convergence_plan.replicates``. The arrays are read-only.
     """
 
@@ -403,12 +356,12 @@ def scan_replicates(
 
     Replicate r of model s is keyed by (seed, scheme, r, s) alone, so the
     tau replicates are the first R_tau of the convergence replicates (or
-    the other way round): one scan over max(R_tau, R_conv) replicates feeds
-    each method's tau-b reducer the first R_tau of them and its gold-match
-    reducer the first R_conv. A plan left as None gets no reducer. Pass the
-    result as ``scan=`` to ``tau_curves`` and ``convergence_distributions``;
-    both then read it instead of scanning. ``gold`` and ``ci_z`` are as in
-    those functions.
+    the other way round): one scan over max(R_tau, R_conv) replicates sums
+    each method's tau-b terms over the first R_tau of them and finds the
+    convergence points of the first R_conv; a plan left as None gets
+    neither. Pass the result as ``scan=`` to ``tau_curves`` and
+    ``convergence_distributions``; both then read it instead of scanning.
+    ``gold`` and ``ci_z`` are as in those functions.
 
     Raises:
         NegativeZError: ``ci_z`` not > 0, before any draw.
@@ -433,8 +386,7 @@ def scan_replicates(
         _resample_draw(items, plans[0], n_max), model_ids, methods, gold, n_max,
         tau_plan.replicates if tau_plan else 0,
         convergence_plan.replicates if convergence_plan else 0,
-        chunk=_chunk_size(items, n_max), num_categories=items[0][1].num_categories,
-        ci_z=ci_z,
+        num_categories=items[0][1].num_categories, ci_z=ci_z,
     )
     tau_sums = {m.name: t for m, t in zip(methods, tau) if t is not None}
     conv_points = {m.name: p for m, p in zip(methods, points) if p is not None}
@@ -511,40 +463,46 @@ class TauCurve:
         }
 
 
-def _tau_curve(m: Method, total: np.ndarray, n_max: int, scheme: str) -> TauCurve:
+def _tau_curve(m: Method, terms: np.ndarray, gold_ties: int, scheme: str) -> TauCurve:
+    """Mean tau-b and its standard error per n from a method's
+    (3, n_max + 1, n0) ``_tau_terms`` sums; ``gold_ties`` is gold's n2."""
+    n0 = terms.shape[2]
+    denom_sq = (n0 - np.arange(n0)) * float(n0 - gold_ties)
+    lo = max(1, m.min_trials)
+    ncd, ncd_sq, cnt = terms[:, lo:]
+    sums = (ncd / np.sqrt(denom_sq)).sum(axis=1).tolist()
+    square_sums = (ncd_sq / denom_sq).sum(axis=1).tolist()
     points = []
-    for n in range(max(1, m.min_trials), n_max + 1):
-        s, ss, cnt = total[0, n], total[1, n], total[2, n]
-        if cnt == 0:
+    for n, s, ss, c in zip(range(lo, terms.shape[1]), sums, square_sums, cnt.sum(axis=1)):
+        if c == 0:
             continue
-        mean = s / cnt
-        var = max(ss / cnt - mean * mean, 0.0)
-        stderr = math.sqrt(var / cnt) if cnt > 1 else 0.0
+        mean = s / c
+        var = max(ss / c - mean * mean, 0.0)
+        stderr = math.sqrt(var / c) if c > 1 else 0.0
         # subset estimators rank from a single subset at n == k
         onset = m.k is not None and m.kind != "naive_pass_hat_k" and n == m.k
-        points.append(TauPoint(n, mean, stderr, int(cnt), onset))
+        points.append(TauPoint(n, mean, stderr, int(c), onset))
     return TauCurve(m.name, scheme, tuple(points))
 
 
 def tau_curves_from_draws(
     draw, model_ids, methods, gold: RankTable, n_max: int, replicates: int, *,
-    scheme: str, chunk: int, num_categories: int = 2,
+    scheme: str, num_categories: int = 2,
 ) -> dict[str, TauCurve]:
     """Mean tau-b curves against ``gold`` over the replicates ``draw`` yields.
 
     ``draw(start, stop)`` returns replicates start..stop-1 as an
     (n_max, models, reps, questions) array of category indices, models in
-    ``model_ids`` order. ``chunk`` replicates are drawn and reduced at a
-    time, which fixes how the tau sums are grouped.
+    ``model_ids`` order; the engine sizes its chunks from ``draw(0, 0)``.
     """
     if replicates < 1:
         raise InputError("need at least one replicate")
     methods = _as_methods(methods)
     tau, _ = _reduce_replicates(
-        draw, model_ids, methods, gold, n_max, replicates, 0,
-        chunk=chunk, num_categories=num_categories,
+        draw, model_ids, methods, gold, n_max, replicates, 0, num_categories=num_categories,
     )
-    return {m.name: _tau_curve(m, total, n_max, scheme) for m, total in zip(methods, tau)}
+    n2 = _pair_structure(gold, model_ids)[4]
+    return {m.name: _tau_curve(m, terms, n2, scheme) for m, terms in zip(methods, tau)}
 
 
 def tau_curves(
@@ -573,10 +531,8 @@ def tau_curves(
     if scan is None:
         scan = scan_replicates(matrices, methods, plan, None, weights, gold)
     methods = _served_methods(scan, "tau", matrices, methods, plan, weights, gold)
-    return {
-        m.name: _tau_curve(m, scan.tau_sums[m.name], scan.n_max, plan.scheme.value)
-        for m in methods
-    }
+    n2 = _pair_structure(scan.gold, scan.model_ids)[4]
+    return {m.name: _tau_curve(m, scan.tau_sums[m.name], n2, plan.scheme.value) for m in methods}
 
 
 def tau_curve(

@@ -46,9 +46,10 @@ __all__ = [
 
 @contextmanager
 def _open_utf8(path, **kwargs):
-    """``path`` opened as UTF-8 text whatever the locale; a byte sequence
-    that does not decode is a ``ParseError`` naming the file."""
-    with open(path, encoding="utf-8", **kwargs) as fh:
+    """``path`` opened as UTF-8 text whatever the locale, skipping a
+    leading byte-order mark; a byte sequence that does not decode is a
+    ``ParseError`` naming the file."""
+    with open(path, encoding="utf-8-sig", **kwargs) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

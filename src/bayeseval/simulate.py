@@ -229,6 +229,7 @@ def separation_experiment(
     posterior mean (exact-tie replicates count one half) and the mean
     absolute z-score. Replicates share trials across grid points via
     prefixes, and each (replicate, model) pair has its own random stream.
+    Neither sum depends on chunking: halves add exactly, |z| via ``math.fsum``.
     """
     if replicates < 1:
         raise InputError("need at least one replicate")
@@ -243,7 +244,7 @@ def separation_experiment(
     grid_idx = np.asarray(grid) - 1
 
     p_correct = np.zeros(g)
-    sum_abs_z = np.zeros(g)
+    abs_z = np.empty((replicates, g))
     n_arr = np.asarray(grid, dtype=float)
 
     for start in range(0, replicates, _SEP_CHUNK):
@@ -259,16 +260,15 @@ def separation_experiment(
         mu = p_tilde.mean(axis=2)                                   # (2, chunk, G)
         var = (p_tilde * (1.0 - p_tilde)).sum(axis=2) / (m * m * (n_arr + 3.0))
         gap = mu[0] - mu[1]
-        z = np.abs(gap) / np.sqrt(var[0] + var[1])
+        abs_z[start:stop] = np.abs(gap) / np.sqrt(var[0] + var[1])
         p_correct += ((gap > 0) + 0.5 * (gap == 0)).sum(axis=0)
-        sum_abs_z += z.sum(axis=0)
 
     return SeparationResult(
         model_a.model_id,
         model_b.model_id,
         tuple(grid),
         tuple((p_correct / replicates).tolist()),
-        tuple((sum_abs_z / replicates).tolist()),
+        tuple(math.fsum(col) / replicates for col in abs_z.T.tolist()),
         replicates,
         true_gap=model_a.true_mean - model_b.true_mean,
     )
@@ -303,5 +303,5 @@ def fresh_tau_curves(
 
     return tau_curves_from_draws(
         draw, [m.model_id for m in cohort], methods, gold_ranking(cohort),
-        n_max, replicates, scheme="fresh", chunk=256,
+        n_max, replicates, scheme="fresh",
     )

@@ -405,18 +405,18 @@ def test_criterion_8_convergence_machinery():
 
 def test_criterion_9_rubric_totality_and_pipeline():
     from bayeseval.rubric import SCHEMATA, build_matrix, categorize, schema_by_name
-    from test_rubric import THRESH, THRESH_FLIPPED, clean_grid, signal_lattice
+    from test_rubric import THRESH, THRESH_FLIPPED, clean_grid, lattice_table, signal_lattice
 
     lattice = signal_lattice()
+    table = lattice_table(lattice)
+    invalid = np.array([s.repeated_pattern == 1 or s.verifier_offtask >= 0.5 for s in lattice])
     points = 0
     for thresholds in (THRESH, THRESH_FLIPPED):
         for schema in SCHEMATA:
-            for s in lattice:
-                cat = categorize(s, schema, thresholds)
-                assert 0 <= cat < schema.num_categories
-                if s.repeated_pattern == 1 or s.verifier_offtask >= 0.5:
-                    assert cat == 0
-                points += 1
+            cats = categorize(table, schema, thresholds)
+            assert ((0 <= cats) & (cats < schema.num_categories)).all()
+            assert (cats[invalid] == 0).all()
+            points += len(cats)
 
     # correctness-only pipeline vs the plain binary path, compared through
     # the shared naive average both bridges invert to

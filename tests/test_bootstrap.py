@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from bayeseval.errors import AllTiedError, InputError, MethodUndefinedError, Neg
 from bayeseval.methods import parse_method
 from bayeseval.model import WeightVector, validate_matrix
 from bayeseval.ranking import ScoredModel, kendall_tau_b, rank_with_ci, rank_without_ci
-from bayeseval.simulate import reference_cohort, sample_trials
+from bayeseval.simulate import fresh_tau_curves, reference_cohort, sample_trials
 
 
 def small_cohort(n_models=4, m=6, n=12, seed=0):
@@ -417,7 +419,7 @@ class TestSharedScan:
     @pytest.mark.parametrize("ci_z", [None, 1.0])
     def test_equals_separate_calls(self, scheme, reps, ci_z, monkeypatch):
         # chunks of 7 put chunk boundaries inside and around both counts
-        monkeypatch.setattr(bootstrap, "_chunk_size", lambda items, n_max: 7)
+        monkeypatch.setattr(bootstrap, "_chunk_size", lambda *shape: 7)
         mats = small_cohort(n_models=4, n=12, seed=3)
         methods = ["bayes", "avg", "pass@2"]
         tau_plan = ResamplePlan(scheme, reps[0], seed=5)
@@ -433,7 +435,7 @@ class TestSharedScan:
             assert shared_convs[name].replicates == dist.replicates == reps[1]
 
     def test_five_categories_with_weights(self, monkeypatch):
-        monkeypatch.setattr(bootstrap, "_chunk_size", lambda items, n_max: 6)
+        monkeypatch.setattr(bootstrap, "_chunk_size", lambda *shape: 6)
         rng = np.random.default_rng(4)
         mats = {f"m{i}": validate_matrix(rng.integers(0, 5, size=(8, 6)), 5) for i in range(4)}
         w = WeightVector((0.0, 0.1, 0.7, 1.3, 2.9))
@@ -512,3 +514,54 @@ class TestSharedScan:
             scan.points["bayes"][0][0] = 1
         with pytest.raises(TypeError):
             scan.points["pass@2"] = scan.points["bayes"]
+
+
+class TestChunkFree:
+    """No engine output depends on how many replicates a chunk holds."""
+
+    @staticmethod
+    def outputs():
+        mats = small_cohort(n_models=5, n=12, seed=3)
+        methods = ["bayes", "avg", "pass@2", "mgpass@3"]
+        tau_plan, conv_plan = ResamplePlan("row", 70, seed=2), ResamplePlan("row", 45, seed=2)
+        scan = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan)
+        convs = [convergence_distributions(mats, methods, conv_plan, ci_z=z) for z in (None, 1.0)]
+        return (
+            tau_curves(mats, methods, tau_plan),
+            [{k: (d.counts.tobytes(), d.censored_count) for k, d in c.items()} for c in convs],
+            {k: a.tobytes() for k, a in scan.tau_sums.items()},
+            {k: (a.tobytes(), b.tobytes()) for k, (a, b) in scan.points.items()},
+            fresh_tau_curves(reference_cohort()[:5], ["bayes", "pass@2"], 10, 70, seed=4),
+            worst_case_trajectory(mats, "pass@2", ResamplePlan("column", 45, seed=1)),
+        )
+
+    def test_bitwise_equal_for_chunk_sizes_1_7_64(self, monkeypatch):
+        results = []
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(bootstrap, "_chunk_size", lambda *shape, c=chunk: c)
+            results.append(self.outputs())
+        assert results[0] == results[1]
+        assert results[0] == results[2]
+
+    def test_chunk_peak_stays_within_budget(self, monkeypatch):
+        # one replicate draws 6 x 1000 x 120 = 720 kB, so 16 replicates
+        # (the old floor) would hold 11.5 MB against a 4 MiB budget
+        budget, models, questions, trials = 4 << 20, 6, 1000, 120
+        monkeypatch.setattr(bootstrap, "_CHUNK_TARGET_BYTES", budget)
+        rng = np.random.default_rng(0)
+        mats = {f"m{i}": validate_matrix(rng.integers(0, 2, size=(questions, trials)), 2)
+                for i in range(models)}
+        methods, gold = ["bayes", "pass@2"], gold_table(mats)
+        plan = ResamplePlan("row", 20, seed=1)
+        tracemalloc.start()
+        try:
+            bootstrap.scan_replicates(mats, methods, plan, plan, gold=gold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # outside the per-chunk budget: the source's uint8 copies of the
+        # inputs, one stream's resample (int64 indices, uint8 cells) and
+        # the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
+        outside = (models * questions * trials + 9 * questions * trials
+                   + len(methods) * 3 * (trials + 1) * (models * (models - 1) // 2) * 8)
+        assert peak <= budget + outside

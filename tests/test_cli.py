@@ -27,6 +27,12 @@ def write_csv(path, rows, num_categories=2):
     return str(path)
 
 
+def bom_copy(path, dest):
+    """``path`` copied to ``dest`` behind a UTF-8 byte-order mark."""
+    Path(dest).write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    return str(dest)
+
+
 @pytest.fixture
 def binary_csv(tmp_path):
     return write_csv(tmp_path / "r.csv", [[1, 0], [1, 1]])
@@ -123,6 +129,21 @@ class TestEval:
         error = json.loads(err)
         assert error["error"] == "ParseError" and str(labels) in error["message"]
 
+    def test_bom_results_csv_reads_as_without(self, capsys, tmp_path, binary_csv):
+        plain = run(capsys, "eval", "--results", binary_csv)
+        bom = run(capsys, "eval", "--results", bom_copy(binary_csv, tmp_path / "bom.csv"))
+        assert plain[0] == 0 and bom == plain
+
+    def test_bom_label_map_reads_as_without(self, capsys, tmp_path):
+        results = tmp_path / "r.csv"
+        results.write_text("question_id,t1,t2\nq1,ok,bad\nq2,ok,ok\n")
+        labels = tmp_path / "labels.json"
+        labels.write_text('{"ok": 1, "bad": 0}')
+        argv = ["eval", "--results", str(results), "--labels"]
+        plain = run(capsys, *argv, str(labels))
+        bom = run(capsys, *argv, bom_copy(labels, tmp_path / "bom.json"))
+        assert plain[0] == 0 and bom == plain
+
     def test_gpass_fraction_tau(self, capsys, binary_csv):
         code, out, _ = run(
             capsys, "eval", "--results", binary_csv, "--method", "gpass@2:1/2"
@@ -150,6 +171,14 @@ class TestRank:
         without = [e["model"] for e in data["without_ci"]["entries"]]
         assert without == ["alpha", "beta", "gamma"]
         assert "with_ci" in data and data["z_threshold"] == 1.645
+
+    def test_bom_results_csv_reads_as_without(self, capsys, tmp_path, model_dir):
+        plain = run(capsys, "rank", "--results-dir", model_dir)
+        bom_dir = tmp_path / "bom"
+        bom_dir.mkdir()
+        for csv_path in Path(model_dir).iterdir():
+            bom_copy(csv_path, bom_dir / csv_path.name)
+        assert plain[0] == 0 and run(capsys, "rank", "--results-dir", str(bom_dir)) == plain
 
     def test_ci_off(self, capsys, model_dir):
         code, out, _ = run(capsys, "rank", "--results-dir", model_dir, "--ci", "off")
@@ -537,6 +566,13 @@ class TestRubric:
         assert (code, out) == (2, "")
         error = json.loads(err)
         assert error["error"] == "ParseError" and str(signals) in error["message"]
+
+    def test_bom_signals_read_as_without(self, capsys, tmp_path):
+        signals = signals_jsonl(tmp_path)
+        argv = ["rubric", "--schema", "format-aware", "--signals"]
+        plain = run(capsys, *argv, signals)
+        bom = run(capsys, *argv, bom_copy(signals, tmp_path / "bom.jsonl"))
+        assert plain[0] == 0 and bom == plain
 
     def test_custom_schema_file(self, capsys, tmp_path):
         signals = signals_jsonl(tmp_path)

@@ -17,6 +17,7 @@ from bayeseval.rubric import (
     SCHEMATA,
     AttemptSignals,
     Schema,
+    SignalTable,
     ThresholdSet,
     build_matrix,
     categorize,
@@ -175,13 +176,21 @@ def signal_lattice():
     return points
 
 
+def lattice_table(points):
+    """The lattice ``points`` as one signal table, one row per point."""
+    return SignalTable.from_records({("", i): s for i, s in enumerate(points, start=1)})
+
+
 class TestSchemataTotality:
     @pytest.mark.parametrize("thresholds", [THRESH, THRESH_FLIPPED])
     def test_every_point_gets_exactly_one_category(self, thresholds):
+        # categorize raises UncoveredCaseError on a point that no rule or
+        # more than one rule covers
+        table = lattice_table(signal_lattice())
         for schema in SCHEMATA:
-            for s in signal_lattice():
-                cat = categorize(s, schema, thresholds)
-                assert 0 <= cat <= schema.num_categories - 1
+            cats = categorize(table, schema, thresholds)
+            assert cats.shape == (len(table),)
+            assert ((0 <= cats) & (cats <= schema.num_categories - 1)).all()
 
     def test_invalid_dominates_all_schemata(self):
         bad = sig(repeated_pattern=1, is_correct=1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bayeseval import simulate
 from bayeseval._rng import DOMAIN_FRESH, stream_rng
 from bayeseval.errors import AllTiedError, InputError, ZeroTrialsError
 from bayeseval.methods import parse_method
@@ -141,11 +142,17 @@ class TestSeparationExperiment:
         res = separation_experiment(cohort[10], cohort[0], [30], replicates=500, seed=2)
         assert res.p_correct[0] > 0.99
 
-    def test_determinism_and_chunk_independence(self):
+    def test_determinism_and_chunk_independence(self, monkeypatch):
         cohort = reference_cohort()
-        a = separation_experiment(cohort[9], cohort[8], [10, 20], replicates=700, seed=9)
-        b = separation_experiment(cohort[9], cohort[8], [10, 20], replicates=700, seed=9)
-        assert a == b
+        results = []
+        for chunk in (1, 7, 512):
+            monkeypatch.setattr(simulate, "_SEP_CHUNK", chunk)
+            results.append(
+                separation_experiment(cohort[9], cohort[8], [10, 20], replicates=700, seed=9)
+            )
+        assert results[0] == results[1] == results[2]
+        again = separation_experiment(cohort[9], cohort[8], [10, 20], replicates=700, seed=9)
+        assert again == results[2]
 
     def test_grid_validation(self):
         cohort = reference_cohort()
