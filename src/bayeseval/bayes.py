@@ -3,8 +3,10 @@
 The estimator treats each question's category probabilities as a latent
 vector with a Dirichlet posterior built from the tallied outcomes plus
 prior pseudo-counts, and returns the exact first two posterior moments of
-the weighted metric. No sampling or asymptotics are involved: the sums
-below are evaluated literally.
+the weighted metric. No sampling or asymptotics are involved. One closed
+form, ``posterior_moments`` over the exact integer sums of
+``moment_sums``, serves whole matrices, bootstrap replicates and the
+separation experiment alike.
 
 Under a uniform prior the posterior mean is a positive affine transform
 of the naive weighted average, so both produce identical rankings;
@@ -18,45 +20,65 @@ import math
 import numpy as np
 
 from .errors import ZeroTrialsError
-from .model import (
-    UNIFORM,
-    PosteriorSummary,
-    PriorData,
-    ResultsMatrix,
-    WeightVector,
-    tally,
-)
+from .model import UNIFORM, PosteriorSummary, PriorData, ResultsMatrix, WeightVector, tally
 
 __all__ = [
-    "evaluate_performance",
-    "naive_weighted_average",
-    "affine_bridge",
-    "avg_sigma_from_bayes",
-    "weighted_total",
+    "evaluate_performance", "naive_weighted_average", "affine_bridge",
+    "avg_sigma_from_bayes", "moment_sums", "posterior_moments", "weighted_total",
 ]
 
-# Above this many cells the per-question variance terms are reduced with
-# compensated summation to keep the 1e-12 oracle tolerance honest. Means
-# need none: they come from exact integer totals.
-_FSUM_CELL_THRESHOLD = 10**6
 
-
-def _reduce(per_question: np.ndarray, n_cells: int) -> float:
-    if n_cells > _FSUM_CELL_THRESHOLD:
-        return math.fsum(per_question.tolist())
-    return float(per_question.sum())
-
-
-def weighted_total(totals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_j totals[..., j] * weights[j]``, added in category order.
+def weighted_total(totals: np.ndarray, weights: np.ndarray, first=0.0) -> np.ndarray:
+    """``first + sum_j totals[..., j] * weights[j]``, added in category order.
 
     One model's category totals and a stack of replicates' give the same
     bits for the same totals, which a BLAS dot product does not promise.
     """
-    acc = totals[..., 0] * weights[0]
-    for j in range(1, weights.shape[0]):
+    acc = first
+    for j in range(weights.shape[0]):
         acc = acc + totals[..., j] * weights[j]
     return acc
+
+
+def moment_sums(nu: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact int64 sums ``S[..., i] = sum_q nu[q, i]`` and
+    ``Q[..., i, j] = sum_q nu[q, i] (T [i = j] - nu[q, j])``.
+
+    ``nu`` (..., M, C) holds the posterior counts of categories 1..C, the
+    question axis at -2; each question's counts over 0..C sum to T =
+    ``total``. Category 0 drops out since dw_0 = w_0 - w_0 = 0. Integer
+    sums are exact in any question order. No intermediate exceeds M T^2,
+    so int64 is exact while M T^2 < 2^63: one question at T = 3 * 10^9
+    (24 GB of int64 cells) or 10^5 questions at T = 9 * 10^6.
+    """
+    s = nu.sum(axis=-2)
+    q = -(nu.swapaxes(-1, -2) @ nu)    # integer matmul: exact, no BLAS
+    diag = np.arange(nu.shape[-1])
+    q[..., diag, diag] += total * s
+    return s, q
+
+
+def posterior_moments(
+    s: np.ndarray, q: np.ndarray | None, weights: np.ndarray, questions: int, total: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Posterior ``mu = w_0 + sum_i dw_i S_i / (M T)`` and ``sigma`` with
+    ``sigma^2 = sum_ij dw_i dw_j Q_ij / (T^2 M^2 (T + 1))``, dw_i = w_i - w_0.
+
+    Both sums run in fixed category order, skipping categories whose dw
+    is zero, so equal S and Q give equal bits for one matrix or a stack
+    of replicates. With ``q`` None, sigma is None.
+    """
+    dw = weights[1:] - weights[0]
+    mu = weights[0] + weighted_total(s, dw) / (questions * float(total))
+    if q is None:
+        return mu, None
+    acc = np.zeros(q.shape[:-2])
+    for i in np.flatnonzero(dw):
+        for j in np.flatnonzero(dw):
+            acc = acc + dw[i] * dw[j] * q[..., i, j]
+    m, t = int(questions), int(total)   # exact Python ints, one rounding
+    var = acc / float(m * m * t * t * (t + 1))
+    return mu, np.sqrt(np.maximum(var, 0.0))
 
 
 def evaluate_performance(
@@ -67,14 +89,15 @@ def evaluate_performance(
     """Posterior mean ``mu`` and uncertainty ``sigma`` of the weighted metric.
 
     With per-question posterior counts ``nu[alpha, j]`` summing to
-    ``T = 1 + C + D + N``:
+    ``T = 1 + C + D + N`` and ``dw_j = w_j - w_0``:
 
-        mu    = w_0 + (1 / (M T)) sum_alpha sum_j nu[alpha,j] (w_j - w_0)
-        sigma = sqrt( (1 / (M^2 (T+1))) sum_alpha {
-                    sum_j (nu[alpha,j]/T) (w_j - w_0)^2
-                  - (sum_j (nu[alpha,j]/T) (w_j - w_0))^2 } )
+        mu    = w_0 + (1 / (M T)) sum_j dw_j sum_alpha nu[alpha,j]
+        sigma = sqrt( (1 / (T^2 M^2 (T+1))) sum_ij dw_i dw_j
+                      sum_alpha nu[alpha,i] (T [i = j] - nu[alpha,j]) )
 
-    ``N = 0`` is legal: the result is then the pure-prior posterior.
+    The sums over questions are exact integers (``moment_sums``), so
+    neither value depends on question order. ``N = 0`` is legal: the
+    result is then the pure-prior posterior.
 
     Raises:
         WeightLengthMismatchError: weights do not match C+1.
@@ -85,32 +108,10 @@ def evaluate_performance(
     weights.check_compatible(matrix)
 
     t = tally(matrix, prior)
-    m = matrix.questions
-    big_t = float(t.total)
     w = np.asarray(weights.weights, dtype=float)
-    dw = w - w[0]
-
-    nu = t.nu.astype(float)
-    n_cells = matrix.questions * max(matrix.trials, 1)
-
-    # integer totals over questions first, so mu is the same bits in any
-    # question order
-    mu = w[0] + float(weighted_total(t.nu.sum(axis=0), dw)) / (m * big_t)
-
-    first = nu @ dw                     # per question: sum_j nu_j (w_j - w_0)
-
-    second = nu @ (dw * dw)             # per question: sum_j nu_j (w_j - w_0)^2
-    per_q_var = second / big_t - (first / big_t) ** 2
-    var = _reduce(per_q_var, n_cells) / (m * m * (big_t + 1.0))
-    sigma = math.sqrt(max(var, 0.0))
-
+    mu, sigma = posterior_moments(*moment_sums(t.nu[:, 1:], t.total), w, matrix.questions, t.total)
     return PosteriorSummary(
-        mu=float(mu),
-        sigma=sigma,
-        questions=m,
-        trials=matrix.trials,
-        max_category=matrix.max_category,
-        prior_depth=prior.depth,
+        float(mu), float(sigma), matrix.questions, matrix.trials, matrix.max_category, prior.depth
     )
 
 
@@ -129,7 +130,8 @@ def naive_weighted_average(matrix: ResultsMatrix, weights: WeightVector | None =
     weights.check_compatible(matrix)
     totals = matrix.category_counts().sum(axis=0)  # int64, order-free
     w = np.asarray(weights.weights, dtype=float)
-    return float(weighted_total(totals, w)) / (matrix.questions * matrix.trials)
+    total = weighted_total(totals[1:], w[1:], totals[0] * w[0])
+    return float(total) / (matrix.questions * matrix.trials)
 
 
 def affine_bridge(

@@ -181,9 +181,10 @@ def json_int(value) -> int | None:
 
 
 def load_prior_csv(path, num_categories: int) -> PriorData:
-    """Load a prior matrix in the same CSV layout as results."""
-    _, rows = _read_grid_csv(path)
-    return PriorData.from_matrix(rows, num_categories)
+    """Load a prior matrix in the same CSV layout as results, keeping its
+    question ids: it applies only to results with the same ids in order."""
+    ids, rows = _read_grid_csv(path)
+    return PriorData.from_matrix(rows, num_categories, ids)
 
 
 def save_results_csv(matrix: ResultsMatrix, path) -> None:

@@ -4,8 +4,9 @@ A method wraps two evaluation surfaces: whole-matrix scoring (used by the
 ``eval``/``rank`` commands) and vectorized scoring from per-category
 count tensors (used by the bootstrap engine, where thousands of replicate
 prefixes are scored at once). Both give the same score for the same
-counts: the pass family reads ``passk`` kernels either way, and
-``sigmas_from_counts`` is ``evaluate_performance``'s closed form.
+counts: the pass family reads ``passk`` kernels either way, and ``bayes``
+and ``avg`` take mu and sigma from ``bayes.posterior_moments`` either way,
+on exact integer moment sums that no question order changes.
 
 Method spec grammar: ``bayes``, ``avg``, ``pass@K``, ``pass^K``,
 ``naive^K``, ``gpass@K:TAU``, ``mgpass@K``. TAU parses as a decimal or a
@@ -21,12 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import passk
-from .bayes import (
-    avg_sigma_from_bayes,
-    evaluate_performance,
-    naive_weighted_average,
-    weighted_total,
-)
+from .bayes import (avg_sigma_from_bayes, evaluate_performance, moment_sums,
+                    naive_weighted_average, posterior_moments, weighted_total)
 from .errors import InputError, MethodUndefinedError
 from .model import UNIFORM, ResultsMatrix, WeightVector
 
@@ -81,16 +78,13 @@ class Method:
         average inherits it through the exact scale factor); subset
         estimators report zero.
         """
+        if self.kind not in ("bayes", "avg"):
+            return self.score(matrix), 0.0
         self.check_defined(matrix.trials, matrix.num_categories)
-        if self.kind in ("bayes", "avg"):
-            s = evaluate_performance(matrix, UNIFORM, self._weights_for(matrix))
-            if self.kind == "bayes":
-                return s.mu, s.sigma
-            return (
-                naive_weighted_average(matrix, self._weights_for(matrix)),
-                avg_sigma_from_bayes(s.sigma, matrix.trials, matrix.num_categories),
-            )
-        return self.score(matrix), 0.0
+        s = evaluate_performance(matrix, UNIFORM, self._weights_for(matrix))
+        if self.kind == "bayes":
+            return s.mu, s.sigma
+        return self.score(matrix), avg_sigma_from_bayes(s.sigma, matrix.trials, matrix.num_categories)
 
     # -- vectorized scoring over count tensors -------------------------------
 
@@ -104,43 +98,37 @@ class Method:
         Returns an array of shape (...) of per-model scores.
         """
         self.check_defined(trials, num_categories)
-        if self.kind in ("bayes", "avg"):
-            # int64 category totals over questions first, then one weighted
-            # sum: the bits of evaluate_performance / naive_weighted_average,
-            # in any question order
-            w = self._weight_array(num_categories)
-            m = counts.shape[-2]
-            totals = np.einsum("...mc->...c", counts)
-            n0 = m * trials - totals.sum(axis=-1, keepdims=True)
-            totals = np.concatenate([n0, totals], axis=-1)
-            if self.kind == "bayes":
-                # uniform prior: one pseudo-count per (question, category),
-                # T = 1 + C + N
-                t = float(num_categories + trials)
-                return w[0] + weighted_total(totals + m, w - w[0]) / (m * t)
-            return weighted_total(totals, w) / (m * trials)
-        table = passk.score_table(self.kind, trials, self.k, self.tau)
-        return table[counts[..., 0]].mean(axis=-1)
+        if self.kind not in ("bayes", "avg"):
+            table = passk.score_table(self.kind, trials, self.k, self.tau)
+            return table[counts[..., 0]].mean(axis=-1)
+        # int64 category totals over questions first, then one weighted sum:
+        # the bits of evaluate_performance / naive_weighted_average, in any
+        # question order
+        w, m = self._weight_array(num_categories), counts.shape[-2]
+        totals = np.einsum("...mc->...c", counts)
+        if self.kind == "bayes":
+            # uniform prior: posterior counts are counts + 1, T = 1 + C + N
+            return posterior_moments(totals + m, None, w, m, num_categories + trials)[0]
+        n0 = m * trials - totals.sum(axis=-1)
+        return weighted_total(totals, w[1:], n0 * w[0]) / (m * trials)
 
     def sigmas_from_counts(
         self, counts: np.ndarray, trials: int, num_categories: int
     ) -> np.ndarray:
         """Posterior sigmas from the same counts as ``scores_from_counts``.
 
-        The closed form of ``evaluate_performance`` under the uniform prior;
-        ``avg`` scales it by ``(1 + C + N) / N`` as ``avg_sigma_from_bayes``
-        does, and subset estimators have zero sigma.
+        ``posterior_moments`` on the ``moment_sums`` of the uniform-prior
+        counts ``counts + 1``: the whole matrix's sigma bits, in any question
+        order. ``avg`` scales it by ``avg_sigma_from_bayes``; subset
+        estimators have zero sigma.
         """
         self.check_defined(trials, num_categories)
         if self.kind not in ("bayes", "avg"):
             return np.zeros(counts.shape[:-2])
+        t, m = num_categories + trials, counts.shape[-2]
         w = self._weight_array(num_categories)
-        dw, t, m = w - w[0], float(num_categories + trials), counts.shape[-2]
-        n0 = trials - counts.sum(axis=-1, keepdims=True)
-        nu = np.concatenate([n0, counts], axis=-1) + 1.0  # posterior counts, sum T
-        per_q_var = (nu @ (dw * dw)) / t - ((nu @ dw) / t) ** 2
-        sigma = np.sqrt(np.maximum(per_q_var.sum(axis=-1) / (m * m * (t + 1.0)), 0.0))
-        return (num_categories + trials) / trials * sigma if self.kind == "avg" else sigma
+        _, sigma = posterior_moments(*moment_sums(counts + 1, t), w, m, t)
+        return avg_sigma_from_bayes(sigma, trials, num_categories) if self.kind == "avg" else sigma
 
     def _weight_array(self, num_categories: int) -> np.ndarray:
         w = np.asarray((self.weights or WeightVector.identity(num_categories)).weights)

@@ -165,10 +165,13 @@ def validate_matrix(
 class PriorData:
     """Prior evidence: either uniform or an earlier M x D outcome matrix.
 
-    A uniform prior is exactly a prior matrix with depth D = 0.
+    A uniform prior is exactly a prior matrix with depth D = 0. Prior rows
+    pair with results rows by position, so when both carry question ids
+    they must name the same questions in the same order.
     """
 
     matrix: np.ndarray | None = None
+    question_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.matrix is not None:
@@ -179,9 +182,9 @@ class PriorData:
         return cls(None)
 
     @classmethod
-    def from_matrix(cls, raw, num_categories: int) -> "PriorData":
+    def from_matrix(cls, raw, num_categories: int, question_ids=None) -> "PriorData":
         cells = _validate_grid(raw, num_categories - 1, what="prior matrix")
-        return cls(cells)
+        return cls(cells, tuple(map(str, question_ids)) if question_ids is not None else None)
 
     @property
     def depth(self) -> int:
@@ -195,6 +198,9 @@ class PriorData:
             raise PriorShapeMismatchError(
                 f"prior has {self.matrix.shape[0]} rows, results have {matrix.questions}"
             )
+        ids = (self.question_ids, matrix.question_ids)
+        if None not in ids and ids[0] != ids[1]:
+            raise PriorShapeMismatchError("prior and results differ in question ids or order")
         if self.matrix.size and int(self.matrix.max()) > matrix.max_category:
             raise PriorShapeMismatchError(
                 f"prior contains category {int(self.matrix.max())} > C={matrix.max_category}"

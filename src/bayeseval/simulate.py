@@ -23,6 +23,7 @@ from ._rng import (
     DOMAIN_TRIALS,
     stream_rng,
 )
+from .bayes import moment_sums, posterior_moments
 from .errors import InputError, ZeroTrialsError
 from .model import ResultsMatrix
 from .ranking import RankTable, ScoredModel, min_trials_for_confidence, rank_without_ci
@@ -245,23 +246,23 @@ def separation_experiment(
 
     p_correct = np.zeros(g)
     abs_z = np.empty((replicates, g))
-    n_arr = np.asarray(grid, dtype=float)
+    binary = np.array([0.0, 1.0])
 
     for start in range(0, replicates, _SEP_CHUNK):
         stop = min(start + _SEP_CHUNK, replicates)
-        counts = np.empty((2, stop - start, m, g), dtype=np.int32)
+        # correct counts per (grid point, model, replicate, question, category 1)
+        counts = np.empty((g, 2, stop - start, m, 1), dtype=np.int64)
         for slot, model in enumerate((model_a, model_b)):
             for r in range(start, stop):
                 rng = stream_rng(seed, DOMAIN_SEPARATION, r, slot)
                 draws = rng.random((m, n_top)) < model.probs[:, None]
-                counts[slot, r - start] = draws.cumsum(axis=1, dtype=np.int32)[:, grid_idx]
-        # binary posterior with uniform prior: nu1/T with T = N + 2
-        p_tilde = (counts + 1.0) / (n_arr + 2.0)
-        mu = p_tilde.mean(axis=2)                                   # (2, chunk, G)
-        var = (p_tilde * (1.0 - p_tilde)).sum(axis=2) / (m * m * (n_arr + 3.0))
-        gap = mu[0] - mu[1]
-        abs_z[start:stop] = np.abs(gap) / np.sqrt(var[0] + var[1])
-        p_correct += ((gap > 0) + 0.5 * (gap == 0)).sum(axis=0)
+                counts[:, slot, r - start, :, 0] = draws.cumsum(axis=1)[:, grid_idx].T
+        for i, n in enumerate(grid):
+            # uniform prior: posterior counts + 1, T = N + 2
+            mu, sigma = posterior_moments(*moment_sums(counts[i] + 1, n + 2), binary, m, n + 2)
+            gap = mu[0] - mu[1]   # zero exactly when the correct totals tie
+            abs_z[start:stop, i] = np.abs(gap) / np.hypot(sigma[0], sigma[1])
+            p_correct[i] += ((gap > 0) + 0.5 * (gap == 0)).sum()
 
     return SeparationResult(
         model_a.model_id,

@@ -86,6 +86,16 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["D"] == 2
 
+    def test_prior_rows_must_name_the_results_questions_in_order(self, capsys, tmp_path,
+                                                                  binary_csv):
+        # rows pair by position: a swapped or foreign prior would be misapplied
+        for ids in (("q2", "q1"), ("zz9", "zz8")):
+            prior = tmp_path / "p.csv"
+            prior.write_text(f"question_id,t1,t2\n{ids[0]},0,0\n{ids[1]},1,1\n")
+            code, out, err = run(capsys, "eval", "--results", binary_csv, "--prior", str(prior))
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == "PriorShapeMismatchError"
+
     def test_non_integer_prior_cell_exits_2_with_location(self, capsys, tmp_path, binary_csv):
         prior = tmp_path / "p.csv"
         prior.write_text("question_id,t1,t2\nq1,1,1\nq2,0,half\n")

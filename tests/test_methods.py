@@ -92,3 +92,8 @@ class TestOrderFreeReplicateMeans:
                 [[evaluate_performance(p, weights=w).mu for p in reps] for reps in prefixes])
             assert bits(avg.scores_from_counts(counts, n, k)) == bits(
                 [[naive_weighted_average(p, w) for p in reps] for reps in prefixes])
+            sigma = [[evaluate_performance(p, weights=w).sigma for p in reps] for reps in prefixes]
+            avg_sigma = avg_sigma_from_bayes(np.array(sigma), n, k)
+            for method, want in ((bayes, sigma), (avg, avg_sigma)):
+                assert bits(method.sigmas_from_counts(shuffled, n, k)) == bits(
+                    method.sigmas_from_counts(counts, n, k)) == bits(want)

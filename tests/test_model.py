@@ -115,6 +115,14 @@ class TestTally:
         with pytest.raises(PriorShapeMismatchError):
             tally(validate_matrix([[1, 0]], 2), prior)
 
+    def test_prior_question_ids_must_match_in_order(self):
+        results = validate_matrix([[1], [0]], 2, question_ids=["q1", "q2"])
+        assert tally(results, PriorData.from_matrix([[1], [0]], 2, ["q1", "q2"])).total == 4
+        assert tally(results, PriorData.from_matrix([[1], [0]], 2)).total == 4  # no ids
+        for ids in (["q2", "q1"], ["zz9", "zz8"]):
+            with pytest.raises(PriorShapeMismatchError, match="question ids"):
+                tally(results, PriorData.from_matrix([[1], [0]], 2, ids))
+
     def test_prior_category_out_of_bounds(self):
         prior = PriorData.from_matrix([[2]], 3)
         with pytest.raises(PriorShapeMismatchError):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kendalltau
 
 from bayeseval.errors import (
@@ -13,6 +14,8 @@ from bayeseval.errors import (
     NonFiniteScoreError,
     NotReachableError,
 )
+from bayeseval.methods import parse_method
+from bayeseval.model import WeightVector, validate_matrix
 from bayeseval.ranking import (
     RankTable,
     ScoredModel,
@@ -264,3 +267,32 @@ class TestRankTable:
     def test_rank_vector_order(self):
         t = rank_without_ci(models([0.1, 0.9]))
         assert t.rank_vector(["m0", "m1"]) == [2, 1]
+
+
+@st.composite
+def permuted_cohort(draw):
+    """Four models' matrices, each also with its rows permuted, and tenths weights."""
+    k, m, n = draw(st.integers(2, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = [rng.integers(0, k, size=(m, n)) for _ in range(4)]
+    perms = [draw(st.permutations(range(m))) for _ in cells]
+    w = WeightVector(tuple(draw(st.integers(-50, 50)) / 10 for _ in range(k)))
+    return ([validate_matrix(c, k) for c in cells],
+            [validate_matrix(c[list(p)], k) for c, p in zip(cells, perms)], w)
+
+
+class TestQuestionOrderFreeRankings:
+    @settings(max_examples=100, deadline=None)
+    @given(permuted_cohort())
+    def test_row_permutation_keeps_rank_tables(self, case):
+        # pass-family scores still depend on question order, so only the
+        # posterior-based methods are pinned here
+        original, permuted, w = case
+        for spec in ("bayes", "avg"):
+            method = parse_method(spec, w)
+            tables = [
+                [ScoredModel(f"m{i}", *method.score_with_sigma(mx)) for i, mx in enumerate(mxs)]
+                for mxs in (original, permuted)
+            ]
+            assert rank_without_ci(tables[0]) == rank_without_ci(tables[1])
+            assert rank_with_ci(tables[0], 1.645) == rank_with_ci(tables[1], 1.645)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bayeseval import simulate
-from bayeseval._rng import DOMAIN_FRESH, stream_rng
+from bayeseval._rng import DOMAIN_FRESH, DOMAIN_SEPARATION, stream_rng
 from bayeseval.errors import AllTiedError, InputError, ZeroTrialsError
 from bayeseval.methods import parse_method
 from bayeseval.model import validate_matrix
@@ -153,6 +153,22 @@ class TestSeparationExperiment:
         assert results[0] == results[1] == results[2]
         again = separation_experiment(cohort[9], cohort[8], [10, 20], replicates=700, seed=9)
         assert again == results[2]
+
+    @pytest.mark.parametrize("n", [1, 80])
+    def test_exact_ties_count_one_half(self, n):
+        # redraw each replicate's trials from its own stream and order the
+        # pair by integer correct totals; an exact tie counts one half
+        a, b = reference_cohort()[9], reference_cohort()[8]
+        reps, seed = 3000, 0
+        totals = np.array([
+            [(stream_rng(seed, DOMAIN_SEPARATION, r, slot).random((model.questions, n))
+              < model.probs[:, None]).sum() for slot, model in enumerate((a, b))]
+            for r in range(reps)
+        ])
+        wins, ties = (totals[:, 0] > totals[:, 1]).sum(), (totals[:, 0] == totals[:, 1]).sum()
+        assert ties > 0
+        res = separation_experiment(a, b, [n], replicates=reps, seed=seed)
+        assert res.p_correct == ((wins + 0.5 * ties) / reps,)
 
     def test_grid_validation(self):
         cohort = reference_cohort()
