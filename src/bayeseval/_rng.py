@@ -24,8 +24,10 @@ DOMAIN_FRESH = 5
 def stream_rng(seed: int, domain: int, index: int = 0, stream: int = 0) -> np.random.Generator:
     """Generator for the (seed, domain, index, stream) coordinate.
 
-    ``index`` is typically a replicate number (< 2^40) and ``stream`` a
-    model slot (< 2^16); distinct coordinates never share a key.
+    ``index`` is typically a replicate number (< 2^40). Bootstrap draws
+    every model of a replicate from one stream; fresh-matrix and separation
+    draws use ``stream`` as a model slot (< 2^16). Distinct coordinates
+    never share a key.
     """
     if not 0 <= domain < 256:
         raise ValueError(f"domain out of range: {domain}")

@@ -2,14 +2,15 @@
 
 Two bootstrap schemes over a results matrix: column-wise redraws trial
 indices (the same indices for every question) and row-wise redraws cell
-indices independently per question. Each (replicate, model) pair owns a
-counter-based random stream keyed by those coordinates, so ``resample``
-reproduces exactly what the engine scored.
+indices independently per question. Each replicate owns one counter-based
+random stream keyed by (seed, scheme, replicate) and draws every model's
+trials from it, trial-major, so ``resample`` reproduces exactly what the
+engine scored and any split of the replicates draws the same bits.
 
 One replicate-prefix engine, ``_reduce_replicates``, serves tau curves,
 convergence@n, the worst-case trajectory and ``simulate.fresh_tau_curves``.
-Per chunk of replicates: a source draws each (replicate, model)'s trials
-(bootstrap resamples or fresh Bernoulli draws) as (n, model, replicate,
+Per chunk of replicates: a source draws each replicate's trials for every
+model (bootstrap resamples or fresh Bernoulli draws) as (n, model, replicate,
 question) category indices in the smallest unsigned dtype; int64 running
 counts of shape (model, replicate, question, C) advance one trial per n, so
 no count width caps the trial budget; ``Method.scores_from_counts`` scores
@@ -59,26 +60,34 @@ __all__ = [
     "ReplicateScan",
     "resample",
     "scan_replicates",
-    "tau_curve",
     "tau_curves",
     "tau_curves_from_draws",
-    "convergence_at_n",
     "convergence_distributions",
     "worst_case_trajectory",
 ]
 
 _CHUNK_TARGET_BYTES = 32 << 20
+_DRAW_SHARE = 8  # one replicate's draw block holds 1/8 of the byte budget
+
+
+def _draw_block(cells_per_trial: int) -> int:
+    """Trials per ``resample`` draw block: as many as 1/``_DRAW_SHARE`` of
+    the byte budget holds at 16 bytes a cell (the int64 draws and their
+    flat indices), at least one. No result depends on the block size."""
+    return max(1, _CHUNK_TARGET_BYTES // _DRAW_SHARE // (16 * cells_per_trial))
 
 
 def _chunk_size(empty_draw: np.ndarray, num_categories: int) -> int:
-    """Replicates per engine chunk: as many as the byte budget holds, at
-    least one. ``empty_draw`` is a zero-replicate draw. A replicate's
-    (model, question) cell costs its draws plus 24 bytes per category: the
-    int64 running counts and the float64 scratch of scoring them (CI
-    sigmas take the most). No result depends on the chunk size."""
+    """Replicates per engine chunk: as many as the byte budget left after
+    the draw block holds, at least one. ``empty_draw`` is a zero-replicate
+    draw. A replicate's (model, question) cell costs its draws plus 24
+    bytes per category: the int64 running counts and the float64 scratch
+    of scoring them (CI sigmas take the most). No result depends on the
+    chunk size."""
     n_max, models, _, questions = empty_draw.shape
     per_rep = models * questions * (n_max * empty_draw.itemsize + 24 * num_categories)
-    return max(1, _CHUNK_TARGET_BYTES // max(per_rep, 1))
+    budget = _CHUNK_TARGET_BYTES - _CHUNK_TARGET_BYTES // _DRAW_SHARE
+    return max(1, budget // max(per_rep, 1))
 
 
 class ResampleScheme(str, Enum):
@@ -112,23 +121,32 @@ class ResamplePlan:
 
 
 def resample(
-    matrix: ResultsMatrix, plan: ResamplePlan, replicate_index: int, stream: int = 0
-) -> ResultsMatrix:
-    """One bootstrap replicate of ``matrix``; deterministic in all arguments.
+    cells: np.ndarray, plan: ResamplePlan, replicate_index: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Bootstrap replicate ``replicate_index`` of the (models, questions,
+    trials) ``cells``: its (n_max, models, questions) category indices,
+    written into ``out`` (of that shape and ``cells``' dtype) when given.
 
-    Column-wise applies one drawn index set to every row; row-wise draws
-    independently per row. ``stream`` distinguishes models inside
-    multi-model runs, so ``resample(matrix_i, plan, r, stream=i)`` is the
-    exact input the engine scored: the engine draws through this function.
+    The replicate's one stream, keyed by (seed, scheme, replicate), draws
+    trial-major: per trial, a source trial for each (model, question) in
+    the row scheme, or for each model, shared by its questions, in the
+    column scheme. Trials come in blocks of ``_draw_block`` to bound
+    memory; numpy fills bounded draws in order, so blocks change no bit.
+    The engine draws through this function, so it returns exactly what
+    the engine scored.
     """
-    n_max = plan.budget(matrix.trials)
-    rng = stream_rng(plan.seed, plan.scheme.domain, replicate_index, stream)
-    m, n_src = matrix.cells.shape
-    if plan.scheme is ResampleScheme.COLUMN:
-        cells = matrix.cells[:, rng.integers(0, n_src, size=n_max)]
-    else:
-        cells = np.take_along_axis(matrix.cells, rng.integers(0, n_src, size=(m, n_max)), axis=1)
-    return ResultsMatrix(cells, matrix.num_categories, matrix.question_ids)
+    models, m, n_src = cells.shape
+    n_max = plan.budget(n_src)
+    out = np.empty((n_max, models, m), cells.dtype) if out is None else out
+    rng = stream_rng(plan.seed, plan.scheme.domain, replicate_index)
+    rows = np.arange(0, cells.size, n_src).reshape(models, m)  # flat offset of each row
+    size = (models, m if plan.scheme is ResampleScheme.ROW else 1)
+    step = _draw_block(models * m)
+    for t in range(0, n_max, step):
+        b = min(step, n_max - t)
+        np.take(cells, rows + rng.integers(0, n_src, size=(b, *size)), out=out[t:t + b],
+                mode="clip")
+    return out
 
 
 # -- shared multi-model machinery --------------------------------------------
@@ -247,15 +265,15 @@ def _as_methods(method_specs, weights: WeightVector | None = None) -> list[Metho
 # -- the replicate-prefix engine ---------------------------------------------
 
 def _resample_draw(items, plan: ResamplePlan, n_max: int):
-    """Source: ``resample`` of every (replicate, model), model index as stream."""
+    """Source: ``resample`` of each replicate, written into the chunk, on
+    the cells cast once to the smallest dtype that holds every category."""
     dtype = np.min_scalar_type(items[0][1].num_categories - 1)
-    small = [ResultsMatrix(mx.cells.astype(dtype), mx.num_categories) for _, mx in items]
+    cells = np.array([mx.cells for _, mx in items], dtype=dtype)
 
     def draw(start: int, stop: int) -> np.ndarray:
-        out = np.empty((n_max, len(small), stop - start, small[0].questions), dtype)
-        for s, mx in enumerate(small):
-            for r in range(start, stop):
-                out[:, s, r - start] = resample(mx, plan, r, s).cells.T
+        out = np.empty((n_max, len(items), stop - start, cells.shape[1]), dtype)
+        for r in range(start, stop):
+            resample(cells, plan, r, out[:, :, r - start])
         return out
 
     return draw
@@ -354,10 +372,10 @@ def scan_replicates(
 ) -> ReplicateScan:
     """Draw, count and score every replicate of both plans in one pass.
 
-    Replicate r of model s is keyed by (seed, scheme, r, s) alone, so the
-    tau replicates are the first R_tau of the convergence replicates (or
-    the other way round): one scan over max(R_tau, R_conv) replicates sums
-    each method's tau-b terms over the first R_tau of them and finds the
+    Replicate r is keyed by (seed, scheme, r) alone, so the tau
+    replicates are the first R_tau of the convergence replicates (or the
+    other way round): one scan over max(R_tau, R_conv) replicates sums each
+    method's tau-b terms over the first R_tau of them and finds the
     convergence points of the first R_conv; a plan left as None gets
     neither. Pass the result as ``scan=`` to ``tau_curves`` and
     ``convergence_distributions``; both then read it instead of scanning.
@@ -535,18 +553,6 @@ def tau_curves(
     return {m.name: _tau_curve(m, scan.tau_sums[m.name], n2, plan.scheme.value) for m in methods}
 
 
-def tau_curve(
-    matrices,
-    method: Method | str,
-    plan: ResamplePlan,
-    weights: WeightVector | None = None,
-    gold: RankTable | None = None,
-) -> TauCurve:
-    """Single-method convenience wrapper around ``tau_curves``."""
-    (m,) = _as_methods(method)
-    return tau_curves(matrices, [m], plan, weights, gold)[m.name]
-
-
 # -- convergence@n ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -648,19 +654,6 @@ def convergence_distributions(
     return out
 
 
-def convergence_at_n(
-    matrices,
-    method: Method | str,
-    plan: ResamplePlan,
-    weights: WeightVector | None = None,
-    gold: RankTable | None = None,
-    ci_z: float | None = None,
-) -> ConvergenceDistribution:
-    """Single-method convenience wrapper around ``convergence_distributions``."""
-    (m,) = _as_methods(method)
-    return convergence_distributions(matrices, [m], plan, weights, gold, ci_z)[m.name]
-
-
 # -- worst-case trajectory ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -712,7 +705,8 @@ def worst_case_trajectory(
     conv_n = None if censored[worst_rep] else int(conv[worst_rep])
 
     lo = max(1, m.min_trials)
-    resampled = [resample(mx, plan, worst_rep, stream=s) for s, (_, mx) in enumerate(items)]
+    trials = _resample_draw(items, plan, n_max)(worst_rep, worst_rep + 1)[:, :, 0]
+    resampled = [ResultsMatrix(trials[:, s].T, mx.num_categories) for s, (_, mx) in enumerate(items)]
     tables = tuple(
         rank_without_ci([
             ScoredModel(mid, m.score(rx.prefix(n)), 0.0) for (mid, _), rx in zip(items, resampled)

@@ -8,17 +8,15 @@ from bayeseval.bootstrap import (
     ConvergenceDistribution,
     ResamplePlan,
     ResampleScheme,
-    convergence_at_n,
     convergence_distributions,
     gold_table,
     resample,
-    tau_curve,
     tau_curves,
     worst_case_trajectory,
 )
 from bayeseval.errors import AllTiedError, InputError, MethodUndefinedError, NegativeZError
 from bayeseval.methods import parse_method
-from bayeseval.model import WeightVector, validate_matrix
+from bayeseval.model import ResultsMatrix, WeightVector, validate_matrix
 from bayeseval.ranking import ScoredModel, kendall_tau_b, rank_with_ci, rank_without_ci
 from bayeseval.simulate import fresh_tau_curves, reference_cohort, sample_trials
 
@@ -41,49 +39,60 @@ def separated_cohort(m=4, n=10):
     return {"hi": hi, "mid": mid, "lo": lo}
 
 
+def stacked(mats) -> np.ndarray:
+    """The models' cells as one (models, questions, trials) array."""
+    return np.stack([mx.cells for mx in mats.values()])
+
+
+def replicate_matrices(mats, plan, r) -> list[ResultsMatrix]:
+    """Replicate ``r`` of every model, as the engine scored it."""
+    trials = resample(stacked(mats), plan, r)
+    return [ResultsMatrix(trials[:, s].T, mx.num_categories) for s, mx in enumerate(mats.values())]
+
+
 class TestResample:
     def test_deterministic(self):
         mx = sample_trials(reference_cohort()[2], 15, seed=3)
         plan = ResamplePlan(ResampleScheme.ROW, replicates=10, seed=5)
-        a = resample(mx, plan, 4)
-        b = resample(mx, plan, 4)
-        assert np.array_equal(a.cells, b.cells)
-        assert not np.array_equal(a.cells, resample(mx, plan, 5).cells)
-        assert not np.array_equal(a.cells, resample(mx, plan, 4, stream=1).cells)
+        a = resample(mx.cells[None], plan, 4)
+        assert a.shape == (15, 1, mx.questions)
+        assert np.array_equal(a, resample(mx.cells[None], plan, 4))
+        assert not np.array_equal(a, resample(mx.cells[None], plan, 5))
+        # two copies of one model in a replicate draw different trials
+        pair = resample(np.stack([mx.cells, mx.cells]), plan, 4)
+        assert not np.array_equal(pair[:, 0], pair[:, 1])
 
     def test_column_scheme_copies_whole_columns(self):
         cells = np.arange(12).reshape(3, 4) % 2
         cells[0] = [0, 1, 0, 1]
         cells[1] = [1, 1, 0, 0]
         cells[2] = [0, 0, 1, 1]
-        mx = validate_matrix(cells, 2)
         plan = ResamplePlan("column", replicates=1, seed=2)
-        out = resample(mx, plan, 0)
-        src = {tuple(col) for col in cells.T}
-        assert all(tuple(col) in src for col in out.cells.T)
+        out = resample(np.stack([cells, cells[::-1]]), plan, 0)
+        for s, src in enumerate((cells, cells[::-1])):
+            columns = {tuple(col) for col in src.T}
+            assert all(tuple(col) in columns for col in out[:, s])
 
     def test_column_identical_columns_reproduce_prefix(self):
         cells = np.tile([[1], [0], [1]], (1, 6))
-        mx = validate_matrix(cells, 2)
-        out = resample(mx, ResamplePlan("column", 1, seed=9), 0)
-        assert np.array_equal(out.cells, mx.cells)
+        out = resample(cells[None], ResamplePlan("column", 1, seed=9), 0)
+        assert np.array_equal(out[:, 0].T, cells)
 
     def test_row_constant_matrix_unchanged(self):
-        mx = validate_matrix(np.ones((3, 5), dtype=int), 2)
-        out = resample(mx, ResamplePlan("row", 1, seed=1), 0)
-        assert np.array_equal(out.cells, mx.cells)
+        cells = np.ones((3, 5), dtype=int)
+        out = resample(cells[None], ResamplePlan("row", 1, seed=1), 0)
+        assert np.array_equal(out[:, 0].T, cells)
 
     def test_row_scheme_resamples_within_rows(self):
         cells = np.array([[0, 0, 1, 1], [1, 1, 1, 0]])
-        mx = validate_matrix(cells, 2)
-        out = resample(mx, ResamplePlan("row", 1, seed=4), 0)
-        for row_out, row_src in zip(out.cells, cells):
-            assert set(row_out).issubset(set(row_src))
+        out = resample(np.stack([cells, 1 - cells]), ResamplePlan("row", 1, seed=4), 0)
+        for s, src in enumerate((cells, 1 - cells)):
+            for row_out, row_src in zip(out[:, s].T, src):
+                assert set(row_out).issubset(set(row_src))
 
     def test_budget_validation(self):
-        mx = validate_matrix([[1, 0]], 2)
         with pytest.raises(InputError):
-            resample(mx, ResamplePlan("row", 1, seed=0, n_max=5), 0)
+            resample(np.array([[[1, 0]]]), ResamplePlan("row", 1, seed=0, n_max=5), 0)
         with pytest.raises(InputError):
             ResamplePlan("row", replicates=0)
 
@@ -115,7 +124,7 @@ class TestGold:
         mx = validate_matrix([[1, 0], [0, 1]], 2)
         mats = {"a": mx, "b": mx}
         with pytest.raises(AllTiedError):
-            tau_curve(mats, "bayes", ResamplePlan("row", 5, seed=0))
+            tau_curves(mats, ["bayes"], ResamplePlan("row", 5, seed=0))["bayes"]
 
 
 class TestTauCurves:
@@ -134,11 +143,10 @@ class TestTauCurves:
             for n in range(max(1, method.min_trials), 10):
                 taus = []
                 for r in range(plan.replicates):
-                    scored = []
-                    for s, (mid, mx) in enumerate(mats.items()):
-                        rx = resample(mx, plan, r, stream=s)
-                        scored.append(ScoredModel(mid, method.score(rx.prefix(n))))
-                    table = rank_without_ci(scored)
+                    table = rank_without_ci([
+                        ScoredModel(mid, method.score(rx.prefix(n)))
+                        for mid, rx in zip(ids, replicate_matrices(mats, plan, r))
+                    ])
                     try:
                         taus.append(
                             kendall_tau_b(gold_vec, table.rank_vector(ids))
@@ -152,7 +160,7 @@ class TestTauCurves:
 
     def test_points_absent_below_min_trials(self):
         mats = small_cohort(n_models=3, n=8)
-        curve = tau_curve(mats, "pass@4", ResamplePlan("column", 5, seed=2))
+        curve = tau_curves(mats, ["pass@4"], ResamplePlan("column", 5, seed=2))["pass@4"]
         assert curve.points[0].n == 4
         with pytest.raises(KeyError):
             curve.at(3)
@@ -160,7 +168,7 @@ class TestTauCurves:
     def test_method_undefined_beyond_budget(self):
         mats = small_cohort(n_models=3, n=8)
         with pytest.raises(MethodUndefinedError):
-            tau_curve(mats, "pass@9", ResamplePlan("row", 5, seed=2))
+            tau_curves(mats, ["pass@9"], ResamplePlan("row", 5, seed=2))["pass@9"]
 
     def test_deterministic(self):
         mats = small_cohort(n_models=3, n=10, seed=5)
@@ -180,8 +188,8 @@ class TestTauCurves:
         mats = small_cohort(n_models=4, n=16, seed=19)
         pc = ResamplePlan("column", replicates=600, seed=3)
         pr = ResamplePlan("row", replicates=600, seed=3)
-        col = tau_curve(mats, "bayes", pc)
-        row = tau_curve(mats, "bayes", pr)
+        col = tau_curves(mats, ["bayes"], pc)["bayes"]
+        row = tau_curves(mats, ["bayes"], pr)["bayes"]
         for a, b in zip(col.points, row.points):
             gap = abs(a.mean_tau - b.mean_tau)
             band = 5 * np.hypot(a.stderr, b.stderr) + 1e-9
@@ -192,7 +200,7 @@ class TestConvergence:
     def test_total_separation_gives_point_mass_at_one(self):
         mats = separated_cohort()
         plan = ResamplePlan("row", replicates=50, seed=1)
-        dist = convergence_at_n(mats, "bayes", plan)
+        dist = convergence_distributions(mats, ["bayes"], plan)["bayes"]
         assert dist.counts[1] == 50
         assert dist.censored_count == 0
         assert dist.mean_converged == 1.0
@@ -200,7 +208,8 @@ class TestConvergence:
     def test_mass_conservation_exact(self):
         mats = small_cohort(n_models=4, n=14, seed=2)
         for method in ("bayes", "pass@2"):
-            dist = convergence_at_n(mats, method, ResamplePlan("row", 64, seed=7))
+            plan = ResamplePlan("row", 64, seed=7)
+            dist = convergence_distributions(mats, [method], plan)[method]
             assert int(dist.counts.sum()) + dist.censored_count == dist.replicates
             assert np.array_equal(dist.cdf, np.cumsum(dist.pmf))
             assert (np.diff(dist.cdf) >= 0).all()
@@ -210,16 +219,14 @@ class TestConvergence:
         mats = small_cohort(n_models=3, n=8, seed=4)
         plan = ResamplePlan("column", replicates=12, seed=13)
         method = parse_method("bayes")
-        dist = convergence_at_n(mats, method, plan)
+        dist = convergence_distributions(mats, [method], plan)[method.name]
         gold = gold_table(mats)
         ids = list(mats)
         gold_ranks = gold.rank_vector(ids)
         expected = np.zeros(9, dtype=int)
         censored = 0
         for r in range(plan.replicates):
-            resampled = [
-                resample(mx, plan, r, stream=s) for s, mx in enumerate(mats.values())
-            ]
+            resampled = replicate_matrices(mats, plan, r)
             matches = []
             for n in range(1, 9):
                 table = rank_without_ci(
@@ -243,12 +250,12 @@ class TestConvergence:
         mats = small_cohort(n_models=3, n=10, seed=6)
         plan = ResamplePlan("row", replicates=30, seed=17)
         both = convergence_distributions(mats, ["bayes", "pass@2"], plan)
-        solo = convergence_at_n(mats, "bayes", plan)
+        solo = convergence_distributions(mats, ["bayes"], plan)["bayes"]
         assert both["bayes"].counts.tolist() == solo.counts.tolist()
 
     def test_report_shape(self):
         mats = separated_cohort()
-        dist = convergence_at_n(mats, "bayes", ResamplePlan("row", 5, seed=0))
+        dist = convergence_distributions(mats, ["bayes"], ResamplePlan("row", 5, seed=0))["bayes"]
         rep = dist.to_report()
         assert rep["pmf"][0] == {"n": 1, "pmf": 1.0, "cdf": 1.0}
         assert rep["censored_mass"] == 0.0
@@ -256,13 +263,13 @@ class TestConvergence:
     def test_ci_aware_flag(self):
         mats = small_cohort(n_models=3, n=8, seed=4)
         plan = ResamplePlan("column", replicates=8, seed=13)
-        point = convergence_at_n(mats, "bayes", plan)
+        point = convergence_distributions(mats, ["bayes"], plan)["bayes"]
         # a tiny threshold reproduces point-ranking convergence; a huge one
         # ties everything so the (untied) gold is never matched
-        near_point = convergence_at_n(mats, "bayes", plan, ci_z=1e-9)
+        near_point = convergence_distributions(mats, ["bayes"], plan, ci_z=1e-9)["bayes"]
         assert near_point.counts.tolist() == point.counts.tolist()
         assert near_point.censored_count == point.censored_count
-        all_tied = convergence_at_n(mats, "bayes", plan, ci_z=1e9)
+        all_tied = convergence_distributions(mats, ["bayes"], plan, ci_z=1e9)["bayes"]
         assert all_tied.censored_count == plan.replicates
 
     def test_tau_points_flag_subset_onset(self):
@@ -286,7 +293,7 @@ def ci_convergence_oracle(matrices, method, plan, z, weights=None):
     lo = max(1, method.min_trials)
     hist, censored = np.zeros(n_max + 1, dtype=np.int64), 0
     for r in range(plan.replicates):
-        resampled = [resample(mx, plan, r, stream=s) for s, mx in enumerate(matrices.values())]
+        resampled = replicate_matrices(matrices, plan, r)
         last_mismatch = 0
         for n in range(lo, n_max + 1):
             scored = [
@@ -367,9 +374,7 @@ class TestWorstCase:
         gold_ranks = gold.rank_vector(ids)
 
         def conv_key(r):
-            resampled = [
-                resample(mx, plan, r, stream=s) for s, mx in enumerate(mats.values())
-            ]
+            resampled = replicate_matrices(mats, plan, r)
             last_mismatch = 0
             for n in range(1, 11):
                 table = rank_without_ci(
@@ -401,12 +406,13 @@ class TestCountWidth:
         return {"hi": hi, "lo": lo}
 
     def test_convergence_not_censored(self):
-        dist = convergence_at_n(self.pair(), "bayes", ResamplePlan("row", 1, seed=0))
+        plan = ResamplePlan("row", 1, seed=0)
+        dist = convergence_distributions(self.pair(), ["bayes"], plan)["bayes"]
         assert dist.counts[1] == 1
         assert dist.censored_count == 0
 
     def test_tau_one_at_full_budget(self):
-        curve = tau_curve(self.pair(), "bayes", ResamplePlan("column", 1, seed=0))
+        curve = tau_curves(self.pair(), ["bayes"], ResamplePlan("column", 1, seed=0))["bayes"]
         assert curve.at(self.TRIALS).mean_tau == 1.0
 
 
@@ -453,12 +459,13 @@ class TestSharedScan:
         calls = []
         real = bootstrap.resample
         monkeypatch.setattr(bootstrap, "resample",
-                            lambda mx, plan, r, stream=0: calls.append((r, stream)) or
-                            real(mx, plan, r, stream))
+                            lambda cells, plan, r, out=None: calls.append((r, len(cells))) or
+                            real(cells, plan, r, out))
         mats = small_cohort(n_models=3, n=6)
         bootstrap.scan_replicates(mats, ["bayes", "pass@2"], ResamplePlan("row", 4),
                                   ResamplePlan("row", 9))
-        assert sorted(calls) == [(r, s) for r in range(9) for s in range(3)]
+        # one draw per replicate, every model's trials in it
+        assert sorted(calls) == [(r, 3) for r in range(9)]
 
     @pytest.mark.parametrize("other", [
         ResamplePlan("column", 8, seed=1, n_max=10),
@@ -536,12 +543,14 @@ class TestChunkFree:
         )
 
     def test_bitwise_equal_for_chunk_sizes_1_7_64(self, monkeypatch):
+        # crossed with draw blocks of 1, 7 and n_max = 12 trials
         results = []
         for chunk in (1, 7, 64):
-            monkeypatch.setattr(bootstrap, "_chunk_size", lambda *shape, c=chunk: c)
-            results.append(self.outputs())
-        assert results[0] == results[1]
-        assert results[0] == results[2]
+            for block in (1, 7, 12):
+                monkeypatch.setattr(bootstrap, "_chunk_size", lambda *shape, c=chunk: c)
+                monkeypatch.setattr(bootstrap, "_draw_block", lambda cells, b=block: b)
+                results.append(self.outputs())
+        assert all(r == results[0] for r in results[1:])
 
     def test_chunk_peak_stays_within_budget(self, monkeypatch):
         # one replicate draws 6 x 1000 x 120 = 720 kB, so 16 replicates
@@ -560,8 +569,59 @@ class TestChunkFree:
         finally:
             tracemalloc.stop()
         # outside the per-chunk budget: the source's uint8 copies of the
-        # inputs, one stream's resample (int64 indices, uint8 cells) and
-        # the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
+        # inputs, 9 bytes per question and trial (a slack term once sized
+        # for a per-model resample; the draw block is inside the budget
+        # now) and the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
         outside = (models * questions * trials + 9 * questions * trials
                    + len(methods) * 3 * (trials + 1) * (models * (models - 1) // 2) * 8)
         assert peak <= budget + outside
+
+    def test_single_replicate_draw_stays_within_budget(self, monkeypatch):
+        # one replicate's int64 indices, 4 x 2000 x 80 x 8 bytes = 5.1 MB,
+        # are 4.9x the 1 MiB budget, so the replicate is drawn in blocks
+        budget, models, questions, trials = 1 << 20, 4, 2000, 80
+        assert models * questions * trials * 8 >= 4 * budget
+        monkeypatch.setattr(bootstrap, "_CHUNK_TARGET_BYTES", budget)
+        rng = np.random.default_rng(1)
+        mats = {f"m{i}": validate_matrix(rng.integers(0, 2, size=(questions, trials)), 2)
+                for i in range(models)}
+        methods, gold = ["bayes", "pass@2"], gold_table(mats)
+        for scheme in ("row", "column"):
+            plan = ResamplePlan(scheme, 3, seed=1)
+            tracemalloc.start()
+            try:
+                bootstrap.scan_replicates(mats, methods, plan, plan, gold=gold)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # outside the budget: the source's uint8 copies of the inputs
+            # and the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
+            outside = (models * questions * trials
+                       + len(methods) * 3 * (trials + 1) * (models * (models - 1) // 2) * 8)
+            assert peak <= budget + outside, scheme
+
+
+class TestOneStreamPerReplicate:
+    """Replicate r of every model comes from the one stream keyed by r."""
+
+    @pytest.mark.parametrize("scheme", ["row", "column"])
+    def test_resample_equals_engine_chunk_slice(self, scheme, monkeypatch):
+        # blocks of 3 trials split the 10-trial replicate unevenly
+        monkeypatch.setattr(bootstrap, "_draw_block", lambda cells: 3)
+        rng = np.random.default_rng(5)
+        mats = {f"m{i}": validate_matrix(rng.integers(0, 5, size=(7, 10)), 5) for i in range(4)}
+        plan = ResamplePlan(scheme, 9, seed=8)
+        items = bootstrap._model_items(mats)
+        chunk = bootstrap._resample_draw(items, plan, 10)(2, 9)
+        assert chunk.shape == (10, 4, 7, 7) and chunk.dtype == np.uint8
+        for r in range(2, 9):
+            # int64 cells in: the same category indices the uint8 chunk holds
+            assert np.array_equal(chunk[:, :, r - 2], resample(stacked(mats), plan, r))
+
+    @pytest.mark.parametrize("scheme", ["row", "column"])
+    def test_more_models_than_stream_slots(self, scheme):
+        # 2**16 + 1 one-cell models: past the 2**16 per-model stream slots
+        cells = np.arange(2**16 + 1).reshape(-1, 1, 1) % 5
+        out = resample(cells, ResamplePlan(scheme, 1, seed=3), 0)
+        assert out.shape == (1, 2**16 + 1, 1)
+        assert np.array_equal(out[0], cells[:, :, 0])

@@ -348,14 +348,14 @@ class TestConverge:
                             lambda *a, **k: calls.append(a[2]) or real(*a, **k))
         return calls
 
-    def test_one_draw_per_replicate_and_model(self, capsys, model_dir, monkeypatch):
+    def test_one_draw_per_replicate(self, capsys, model_dir, monkeypatch):
         calls = self.count_resamples(monkeypatch)
         code, out, _ = run(
             capsys, "converge", "--results-dir", model_dir, "--methods", "bayes,pass@2",
             "--replicates", "7",
         )
         assert code == 0
-        assert sorted(calls) == sorted(list(range(7)) * 3)   # 3 models
+        assert sorted(calls) == list(range(7))   # each draws all 3 models
         assert json.loads(out)["replicates_tau"] == json.loads(out)["replicates_convergence"] == 7
 
     @pytest.mark.parametrize("artifact, skipped", [
@@ -370,7 +370,7 @@ class TestConverge:
             "--replicates", "5", "--format", "tsv", "--artifact", artifact,
         )
         assert code == 0 and out
-        assert len(calls) == 5 * 3
+        assert len(calls) == 5
 
     def test_replicate_one_degenerate_pmf(self, capsys, model_dir):
         code, out, _ = run(
@@ -650,8 +650,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("bayeseval
 _PUBLIC = set("""
     bayes bootstrap errors methods model passk ranking rubric simulate
     affine_bridge avg_sigma_from_bayes evaluate_performance naive_weighted_average
-    ConvergenceDistribution ResamplePlan ResampleScheme TauCurve convergence_at_n
-    convergence_distributions resample tau_curve tau_curves worst_case_trajectory
+    ConvergenceDistribution ResamplePlan ResampleScheme TauCurve
+    convergence_distributions resample tau_curves worst_case_trajectory
     Method parse_method parse_methods
     UNIFORM PosteriorSummary PriorData ResultsMatrix TallyTable WeightVector tally
     validate_matrix

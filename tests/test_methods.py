@@ -66,10 +66,8 @@ def resampled_cohort(draw):
     k, m, n = draw(st.integers(2, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     plan = ResamplePlan(draw(st.sampled_from(["row", "column"])), 4, seed=draw(st.integers(0, 99)))
-    replicates = [
-        [resample(mx, plan, r, stream=s) for r in range(4)]
-        for s, mx in enumerate(validate_matrix(rng.integers(0, k, size=(m, n)), k) for _ in range(3))
-    ]
+    draws = [resample(rng.integers(0, k, size=(3, m, n)), plan, r) for r in range(4)]
+    replicates = [[validate_matrix(d[:, s].T, k) for d in draws] for s in range(3)]
     w = WeightVector(tuple(draw(st.integers(-50, 50)) / 10 for _ in range(k)))
     return replicates, w, draw(st.permutations(range(m)))
 
