@@ -387,8 +387,6 @@ def _fmt_float(x: float) -> str:
 def _write_json(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
-    elif obj is True or obj is False:
-        out.append("true" if obj else "false")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (bool, np.bool_)):

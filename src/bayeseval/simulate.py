@@ -107,53 +107,30 @@ class CohortSpec:
             raise InputError(f"duplicate shape {self.duplicate_shape} not in indices")
 
 
-def _expand_shapes(spec: CohortSpec) -> list[tuple[int, int | None]]:
-    """(shape, source_position) pairs; source marks the duplicated slot."""
-    out: list[tuple[int, int | None]] = []
-    for i in spec.shape_indices:
-        out.append((i, None))
-        if i == spec.duplicate_shape:
-            out.append((i, len(out) - 1))
-    return out
-
-
 def generate_cohort(spec: CohortSpec) -> list[CoinModel]:
     """Draw a fresh cohort; deterministic given ``spec.seed``."""
-    slots = _expand_shapes(spec)
-    models: list[CoinModel] = []
     vectors: list[np.ndarray] = []
-    for idx, (shape, source) in enumerate(slots):
-        if source is not None:
-            vec = vectors[source]
-        else:
-            rng = stream_rng(spec.seed, DOMAIN_COHORT, idx)
-            vec = rng.beta(shape, spec.shape_sum - shape, size=spec.questions)
-        vectors.append(vec)
-        models.append(CoinModel(f"LLM{idx + 1}", vec))
-    return models
+    for shape in spec.shape_indices:
+        rng = stream_rng(spec.seed, DOMAIN_COHORT, len(vectors))  # index: model position
+        vectors.append(rng.beta(shape, spec.shape_sum - shape, size=spec.questions))
+        if shape == spec.duplicate_shape:
+            vectors.append(vectors[-1])
+    return [CoinModel(f"LLM{idx + 1}", vec) for idx, vec in enumerate(vectors)]
 
 
 def reference_cohort() -> list[CoinModel]:
     """The built-in cohort whose true means are pinned to REFERENCE_MEANS.
 
-    Vectors are Beta draws recentred so each model's mean matches its
-    pinned value exactly; the tie pair shares one vector elementwise.
+    The cohort of ``_REFERENCE_SEED``, each vector recentred so its mean
+    matches its pinned value exactly; the tie pair shares one vector
+    elementwise.
     """
-    spec = CohortSpec(seed=_REFERENCE_SEED)
-    slots = _expand_shapes(spec)
     models: list[CoinModel] = []
-    vectors: list[np.ndarray] = []
-    for idx, ((shape, source), target) in enumerate(zip(slots, REFERENCE_MEANS)):
-        if source is not None:
-            vec = vectors[source]
-        else:
-            rng = stream_rng(_REFERENCE_SEED, DOMAIN_COHORT, idx)
-            x = rng.beta(shape, spec.shape_sum - shape, size=spec.questions)
-            vec = x + (target - x.mean())
-            if vec.min() <= 0.0 or vec.max() >= 1.0:
-                raise AssertionError("reference draw escaped (0, 1); seed invariant broken")
-        vectors.append(vec)
-        models.append(CoinModel(f"LLM{idx + 1}", vec))
+    for model, target in zip(generate_cohort(CohortSpec(seed=_REFERENCE_SEED)), REFERENCE_MEANS):
+        vec = model.probs + (target - model.probs.mean())
+        if vec.min() <= 0.0 or vec.max() >= 1.0:
+            raise AssertionError("reference draw escaped (0, 1); seed invariant broken")
+        models.append(CoinModel(model.model_id, vec))
     return models
 
 
@@ -213,7 +190,21 @@ class SeparationResult:
         }
 
 
-_SEP_CHUNK = 512
+_CHUNK_BYTES = 32 << 20  # per chunk of separation replicates, as in the bootstrap engine
+
+
+def _separation_chunk(grid_points: int, questions: int) -> int:
+    """Replicates per chunk, at least one: a replicate's int64 counts of two
+    models take 16 bytes per question at each grid point, plus one point's
+    posterior counts while it is scored. No result depends on the chunk."""
+    return max(1, _CHUNK_BYTES // (16 * questions * (grid_points + 1)))
+
+
+def _bernoulli(probs: np.ndarray, seed: int, domain: int, replicate: int, n: int) -> np.ndarray:
+    """Replicate ``replicate``'s first ``n`` trials of the (models, questions)
+    ``probs`` as (n, models, questions) booleans, drawn trial-major from its
+    one stream: a larger ``n`` only appends trials."""
+    return stream_rng(seed, domain, replicate).random((n, *probs.shape)) < probs
 
 
 def separation_experiment(
@@ -228,8 +219,8 @@ def separation_experiment(
     For each N in the grid, replicates sample fresh trial matrices for
     both models; the result reports the fraction ordered correctly by the
     posterior mean (exact-tie replicates count one half) and the mean
-    absolute z-score. Replicates share trials across grid points via
-    prefixes, and each (replicate, model) pair has its own random stream.
+    absolute z-score. Each grid point scores a prefix of every replicate's
+    trials (``_bernoulli``), so no point depends on the rest of the grid.
     Neither sum depends on chunking: halves add exactly, |z| via ``math.fsum``.
     """
     if replicates < 1:
@@ -240,36 +231,37 @@ def separation_experiment(
     if model_a.questions != model_b.questions:
         raise InputError("models must share the question count")
     m = model_a.questions
-    n_top = grid[-1]
     g = len(grid)
-    grid_idx = np.asarray(grid) - 1
+    probs = np.stack([model_a.probs, model_b.probs])
+    cuts = [0, *grid[:-1]]  # trials between grid points, summed then accumulated
+    chunk = _separation_chunk(g, m)
 
     p_correct = np.zeros(g)
     abs_z = np.empty((replicates, g))
     binary = np.array([0.0, 1.0])
 
-    for start in range(0, replicates, _SEP_CHUNK):
-        stop = min(start + _SEP_CHUNK, replicates)
+    for start in range(0, replicates, chunk):
+        stop = min(start + chunk, replicates)
         # correct counts per (grid point, model, replicate, question, category 1)
         counts = np.empty((g, 2, stop - start, m, 1), dtype=np.int64)
-        for slot, model in enumerate((model_a, model_b)):
-            for r in range(start, stop):
-                rng = stream_rng(seed, DOMAIN_SEPARATION, r, slot)
-                draws = rng.random((m, n_top)) < model.probs[:, None]
-                counts[:, slot, r - start, :, 0] = draws.cumsum(axis=1)[:, grid_idx].T
+        for r in range(start, stop):
+            draws = _bernoulli(probs, seed, DOMAIN_SEPARATION, r, grid[-1])
+            np.cumsum(np.add.reduceat(draws, cuts, axis=0, dtype=np.int64), axis=0,
+                      out=counts[:, :, r - start, :, 0])
         for i, n in enumerate(grid):
             # uniform prior: posterior counts + 1, T = N + 2
             mu, sigma = posterior_moments(*moment_sums(counts[i] + 1, n + 2), binary, m, n + 2)
             gap = mu[0] - mu[1]   # zero exactly when the correct totals tie
             abs_z[start:stop, i] = np.abs(gap) / np.hypot(sigma[0], sigma[1])
             p_correct[i] += ((gap > 0) + 0.5 * (gap == 0)).sum()
+        del counts  # before the next chunk's counts
 
     return SeparationResult(
         model_a.model_id,
         model_b.model_id,
         tuple(grid),
         tuple((p_correct / replicates).tolist()),
-        tuple(math.fsum(col) / replicates for col in abs_z.T.tolist()),
+        tuple(math.fsum(col.tolist()) / replicates for col in abs_z.T),
         replicates,
         true_gap=model_a.true_mean - model_b.true_mean,
     )
@@ -288,18 +280,21 @@ def fresh_tau_curves(
     per model from its true success probabilities, and rankings are
     compared against the cohort's known true-mean ranking. This is the
     idealized baseline the bootstrap curves approximate; it runs on the
-    same replicate-prefix engine.
+    same replicate-prefix engine. Trials come from ``_bernoulli``, so the
+    curve at n does not depend on ``n_max``.
     """
     from .bootstrap import tau_curves_from_draws
 
+    if len({m.questions for m in cohort}) > 1:
+        raise InputError("models must share the question count")
+    if n_max < 1:
+        raise ZeroTrialsError("need at least one trial")
     probs = np.stack([m.probs for m in cohort])
 
     def draw(start: int, stop: int) -> np.ndarray:
-        out = np.empty((n_max, len(cohort), stop - start, probs.shape[1]), np.uint8)
-        for s, p in enumerate(probs):
-            for r in range(start, stop):
-                rng = stream_rng(seed, DOMAIN_FRESH, r, s)
-                out[:, s, r - start] = (rng.random((p.size, n_max)) < p[:, None]).T
+        out = np.empty((n_max, len(probs), stop - start, probs.shape[1]), np.uint8)
+        for r in range(start, stop):
+            out[:, :, r - start] = _bernoulli(probs, seed, DOMAIN_FRESH, r, n_max)
         return out
 
     return tau_curves_from_draws(

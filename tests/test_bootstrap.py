@@ -569,10 +569,8 @@ class TestChunkFree:
         finally:
             tracemalloc.stop()
         # outside the per-chunk budget: the source's uint8 copies of the
-        # inputs, 9 bytes per question and trial (a slack term once sized
-        # for a per-model resample; the draw block is inside the budget
-        # now) and the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
-        outside = (models * questions * trials + 9 * questions * trials
+        # inputs and the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
+        outside = (models * questions * trials
                    + len(methods) * 3 * (trials + 1) * (models * (models - 1) // 2) * 8)
         assert peak <= budget + outside
 

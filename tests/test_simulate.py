@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ class TestSeparationExperiment:
         cohort = reference_cohort()
         results = []
         for chunk in (1, 7, 512):
-            monkeypatch.setattr(simulate, "_SEP_CHUNK", chunk)
+            monkeypatch.setattr(simulate, "_separation_chunk", lambda *shape, c=chunk: c)
             results.append(
                 separation_experiment(cohort[9], cohort[8], [10, 20], replicates=700, seed=9)
             )
@@ -156,19 +158,49 @@ class TestSeparationExperiment:
 
     @pytest.mark.parametrize("n", [1, 80])
     def test_exact_ties_count_one_half(self, n):
-        # redraw each replicate's trials from its own stream and order the
-        # pair by integer correct totals; an exact tie counts one half
+        # redraw each replicate's trials from its one stream, both models
+        # trial-major, and order the pair by integer correct totals; an
+        # exact tie counts one half
         a, b = reference_cohort()[9], reference_cohort()[8]
         reps, seed = 3000, 0
+        probs = np.stack([a.probs, b.probs])
         totals = np.array([
-            [(stream_rng(seed, DOMAIN_SEPARATION, r, slot).random((model.questions, n))
-              < model.probs[:, None]).sum() for slot, model in enumerate((a, b))]
+            (stream_rng(seed, DOMAIN_SEPARATION, r).random((n, 2, a.questions)) < probs)
+            .sum(axis=(0, 2))
             for r in range(reps)
         ])
         wins, ties = (totals[:, 0] > totals[:, 1]).sum(), (totals[:, 0] == totals[:, 1]).sum()
         assert ties > 0
         res = separation_experiment(a, b, [n], replicates=reps, seed=seed)
         assert res.p_correct == ((wins + 0.5 * ties) / reps,)
+
+    @pytest.mark.parametrize("wider", [[40, 80, 160], [1, 79, 80, 81, 300]])
+    def test_point_does_not_depend_on_grid(self, wider):
+        # a grid point scores a prefix of each replicate's trials, so it is
+        # the same bits alone or inside a wider grid
+        a, b = reference_cohort()[9], reference_cohort()[8]
+        alone = separation_experiment(a, b, [80], replicates=300, seed=0)
+        inside = separation_experiment(a, b, wider, replicates=300, seed=0)
+        assert inside.at(80) == alone.at(80)
+
+    def test_chunk_memory_bounded_by_bytes(self):
+        # the counts of a chunk of replicates stay within the byte budget;
+        # the fixed terms are one replicate's draw (float64 uniforms and
+        # booleans, 9 bytes a cell), its int64 sums between grid points and
+        # the (replicates, grid) |z| array
+        grid, reps = list(range(1, 51)), 1000
+        for questions in (100, 400):
+            a = CoinModel("a", np.full(questions, 0.6))
+            b = CoinModel("b", np.full(questions, 0.5))
+            fixed = (9 * grid[-1] + 8 * len(grid)) * 2 * questions + 8 * reps * len(grid)
+            separation_experiment(a, b, [1], replicates=1)  # numpy's first-draw imports
+            tracemalloc.start()
+            try:
+                separation_experiment(a, b, grid, replicates=reps, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= simulate._CHUNK_BYTES + fixed + (256 << 10), (questions, peak)
 
     def test_grid_validation(self):
         cohort = reference_cohort()
@@ -187,7 +219,7 @@ class TestSeparationExperiment:
 class TestFreshTauCurves:
     def test_replicate_dual_route(self):
         # engine vs the public per-replicate path: redraw each replicate's
-        # trials from its stream, Method.score() on prefixes, kendall_tau_b
+        # trials from its one stream, Method.score() on prefixes, kendall_tau_b
         # against the true-mean ranking
         cohort = generate_cohort(CohortSpec(questions=4, seed=3))[:3]
         n_max, replicates, seed = 6, 6, 9
@@ -195,12 +227,11 @@ class TestFreshTauCurves:
         curves = fresh_tau_curves(cohort, methods, n_max, replicates, seed)
         ids = [c.model_id for c in cohort]
         gold_vec = gold_ranking(cohort).rank_vector(ids)
+        probs = np.stack([c.probs for c in cohort])
+        # replicate r: every model's trials from one stream, trial-major
         draws = [
-            [
-                stream_rng(seed, DOMAIN_FRESH, r, s).random((c.questions, n_max))
-                < c.probs[:, None]
-                for s, c in enumerate(cohort)
-            ]
+            (stream_rng(seed, DOMAIN_FRESH, r).random((n_max, *probs.shape)) < probs)
+            .transpose(1, 2, 0)
             for r in range(replicates)
         ]
         for name in methods:
@@ -223,6 +254,23 @@ class TestFreshTauCurves:
                     continue
                 assert point.valid_replicates == len(taus)
                 assert abs(point.mean_tau - np.mean(taus)) < 1e-12
+
+    def test_points_do_not_depend_on_n_max(self):
+        cohort = reference_cohort()[:5]
+        methods = ["bayes", "avg", "pass@2"]
+        short = fresh_tau_curves(cohort, methods, 10, replicates=40, seed=5)
+        long = fresh_tau_curves(cohort, methods, 20, replicates=40, seed=5)
+        for name in methods:
+            assert long[name].points[:len(short[name].points)] == short[name].points
+
+    def test_question_counts_must_match(self):
+        cohort = [CoinModel("a", np.full(3, 0.5)), CoinModel("b", np.full(4, 0.5))]
+        with pytest.raises(InputError):
+            fresh_tau_curves(cohort, ["bayes"], 4, replicates=2)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ZeroTrialsError):
+            fresh_tau_curves(reference_cohort()[:3], ["bayes"], 0, replicates=2)
 
     def test_replicates_validated(self):
         with pytest.raises(InputError):
