@@ -8,11 +8,13 @@ identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from io import StringIO
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
@@ -57,21 +59,28 @@ def _open_utf8(path, **kwargs):
 
 
 def _read_grid_csv(path, labels=None) -> tuple[list[str], np.ndarray]:
-    """Question ids and the int64 cell grid of a ``question_id,...`` CSV.
-
-    A cell is a ``labels`` name or anything ``int()`` accepts. Each
-    distinct token is converted once, through a memo filled row by row, so
-    a malformed cell is still reported at its line and column.
-    """
+    """Question ids and the int64 cell grid of a ``question_id,...`` CSV,
+    read once as bytes and decoded once past a byte-order mark: by
+    ``_byte_grid`` when every cell is one byte, else by ``csv.reader``,
+    which reports every error. A cell is a ``labels`` name or anything
+    ``int()`` accepts; each distinct token is converted once, through a
+    memo, so a malformed cell is still reported at its line and column."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    grid = _byte_grid(data, labels)
+    if grid is not None:
+        return grid
     ids: list[str] = []
     rows: list[list[int]] = []
     memo: dict[str, int] = {}
-    with _open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyMatrixError(f"{path}: empty file") from None
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyMatrixError(f"{path}: empty file")
         if not header or header[0] != "question_id":
             raise ParseError(f"{path}: header must start with 'question_id'", line=1)
         width = len(header) - 1
@@ -86,16 +95,51 @@ def _read_grid_csv(path, labels=None) -> tuple[list[str], np.ndarray]:
             try:
                 rows.append(list(map(memo.__getitem__, row[1:])))
             except KeyError:
-                _learn_tokens(memo, row, labels, path, line_no)
+                _learn_tokens(memo, row[1:], labels, path, line_no)
                 rows.append(list(map(memo.__getitem__, row[1:])))
+    except csv.Error as exc:   # e.g. a field past csv.field_size_limit()
+        raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
     if not rows:
         raise EmptyMatrixError(f"{path}: no data rows")
     return ids, np.array(rows, dtype=np.int64)
 
 
-def _learn_tokens(memo: dict[str, int], row: list[str], labels, path, line_no: int) -> None:
-    """Add the row's new tokens to ``memo``; raise at the first bad cell."""
-    for col, text in enumerate(row[1:], start=2):
+def _byte_grid(data: bytes, labels) -> tuple[list[str], np.ndarray] | None:
+    """The ids and int64 cells of CSV ``data`` whose every cell is one ASCII
+    byte, with no Python object per cell; None, never an error, for quotes,
+    NUL, wider or ragged cells, a token the cell rule rejects or a field past
+    ``csv.field_size_limit()``. Records end where ``csv.reader`` ends them."""
+    if b'"' in data or b"\0" in data:
+        return None
+    header, *records = data.splitlines() or [b""]
+    fields = header.split(b",")
+    span = 2 * len(fields) - 3   # width one-byte cells and the commas between them
+    rows = [record.partition(b",") for record in records if record]
+    if fields[0] != b"question_id" or not rows:
+        return None
+    ids, _, rests = zip(*rows)
+    longest = max(max(map(len, fields)), max(map(len, ids)), 1)
+    if longest > csv.field_size_limit() or set(map(len, rests)) != {span}:
+        return None
+    grid = np.frombuffer(b"".join(rests), np.uint8).reshape(len(rests), span)
+    tokens = grid[:, ::2]
+    seen = np.zeros(256, bool)
+    seen[tokens] = True
+    present = np.flatnonzero(seen)
+    if (grid[:, 1::2] != ord(",")).any() or ord(",") in present or present[-1] >= 0x80:
+        return None
+    memo, table = {}, np.zeros(256, np.int64)
+    try:
+        _learn_tokens(memo, [chr(byte) for byte in present], labels, "", 0)
+    except (ParseError, TypeError):
+        return None
+    table[present] = list(memo.values())   # in ``present`` order, each token new
+    return b"\n".join(ids).decode().split("\n"), table[tokens]
+
+
+def _learn_tokens(memo: dict[str, int], cells: list[str], labels, path, line_no: int) -> None:
+    """Add the row's new ``cells`` tokens to ``memo``; raise at the first bad cell."""
+    for col, text in enumerate(cells, start=2):
         if text in memo:
             continue
         if labels and text in labels:
@@ -121,15 +165,16 @@ def load_results_csv(
 
     A cell is a ``labels`` name or an integer as ``int()`` reads it
     (surrounding spaces, a sign, leading zeros and ``_`` digit separators
-    are accepted); blank lines are skipped. ``num_categories`` defaults to
-    one more than the largest observed cell (at least 2); pass it
-    explicitly when trailing categories may be absent from the data.
+    are accepted); blank lines are skipped. One-byte cells are read from the
+    bytes, with the csv module's result and errors. ``num_categories``
+    defaults to one more than the largest observed cell (at least 2); pass
+    it explicitly when trailing categories may be absent from the data.
     ``labels`` optionally maps category names to indices so named cells
     can be ingested; the core stays numeric.
 
     Raises:
-        ParseError: malformed row or non-integer cell, with location; a file
-            that is not UTF-8 text, naming it.
+        ParseError: malformed row, non-integer cell or over-long field, with
+            location; a file that is not UTF-8 text, naming it.
         EmptyMatrixError / RaggedRowsError / CategoryOutOfRangeError.
     """
     ids, cells = _read_grid_csv(path, labels=labels)

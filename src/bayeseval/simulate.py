@@ -200,11 +200,22 @@ def _separation_chunk(grid_points: int, questions: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * questions * (grid_points + 1)))
 
 
-def _bernoulli(probs: np.ndarray, seed: int, domain: int, replicate: int, n: int) -> np.ndarray:
-    """Replicate ``replicate``'s first ``n`` trials of the (models, questions)
-    ``probs`` as (n, models, questions) booleans, drawn trial-major from its
-    one stream: a larger ``n`` only appends trials."""
-    return stream_rng(seed, domain, replicate).random((n, *probs.shape)) < probs
+def _block(unit_bytes: int) -> int:
+    """Units per draw block: as many as 1/8 of the byte budget (the engine's
+    draw share) holds at ``unit_bytes`` each, at least one."""
+    return max(1, _CHUNK_BYTES // 8 // unit_bytes)
+
+
+def _bernoulli(probs: np.ndarray, seed: int, domain: int, replicate: int, out: np.ndarray) -> None:
+    """Replicate ``replicate``'s first n trials of the (models, questions)
+    ``probs`` as 0/1 in the (n, models, questions) ``out``, drawn trial-major
+    from its one stream a block of float64 uniforms at a time: ``random``
+    fills in order, so neither a larger n nor the block moves a bit."""
+    rng = stream_rng(seed, domain, replicate)
+    block = _block(8 * probs.size)
+    for t in range(0, len(out), block):
+        part = out[t:t + block]
+        np.less(rng.random(part.shape), probs, out=part)
 
 
 def separation_experiment(
@@ -239,15 +250,18 @@ def separation_experiment(
     p_correct = np.zeros(g)
     abs_z = np.empty((replicates, g))
     binary = np.array([0.0, 1.0])
+    draws = np.empty((grid[-1], 2, m), dtype=bool)   # one replicate's trials
+    q_block = _block(16 * grid[-1])   # questions whose two models' trials cast to int64
 
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
         # correct counts per (grid point, model, replicate, question, category 1)
         counts = np.empty((g, 2, stop - start, m, 1), dtype=np.int64)
         for r in range(start, stop):
-            draws = _bernoulli(probs, seed, DOMAIN_SEPARATION, r, grid[-1])
-            np.cumsum(np.add.reduceat(draws, cuts, axis=0, dtype=np.int64), axis=0,
-                      out=counts[:, :, r - start, :, 0])
+            _bernoulli(probs, seed, DOMAIN_SEPARATION, r, draws)
+            for q in range(0, m, q_block):   # reduceat casts its whole input to int64
+                sums = np.add.reduceat(draws[:, :, q:q + q_block], cuts, axis=0, dtype=np.int64)
+                np.cumsum(sums, axis=0, out=counts[:, :, r - start, q:q + q_block, 0])
         for i, n in enumerate(grid):
             # uniform prior: posterior counts + 1, T = N + 2
             mu, sigma = posterior_moments(*moment_sums(counts[i] + 1, n + 2), binary, m, n + 2)
@@ -294,7 +308,7 @@ def fresh_tau_curves(
     def draw(start: int, stop: int) -> np.ndarray:
         out = np.empty((n_max, len(probs), stop - start, probs.shape[1]), np.uint8)
         for r in range(start, stop):
-            out[:, :, r - start] = _bernoulli(probs, seed, DOMAIN_FRESH, r, n_max)
+            _bernoulli(probs, seed, DOMAIN_FRESH, r, out[:, :, r - start])
         return out
 
     return tau_curves_from_draws(

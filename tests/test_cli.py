@@ -131,6 +131,15 @@ class TestEval:
         error = json.loads(err)
         assert error["error"] == "ParseError" and str(results) in error["message"]
 
+    def test_results_field_past_csv_limit_exits_2(self, capsys, tmp_path):
+        results = tmp_path / "big.csv"
+        results.write_text("question_id,t1,t2\nq1,0," + "1" * 140_000 + "\n")
+        code, out, err = run(capsys, "eval", "--results", str(results))
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ParseError" and str(results) in error["message"]
+        assert "field larger than field limit" in error["message"] and "(line 2)" in error["message"]
+
     def test_label_map_not_utf8_exits_2(self, capsys, tmp_path, binary_csv):
         labels = tmp_path / "labels.json"
         labels.write_bytes(b'{"ok\xff": 1}')

@@ -1,10 +1,12 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bayeseval import io as bio
 from bayeseval.bootstrap import ConvergenceDistribution, TauCurve, TauPoint
 from bayeseval.errors import (
     DuplicateCellError,
@@ -81,6 +83,15 @@ class TestResultsCsv:
         p = write(tmp_path / "r.csv", "model,t1\nq1,0\n")
         with pytest.raises(ParseError):
             load_results_csv(p)
+
+    @pytest.mark.parametrize("row", ["q2,1," + "1" * 140_000, "q" * 140_000 + ",1,0"],
+                             ids=["long-cell", "long-id"])
+    def test_field_past_csv_limit_is_a_located_parse_error(self, tmp_path, row):
+        # a long cell and a long id fail alike, whichever reader the file reaches
+        p = write(tmp_path / "r.csv", f"question_id,t1,t2\nq1,0,1\n{row}\nq3,0,0\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            load_results_csv(p)
+        assert str(p) in str(err.value) and err.value.line == 3
 
 
 class TestSignalsJsonl:
@@ -279,7 +290,7 @@ def reference_read_grid(path, labels=None):
     """The per-cell reader the memoized one replaced, kept as the oracle."""
     ids = []
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -326,7 +337,7 @@ def outcome(load, path, labels):
     try:
         m = load(path, labels=labels)
     except InputError as exc:
-        return type(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
     assert m.cells.dtype == np.int64
     return m.cells.tolist(), m.question_ids, m.num_categories
 
@@ -357,6 +368,40 @@ def grid_csv(draw):
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"])), labels
 
 
+# one-byte cells: digits, letters, space, signs and the empty cell; labels of
+# one character, two of which shadow digits and one a comma; and wider tokens
+ONE_BYTE = ["0", "1", "2", "7", "a", "b", "x", " ", "+", "-", ""]
+WIDE = ["10", " 1", "+1", '"1"', "ab", "1_0"]
+ONE_CHAR_LABELS = ["a", "b", "1", "2", ","]
+
+
+@st.composite
+def byte_grid_csv(draw):
+    """CSV bytes a one-byte-cell reader may take, or nearly; a label map;
+    and whether every cell is one byte the cell rule reads."""
+    labels = draw(
+        st.none() | st.dictionaries(st.sampled_from(ONE_CHAR_LABELS), st.integers(0, 3), max_size=3)
+    )
+    readable = ["0", "1", "2", "7"] + sorted(set(labels or ()) - {","})
+    near = draw(st.booleans())
+    pool = ONE_BYTE + WIDE if near else readable
+    width = draw(st.integers(0 if near else 1, 4))
+    lines = ["question_id" + "".join(f",t{j + 1}" for j in range(width))]
+    for i in range(draw(st.integers(0 if near else 1, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+        qid = draw(st.sampled_from([f"q{i}", " q", "", f"\u00e9{i}", "q\u4e2d"]
+                                   + ([f'"q,{i}"', '"q"'] if near else [])))
+        n = width + (draw(st.sampled_from([0, 0, 0, -1, 1])) if near else 0)
+        cells = draw(st.lists(st.sampled_from(pool), min_size=max(n, 0), max_size=max(n, 0)))
+        lines.append(",".join([qid] + cells))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from([end, "", end + end]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    eligible = not near and any(lines[1:])
+    return (bom + text).encode("utf-8"), labels, eligible
+
+
 class TestReaderEquivalence:
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(grid_csv())
@@ -364,6 +409,41 @@ class TestReaderEquivalence:
         text, labels = case
         p = write(tmp_path / "g.csv", text)
         assert outcome(load_results_csv, p, labels) == outcome(reference_load, p, labels)
+
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(byte_grid_csv())
+    def test_byte_path_matches_csv_path_and_per_cell_reader(self, tmp_path, case):
+        data, labels, eligible = case
+        p = tmp_path / "g.csv"
+        p.write_bytes(data)
+        if eligible:
+            assert bio._byte_grid(data.removeprefix(b"\xef\xbb\xbf"), labels) is not None
+        got = outcome(load_results_csv, p, labels)
+        with mock.patch.object(bio, "_byte_grid", return_value=None):
+            assert got == outcome(load_results_csv, p, labels)
+        assert got == outcome(reference_load, p, labels)
+
+    @pytest.mark.parametrize("text, labels", [
+        ("question_id,t1\nq,,\n", {",": 1}),          # a comma label as a cell
+        ("question_id,t1,t2\nq,1_0\n", None),         # three bytes that are one cell
+        ('question_id,t1\n"q",1\n', None),            # a quoted id
+        ("question_id,t1\nq\0,1\n", None),            # NUL, which csv rejects before 3.11
+        ("question_id\nq\n", None),                   # no cells
+    ])
+    def test_near_one_byte_grids_read_as_csv_reads_them(self, tmp_path, text, labels):
+        p = write(tmp_path / "g.csv", text)
+        assert bio._byte_grid(p.read_bytes(), labels) is None
+        with mock.patch.object(bio, "_byte_grid", return_value=None):
+            assert outcome(load_results_csv, p, labels) == outcome(reference_load, p, labels)
+
+    def test_one_byte_grid_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+        p = tmp_path / "r.csv"
+        p.write_bytes(b"\xef\xbb\xbfquestion_id,t1,t2,t3\r\nq1,0,1,k\r\n\r\nq\xc3\xa9,1,1,0\r\n")
+        monkeypatch.setattr(csv, "reader", mock.Mock(side_effect=AssertionError("csv.reader")))
+        m = load_results_csv(p, labels={"k": 2})
+        assert m.question_ids == ("q1", "q\u00e9") and m.cells.tolist() == [[0, 1, 2], [1, 1, 0]]
+        prior = write(tmp_path / "p.csv", "question_id,t1\rq1,1\rq2,0\r")
+        assert load_prior_csv(prior, 2).matrix.tolist() == [[1], [0]]
 
     def test_repeated_bad_token_reported_at_each_first_use(self, tmp_path):
         # a token that failed once must fail the same way, not be memoized

@@ -202,6 +202,21 @@ class TestSeparationExperiment:
                 tracemalloc.stop()
             assert peak <= simulate._CHUNK_BYTES + fixed + (256 << 10), (questions, peak)
 
+    def test_one_replicate_within_budget(self):
+        # one replicate of 2 x 20,000 questions x 320 trials: its 12.8 MB of
+        # booleans plus one block of uniforms and one block of int64 sums,
+        # not 102 MB of either at once
+        a = CoinModel("a", np.full(20_000, 0.6))
+        b = CoinModel("b", np.full(20_000, 0.5))
+        separation_experiment(a, b, [1], replicates=1)  # numpy's first-draw imports
+        tracemalloc.start()
+        try:
+            separation_experiment(a, b, [40, 320], replicates=1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulate._CHUNK_BYTES, peak
+
     def test_grid_validation(self):
         cohort = reference_cohort()
         with pytest.raises(ZeroTrialsError):
@@ -263,6 +278,19 @@ class TestFreshTauCurves:
         for name in methods:
             assert long[name].points[:len(short[name].points)] == short[name].points
 
+    def test_one_replicate_within_budget(self):
+        # one replicate of 2 x 4,000 questions x 1,000 trials: its 8 MB of
+        # uint8 draws plus one block of uniforms, not 64 MB of them at once
+        cohort = [CoinModel("a", np.full(4_000, 0.6)), CoinModel("b", np.full(4_000, 0.5))]
+        fresh_tau_curves(cohort, ["bayes"], 2, replicates=1)  # numpy's first-draw imports
+        tracemalloc.start()
+        try:
+            fresh_tau_curves(cohort, ["bayes"], 1_000, replicates=1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulate._CHUNK_BYTES, peak
+
     def test_question_counts_must_match(self):
         cohort = [CoinModel("a", np.full(3, 0.5)), CoinModel("b", np.full(4, 0.5))]
         with pytest.raises(InputError):
@@ -284,3 +312,25 @@ class TestFreshTauCurves:
         assert [p.n for p in curve.points] == list(range(1, n_max + 1))
         assert all(p.mean_tau == 1.0 for p in curve.points)
 
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("block", [1, 3, 7, 10**9])
+    def test_blocks_keep_every_bit(self, monkeypatch, block):
+        # random fills in order, so drawing a replicate a block of trials at
+        # a time (and summing its separation counts a block of questions at a
+        # time) gives the bits of one whole draw
+        cohort = reference_cohort()
+        probs = np.stack([cohort[i].probs for i in (0, 5, 9)])
+        whole = stream_rng(4, DOMAIN_FRESH, 2).random((23, *probs.shape)) < probs
+        expected = (
+            separation_experiment(cohort[9], cohort[8], [1, 10, 23], replicates=40, seed=4),
+            fresh_tau_curves(cohort[:4], ["bayes", "pass@2"], 12, replicates=20, seed=4),
+        )
+        monkeypatch.setattr(simulate, "_block", lambda unit_bytes: block)
+        out = np.empty((23, *probs.shape), np.uint8)
+        simulate._bernoulli(probs, 4, DOMAIN_FRESH, 2, out)
+        assert np.array_equal(out, whole)
+        assert expected == (
+            separation_experiment(cohort[9], cohort[8], [1, 10, 23], replicates=40, seed=4),
+            fresh_tau_curves(cohort[:4], ["bayes", "pass@2"], 12, replicates=20, seed=4),
+        )
