@@ -20,6 +20,15 @@ DOMAIN_COHORT = 3
 DOMAIN_SEPARATION = 4
 DOMAIN_FRESH = 5
 
+CHUNK_BYTES = 32 << 20  # byte budget of one chunk of replicates
+DRAW_SHARE = 8  # one replicate's draw block holds 1/8 of the budget
+
+
+def draw_block(unit_bytes: int, budget: int = CHUNK_BYTES) -> int:
+    """Units per draw block: as many as 1/``DRAW_SHARE`` of ``budget`` holds
+    at ``unit_bytes`` each, at least one. No result depends on the block."""
+    return max(1, budget // DRAW_SHARE // unit_bytes)
+
 
 def stream_rng(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Generator for the (seed, domain, index) coordinate.

@@ -43,7 +43,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._rng import DOMAIN_COLUMN, DOMAIN_ROW, stream_rng
+from ._rng import CHUNK_BYTES as _CHUNK_TARGET_BYTES
+from ._rng import DOMAIN_COLUMN, DOMAIN_ROW, DRAW_SHARE, draw_block, stream_rng
 from .bayes import evaluate_performance
 from .errors import AllTiedError, InputError, NegativeZError
 from .methods import Method, parse_method
@@ -66,15 +67,11 @@ __all__ = [
     "worst_case_trajectory",
 ]
 
-_CHUNK_TARGET_BYTES = 32 << 20
-_DRAW_SHARE = 8  # one replicate's draw block holds 1/8 of the byte budget
-
 
 def _draw_block(cells_per_trial: int) -> int:
-    """Trials per ``resample`` draw block: as many as 1/``_DRAW_SHARE`` of
-    the byte budget holds at 16 bytes a cell (the int64 draws and their
-    flat indices), at least one. No result depends on the block size."""
-    return max(1, _CHUNK_TARGET_BYTES // _DRAW_SHARE // (16 * cells_per_trial))
+    """Trials per ``resample`` draw block at 16 bytes a cell: the int64
+    draws and their flat indices."""
+    return draw_block(16 * cells_per_trial, _CHUNK_TARGET_BYTES)
 
 
 def _chunk_size(empty_draw: np.ndarray, num_categories: int) -> int:
@@ -86,7 +83,7 @@ def _chunk_size(empty_draw: np.ndarray, num_categories: int) -> int:
     chunk size."""
     n_max, models, _, questions = empty_draw.shape
     per_rep = models * questions * (n_max * empty_draw.itemsize + 24 * num_categories)
-    budget = _CHUNK_TARGET_BYTES - _CHUNK_TARGET_BYTES // _DRAW_SHARE
+    budget = _CHUNK_TARGET_BYTES - _CHUNK_TARGET_BYTES // DRAW_SHARE
     return max(1, budget // max(per_rep, 1))
 
 

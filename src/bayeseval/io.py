@@ -14,7 +14,6 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from io import StringIO
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
@@ -59,46 +58,42 @@ def _open_utf8(path, **kwargs):
 
 
 def _read_grid_csv(path, labels=None) -> tuple[list[str], np.ndarray]:
-    """Question ids and the int64 cell grid of a ``question_id,...`` CSV,
-    read once as bytes and decoded once past a byte-order mark: by
-    ``_byte_grid`` when every cell is one byte, else by ``csv.reader``,
-    which reports every error. A cell is a ``labels`` name or anything
-    ``int()`` accepts; each distinct token is converted once, through a
-    memo, so a malformed cell is still reported at its line and column."""
-    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    grid = _byte_grid(data, labels)
+    """Question ids and the int64 cell grid of a ``question_id,...`` CSV:
+    read from the file's bytes by ``_byte_grid`` when every cell is one
+    byte, else streamed through ``csv.reader``, which reports every error.
+    A cell is a ``labels`` name or anything ``int()`` accepts; each distinct
+    token is converted once, through a memo, so a malformed cell is still
+    reported at its line and column."""
+    grid = _byte_grid(Path(path).read_bytes().removeprefix(codecs.BOM_UTF8), labels)
     if grid is not None:
         return grid
     ids: list[str] = []
     rows: list[list[int]] = []
     memo: dict[str, int] = {}
-    reader = csv.reader(StringIO(text, newline=""))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise EmptyMatrixError(f"{path}: empty file")
-        if not header or header[0] != "question_id":
-            raise ParseError(f"{path}: header must start with 'question_id'", line=1)
-        width = len(header) - 1
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width + 1:
-                raise ParseError(
-                    f"{path}: expected {width + 1} fields, got {len(row)}", line=line_no
-                )
-            ids.append(row[0])
-            try:
-                rows.append(list(map(memo.__getitem__, row[1:])))
-            except KeyError:
-                _learn_tokens(memo, row[1:], labels, path, line_no)
-                rows.append(list(map(memo.__getitem__, row[1:])))
-    except csv.Error as exc:   # e.g. a field past csv.field_size_limit()
-        raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
+    with _open_utf8(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyMatrixError(f"{path}: empty file")
+            if not header or header[0] != "question_id":
+                raise ParseError(f"{path}: header must start with 'question_id'", line=1)
+            width = len(header) - 1
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != width + 1:
+                    raise ParseError(
+                        f"{path}: expected {width + 1} fields, got {len(row)}", line=line_no
+                    )
+                ids.append(row[0])
+                try:
+                    rows.append(list(map(memo.__getitem__, row[1:])))
+                except KeyError:
+                    _learn_tokens(memo, row[1:], labels, path, line_no)
+                    rows.append(list(map(memo.__getitem__, row[1:])))
+        except csv.Error as exc:   # e.g. a field past csv.field_size_limit()
+            raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
     if not rows:
         raise EmptyMatrixError(f"{path}: no data rows")
     return ids, np.array(rows, dtype=np.int64)
@@ -107,10 +102,15 @@ def _read_grid_csv(path, labels=None) -> tuple[list[str], np.ndarray]:
 def _byte_grid(data: bytes, labels) -> tuple[list[str], np.ndarray] | None:
     """The ids and int64 cells of CSV ``data`` whose every cell is one ASCII
     byte, with no Python object per cell; None, never an error, for quotes,
-    NUL, wider or ragged cells, a token the cell rule rejects or a field past
-    ``csv.field_size_limit()``. Records end where ``csv.reader`` ends them."""
+    NUL, wider or ragged cells, a token the cell rule rejects, a field past
+    ``csv.field_size_limit()`` or a header or id that is not UTF-8. Records
+    end where ``csv.reader`` ends them."""
     if b'"' in data or b"\0" in data:
         return None
+    probe = data[:data.find(b"\n", data.find(b"\n") + 1) + 1].splitlines()   # to the second LF
+    first = probe[1] if len(probe) == 2 else b""   # the first record, if LF-ended
+    if first and len(first) - first.find(b",") != 2 * probe[0].count(b","):
+        return None   # a cell wider than a byte: defer before splitting the whole file
     header, *records = data.splitlines() or [b""]
     fields = header.split(b",")
     span = 2 * len(fields) - 3   # width one-byte cells and the commas between them
@@ -131,10 +131,12 @@ def _byte_grid(data: bytes, labels) -> tuple[list[str], np.ndarray] | None:
     memo, table = {}, np.zeros(256, np.int64)
     try:
         _learn_tokens(memo, [chr(byte) for byte in present], labels, "", 0)
-    except (ParseError, TypeError):
+        header.decode()
+        ids = b"\n".join(ids).decode().split("\n")
+    except (ParseError, TypeError, UnicodeDecodeError):
         return None
     table[present] = list(memo.values())   # in ``present`` order, each token new
-    return b"\n".join(ids).decode().split("\n"), table[tokens]
+    return ids, table[tokens]
 
 
 def _learn_tokens(memo: dict[str, int], cells: list[str], labels, path, line_no: int) -> None:

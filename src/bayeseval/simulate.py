@@ -17,10 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import (
+    CHUNK_BYTES as _CHUNK_BYTES,
     DOMAIN_COHORT,
     DOMAIN_FRESH,
     DOMAIN_SEPARATION,
     DOMAIN_TRIALS,
+    draw_block,
     stream_rng,
 )
 from .bayes import moment_sums, posterior_moments
@@ -190,20 +192,11 @@ class SeparationResult:
         }
 
 
-_CHUNK_BYTES = 32 << 20  # per chunk of separation replicates, as in the bootstrap engine
-
-
 def _separation_chunk(grid_points: int, questions: int) -> int:
     """Replicates per chunk, at least one: a replicate's int64 counts of two
     models take 16 bytes per question at each grid point, plus one point's
     posterior counts while it is scored. No result depends on the chunk."""
     return max(1, _CHUNK_BYTES // (16 * questions * (grid_points + 1)))
-
-
-def _block(unit_bytes: int) -> int:
-    """Units per draw block: as many as 1/8 of the byte budget (the engine's
-    draw share) holds at ``unit_bytes`` each, at least one."""
-    return max(1, _CHUNK_BYTES // 8 // unit_bytes)
 
 
 def _bernoulli(probs: np.ndarray, seed: int, domain: int, replicate: int, out: np.ndarray) -> None:
@@ -212,7 +205,7 @@ def _bernoulli(probs: np.ndarray, seed: int, domain: int, replicate: int, out: n
     from its one stream a block of float64 uniforms at a time: ``random``
     fills in order, so neither a larger n nor the block moves a bit."""
     rng = stream_rng(seed, domain, replicate)
-    block = _block(8 * probs.size)
+    block = draw_block(8 * probs.size)
     for t in range(0, len(out), block):
         part = out[t:t + block]
         np.less(rng.random(part.shape), probs, out=part)
@@ -251,7 +244,7 @@ def separation_experiment(
     abs_z = np.empty((replicates, g))
     binary = np.array([0.0, 1.0])
     draws = np.empty((grid[-1], 2, m), dtype=bool)   # one replicate's trials
-    q_block = _block(16 * grid[-1])   # questions whose two models' trials cast to int64
+    q_block = draw_block(16 * grid[-1])   # questions whose two models' trials cast to int64
 
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -444,6 +445,41 @@ class TestReaderEquivalence:
         assert m.question_ids == ("q1", "q\u00e9") and m.cells.tolist() == [[0, 1, 2], [1, 1, 0]]
         prior = write(tmp_path / "p.csv", "question_id,t1\rq1,1\rq2,0\r")
         assert load_prior_csv(prior, 2).matrix.tolist() == [[1], [0]]
+
+    @pytest.mark.parametrize("data, labels", [
+        (b"question_id,t\xe9\nq,1\n", None),            # a header byte that is not UTF-8
+        (b"question_id,t1\nq\xe9,1\n", None),           # an id byte that is not UTF-8
+        (b"question_id,t1\nq,\xe9\n", {"\u00e9": 1}),   # a lone byte >= 0x80 a label names
+    ])
+    def test_one_byte_grid_that_is_not_utf8_fails_as_text(self, tmp_path, data, labels):
+        p = tmp_path / "g.csv"
+        p.write_bytes(data)
+        assert bio._byte_grid(data, labels) is None
+        with pytest.raises(ParseError, match="not UTF-8 text") as err:
+            load_results_csv(p, labels=labels)
+        assert str(p) in str(err.value)
+
+    def test_row_error_above_a_later_bad_byte_is_reported_first(self, tmp_path):
+        # the csv path decodes as it reads, so a ragged row 100 kB above a
+        # byte that is not UTF-8 is the error reported
+        body = "".join(f"q{i},0,1\n" for i in range(10_000)).encode()
+        p = tmp_path / "r.csv"
+        p.write_bytes(b"question_id,t1,t2\nq,1\n" + body + b"q\xe9,0,1\n")
+        with pytest.raises(ParseError, match="expected 3 fields") as err:
+            load_results_csv(p)
+        assert err.value.line == 2
+
+    def test_wide_first_record_is_deferred_without_splitting_the_file(self):
+        # a labelled grid is handed to the csv path after reading its first
+        # record, not after splitting all 1.6 MB of it into rows
+        data = b"question_id,t1,t2\n" + b"q,correct,wrong\n" * 100_000
+        tracemalloc.start()
+        try:
+            assert bio._byte_grid(data, {"wrong": 0, "correct": 1}) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, peak
 
     def test_repeated_bad_token_reported_at_each_first_use(self, tmp_path):
         # a token that failed once must fail the same way, not be memoized

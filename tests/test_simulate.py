@@ -326,7 +326,7 @@ class TestDrawBlocks:
             separation_experiment(cohort[9], cohort[8], [1, 10, 23], replicates=40, seed=4),
             fresh_tau_curves(cohort[:4], ["bayes", "pass@2"], 12, replicates=20, seed=4),
         )
-        monkeypatch.setattr(simulate, "_block", lambda unit_bytes: block)
+        monkeypatch.setattr(simulate, "draw_block", lambda unit_bytes: block)
         out = np.empty((23, *probs.shape), np.uint8)
         simulate._bernoulli(probs, 4, DOMAIN_FRESH, 2, out)
         assert np.array_equal(out, whole)
