@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 _MASK64 = (1 << 64) - 1
 
 # stream domains, packed into the top byte of the second key word
@@ -20,6 +22,7 @@ DOMAIN_COHORT = 3
 DOMAIN_SEPARATION = 4
 DOMAIN_FRESH = 5
 
+STREAM_INDICES = 1 << 40  # indices 0 .. 2^40 - 1 per (seed, domain)
 CHUNK_BYTES = 32 << 20  # byte budget of one chunk of replicates
 DRAW_SHARE = 8  # one replicate's draw block holds 1/8 of the budget
 
@@ -30,17 +33,26 @@ def draw_block(unit_bytes: int, budget: int = CHUNK_BYTES) -> int:
     return max(1, budget // DRAW_SHARE // unit_bytes)
 
 
+def check_replicates(replicates: int) -> None:
+    """Reject a replicate count below one or past the stream indices, before
+    anything is sized from it."""
+    if replicates < 1:
+        raise InputError("replicates must be >= 1")
+    if replicates > STREAM_INDICES:
+        raise InputError(f"replicates must be <= 2^40 (the stream index space), got {replicates}")
+
+
 def stream_rng(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Generator for the (seed, domain, index) coordinate.
 
-    ``index`` is typically a replicate number (< 2^40). Every replicate
-    source (bootstrap, fresh matrices, separation) draws all models of
-    replicate ``index`` from this one stream, trial-major. Distinct
+    ``index`` is typically a replicate number (< ``STREAM_INDICES``). Every
+    replicate source (bootstrap, fresh matrices, separation) draws all models
+    of replicate ``index`` from this one stream, trial-major. Distinct
     coordinates never share a key.
     """
     if not 0 <= domain < 256:
         raise ValueError(f"domain out of range: {domain}")
-    if not 0 <= index < (1 << 40):
+    if not 0 <= index < STREAM_INDICES:
         raise ValueError(f"stream index out of range: {index}")
     key = np.array([seed & _MASK64, (domain << 56) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

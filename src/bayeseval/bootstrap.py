@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._rng import CHUNK_BYTES as _CHUNK_TARGET_BYTES
-from ._rng import DOMAIN_COLUMN, DOMAIN_ROW, DRAW_SHARE, draw_block, stream_rng
+from ._rng import DOMAIN_COLUMN, DOMAIN_ROW, DRAW_SHARE, check_replicates, draw_block, stream_rng
 from .bayes import evaluate_performance
 from .errors import AllTiedError, InputError, NegativeZError
 from .methods import Method, parse_method
@@ -107,8 +107,7 @@ class ResamplePlan:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", ResampleScheme(self.scheme))
-        if self.replicates < 1:
-            raise InputError("replicates must be >= 1")
+        check_replicates(self.replicates)
 
     def budget(self, matrix_trials: int) -> int:
         n = self.n_max if self.n_max is not None else matrix_trials
@@ -149,10 +148,9 @@ def resample(
 # -- shared multi-model machinery --------------------------------------------
 
 def _model_items(matrices) -> list[tuple[str, ResultsMatrix]]:
-    if isinstance(matrices, Mapping):
-        items = list(matrices.items())
-    else:
-        items = [(m.model_id, m.matrix) if hasattr(m, "matrix") else m for m in matrices]
+    if not isinstance(matrices, Mapping):
+        raise InputError(f"matrices must map model ids to matrices, got {type(matrices).__name__}")
+    items = list(matrices.items())
     if len(items) < 2:
         raise InputError("need at least two models to rank")
     shapes = {(mx.questions, mx.trials, mx.num_categories) for _, mx in items}
@@ -252,6 +250,8 @@ def _as_methods(method_specs, weights: WeightVector | None = None) -> list[Metho
     if isinstance(method_specs, (str, Method)):
         method_specs = [method_specs]
     methods = [m if isinstance(m, Method) else parse_method(m) for m in method_specs]
+    if not methods:
+        raise InputError("need at least one method")
     if weights is not None:
         methods = [
             dataclasses.replace(m, weights=m.weights or weights) for m in methods
@@ -510,8 +510,7 @@ def tau_curves_from_draws(
     (n_max, models, reps, questions) array of category indices, models in
     ``model_ids`` order; the engine sizes its chunks from ``draw(0, 0)``.
     """
-    if replicates < 1:
-        raise InputError("need at least one replicate")
+    check_replicates(replicates)
     methods = _as_methods(methods)
     tau, _ = _reduce_replicates(
         draw, model_ids, methods, gold, n_max, replicates, 0, num_categories=num_categories,

@@ -6,8 +6,9 @@ matrices), ``converge`` (tau curves and convergence distributions),
 (signals to categorical matrix).
 
 stdout carries exactly one JSON document (or TSV when requested);
-diagnostics go to stderr. Exit codes: 0 success, 2 input error, 3 method
-undefined at the requested trial count, 4 internal invariant breach.
+diagnostics go to stderr. Exit codes: 0 success, 2 input error (or an
+allocation the machine cannot make), 3 method undefined at the requested
+trial count, 4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ def _cmd_eval(args) -> None:
 def _cmd_rank(args) -> None:
     from .ranking import ScoredModel, rank_with_ci, rank_without_ci
 
+    try:
+        z = None if args.ci == "off" else float(args.ci)
+    except ValueError:
+        raise InputError(f"--ci must be a z threshold or 'off', got {args.ci!r}") from None
     items = _load_dir(args.results_dir, args.categories)
     weights = _parse_weights(args.weights)
     method = parse_method(args.method, weights)
@@ -140,8 +145,7 @@ def _cmd_rank(args) -> None:
         "N": items[0][1].trials,
         "without_ci": rank_without_ci(scored).to_report(),
     }
-    if args.ci != "off":
-        z = float(args.ci)
+    if z is not None:
         report["z_threshold"] = z
         report["with_ci"] = rank_with_ci(scored, z).to_report()
     _emit(args, report)
@@ -380,7 +384,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         _print_error(exc)
         return 4
-    except (InputError, BayesEvalError, OSError) as exc:
+    except (InputError, BayesEvalError, OSError, MemoryError) as exc:
         _print_error(exc)
         return 2
     return 0

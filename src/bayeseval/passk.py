@@ -4,9 +4,9 @@ Every estimator averages a per-question value of ``(n, c)``: ``n`` trials
 observed, ``c`` of them correct. Each has one kernel for a single pair;
 the estimators evaluate it once per distinct pair, and ``score_table``
 tabulates it over ``c = 0..n`` for the resampling engine, so both share
-every per-question value. Binomial ratios use exact integer arithmetic
-for ``n <= 64`` and log-gamma differences (or a telescoping product)
-above that, so results stay finite and accurate at large trial counts.
+every per-question value. Each kernel but the plug-in ``naive_pass_hat_k``
+is an exact ratio of subset counts, rounded to the nearest float once at
+every n; its cost grows with the size of C(n, k).
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ __all__ = [
     "score_table",
     "tau_fraction",
 ]
-
-_EXACT_N_LIMIT = 64
-
 
 @dataclass(frozen=True, eq=False)
 class BinaryTally:
@@ -82,45 +79,31 @@ class BinaryTally:
 
 
 # -- per-(n, c) kernels --------------------------------------------------------
+# ``int / int`` rounds each exact ratio once; ``math.comb`` is 0 when a
+# subset outgrows its pool, which covers c = 0 and n - c < k.
 
-def _log_comb(a: int, b: int) -> float:
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-
-
-def _hyper_ratio(c: int, j: int, n: int, k: int) -> float:
-    """C(c, j) C(n-c, k-j) / C(n, k) with the zero convention."""
-    if j < 0 or j > c or k - j < 0 or k - j > n - c:
-        return 0.0
-    if n <= _EXACT_N_LIMIT:
-        return math.comb(c, j) * math.comb(n - c, k - j) / math.comb(n, k)
-    return math.exp(_log_comb(c, j) + _log_comb(n - c, k - j) - _log_comb(n, k))
+def _hits(n: int, c: int, k: int, j: int) -> int:
+    """k-subsets of n trials (c of them correct) with exactly j correct."""
+    return math.comb(c, j) * math.comb(n - c, k - j)
 
 
-def _pass_at_k_one(n: int, c: int, k: int) -> float:
-    if c == 0:
-        return 0.0
-    if n - c < k:
-        return 1.0
-    if n <= _EXACT_N_LIMIT:
-        return 1.0 - math.comb(n - c, k) / math.comb(n, k)
-    # telescoping product over the c largest denominators, stable for large n
-    return 1.0 - float(np.prod(1.0 - k / np.arange(n - c + 1, n + 1)))
+def _g_pass(n: int, c: int, k: int, j0: int) -> float:
+    return sum(_hits(n, c, k, j) for j in range(j0, k + 1)) / math.comb(n, k)
 
 
-def _g_pass_at_k_one(n: int, c: int, k: int, j0: int) -> float:
-    return math.fsum(_hyper_ratio(c, j, n, k) for j in range(j0, c + 1))
-
-
-def _mg_pass_at_k_one(n: int, c: int, k: int) -> float:
+def _mg_pass(n: int, c: int, k: int) -> float:
+    # (2/k) * sum of g_i over i = lo..k: a subset with j correct counts once
+    # for each i <= j, so it is weighted j - lo + 1
     lo = (k + 1) // 2 + 1  # ceil(k / 2) + 1
-    return 2.0 / k * math.fsum(_g_pass_at_k_one(n, c, k, i) for i in range(lo, k + 1))
+    hits = sum((j - lo + 1) * _hits(n, c, k, j) for j in range(lo, k + 1))
+    return 2 * hits / (k * math.comb(n, k))
 
 
 _KERNELS = {
-    "pass_at_k": _pass_at_k_one,
-    "pass_hat_k": lambda n, c, k: _hyper_ratio(c, k, n, k),
+    "pass_at_k": lambda n, c, k: ((t := math.comb(n, k)) - math.comb(n - c, k)) / t,
+    "pass_hat_k": lambda n, c, k: math.comb(c, k) / math.comb(n, k),
     "naive_pass_hat_k": lambda n, c, k: 1.0 - (1.0 - c / n) ** k,
-    "mg_pass_at_k": _mg_pass_at_k_one,
+    "mg_pass_at_k": _mg_pass,
 }
 
 
@@ -146,7 +129,7 @@ def _kernel(kind: str, k: int, min_trials: int, tau: float | Fraction | None = N
     frac = tau_fraction(tau)
     if not 0 < frac <= 1:
         raise TauOutOfRangeError(f"tau must satisfy 0 < tau <= 1, got {tau}")
-    return partial(_g_pass_at_k_one, k=k, j0=math.ceil(frac * k))
+    return partial(_g_pass, k=k, j0=math.ceil(frac * k))
 
 
 def _mean_over_questions(kind: str, tally: BinaryTally, k: int, tau=None) -> float:
@@ -161,7 +144,8 @@ def score_table(kind: str, n: int, k: int, tau: float | Fraction | None = None) 
     """Per-question values of estimator ``kind`` (its function name, e.g.
     ``"pass_at_k"``) at ``n`` trials for c = 0..n, cached and read-only;
     indexing it with correct counts and averaging gives exactly the
-    estimator's value."""
+    estimator's value. It costs n + 1 kernel calls on integers the size of
+    C(n, k); each entry but the plug-in's is the exact rational rounded once."""
     kernel = _kernel(kind, k, n, tau)
     table = np.array([kernel(n, c) for c in range(n + 1)])
     table.setflags(write=False)

@@ -22,6 +22,7 @@ from ._rng import (
     DOMAIN_FRESH,
     DOMAIN_SEPARATION,
     DOMAIN_TRIALS,
+    check_replicates,
     draw_block,
     stream_rng,
 )
@@ -88,34 +89,26 @@ class CoinModel:
 class CohortSpec:
     """Recipe for a cohort of eleven coin models.
 
-    One model per shape index i with success probabilities from
+    One model per shape index i = 4..13 with success probabilities from
     Beta(i, 18-i); the i = 7 vector is used twice (an exact tie) and the
     final i = 13 vector is an independent draw of its own.
     """
 
     questions: int = 30
     seed: int = 0
-    shape_indices: tuple[int, ...] = _SHAPE_INDICES
-    shape_sum: int = _SHAPE_SUM
-    duplicate_shape: int = _DUPLICATE_SHAPE
 
     def __post_init__(self):
         if self.questions < 1:
             raise InputError("cohort needs at least one question")
-        for i in self.shape_indices:
-            if not 0 < i < self.shape_sum:
-                raise InputError(f"shape index {i} outside (0, {self.shape_sum})")
-        if self.duplicate_shape not in self.shape_indices:
-            raise InputError(f"duplicate shape {self.duplicate_shape} not in indices")
 
 
 def generate_cohort(spec: CohortSpec) -> list[CoinModel]:
     """Draw a fresh cohort; deterministic given ``spec.seed``."""
     vectors: list[np.ndarray] = []
-    for shape in spec.shape_indices:
+    for shape in _SHAPE_INDICES:
         rng = stream_rng(spec.seed, DOMAIN_COHORT, len(vectors))  # index: model position
-        vectors.append(rng.beta(shape, spec.shape_sum - shape, size=spec.questions))
-        if shape == spec.duplicate_shape:
+        vectors.append(rng.beta(shape, _SHAPE_SUM - shape, size=spec.questions))
+        if shape == _DUPLICATE_SHAPE:
             vectors.append(vectors[-1])
     return [CoinModel(f"LLM{idx + 1}", vec) for idx, vec in enumerate(vectors)]
 
@@ -227,8 +220,7 @@ def separation_experiment(
     trials (``_bernoulli``), so no point depends on the rest of the grid.
     Neither sum depends on chunking: halves add exactly, |z| via ``math.fsum``.
     """
-    if replicates < 1:
-        raise InputError("need at least one replicate")
+    check_replicates(replicates)
     grid = sorted(set(int(n) for n in n_grid))
     if not grid or grid[0] < 1:
         raise ZeroTrialsError("grid trial counts must be >= 1")

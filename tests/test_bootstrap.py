@@ -96,6 +96,12 @@ class TestResample:
         with pytest.raises(InputError):
             ResamplePlan("row", replicates=0)
 
+    def test_replicates_bounded_by_stream_indices(self):
+        # replicate r is stream index r, and a key has 2^40 indices
+        assert ResamplePlan("row", replicates=2**40).replicates == 2**40
+        with pytest.raises(InputError, match="2\\^40"):
+            ResamplePlan("row", replicates=2**40 + 1)
+
 
 class TestGold:
     def test_gold_is_full_budget_posterior_ranking(self):
@@ -488,6 +494,16 @@ class TestSharedScan:
     def test_needs_a_plan(self):
         with pytest.raises(InputError):
             bootstrap.scan_replicates(small_cohort(), ["bayes"])
+
+    def test_needs_a_method(self, monkeypatch):
+        monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
+        with pytest.raises(InputError, match="at least one method"):
+            bootstrap.scan_replicates(small_cohort(), [], ResamplePlan("row", 2))
+
+    def test_matrices_must_be_a_mapping(self):
+        pairs = list(small_cohort().items())
+        with pytest.raises(InputError, match="map model ids"):
+            bootstrap.scan_replicates(pairs, ["bayes"], ResamplePlan("row", 2))
 
     def test_mismatched_requests_rejected(self):
         mats = small_cohort(n=12)

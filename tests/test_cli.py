@@ -260,6 +260,12 @@ class TestRank:
         code, out, _ = run(capsys, "rank", "--results-dir", model_dir, "--ci", "nan")
         assert code == 2 and out == ""
 
+    def test_non_numeric_threshold_exits_2_naming_it(self, capsys, model_dir):
+        code, out, err = run(capsys, "rank", "--results-dir", model_dir, "--ci", "abc")
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "'abc'" in error["message"]
+
     def test_shape_mismatch_rejected(self, capsys, tmp_path):
         d = tmp_path / "bad"
         d.mkdir()
@@ -307,6 +313,50 @@ class TestConverge:
         )
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "InputError", "message": "replicates must be >= 1"}
+
+    def test_replicates_past_stream_indices_exit_2_before_any_draw(self, capsys, model_dir,
+                                                                   monkeypatch):
+        # 2^40 + 1 replicates: one more than the stream key has indices
+        monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
+        code, out, err = run(
+            capsys, "converge", "--results-dir", model_dir, "--methods", "bayes",
+            "--replicates", "1099511627777",
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "2^40" in error["message"]
+
+    def test_no_methods_exits_2_before_any_draw(self, capsys, model_dir, monkeypatch):
+        monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
+        code, out, err = run(
+            capsys, "converge", "--results-dir", model_dir, "--methods", ",", "--replicates", "2",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "InputError", "message": "need at least one method"}
+
+    def test_one_model_exits_2(self, capsys, tmp_path):
+        d = tmp_path / "one"
+        d.mkdir()
+        write_csv(d / "alpha.csv", [[1, 1, 1], [1, 1, 0]])
+        code, out, err = run(capsys, "converge", "--results-dir", str(d), "--replicates", "2")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "InputError", "message": "need at least two models to rank",
+        }
+
+    def test_memory_error_exits_2_with_json_line(self, capsys, model_dir, monkeypatch):
+        def scan(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(bootstrap, "scan_replicates", scan)
+        code, out, err = run(
+            capsys, "converge", "--results-dir", model_dir, "--methods", "bayes",
+            "--replicates", "2",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "MemoryError", "message": "Unable to allocate 8.00 TiB",
+        }
 
     def test_threads_option_is_rejected(self, capsys, model_dir):
         with pytest.raises(SystemExit) as exc:
@@ -464,6 +514,15 @@ class TestSimulate:
         data = json.loads(out)
         assert data["model_a"] == "LLM11"
         assert data["points"][-1]["p_correct"] > 0.95
+
+    def test_separation_replicates_past_stream_indices_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "separation", "--a", "LLM11", "--b", "LLM1",
+            "--ngrid", "5", "--replicates", "10000000000000",
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "2^40" in error["message"]
 
     @pytest.mark.parametrize("before", [True, False])
     def test_separation_cohort_options_either_side(self, capsys, tmp_path, before):

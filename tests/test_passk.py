@@ -1,11 +1,13 @@
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from bayeseval.bootstrap import ResamplePlan, tau_curves
 from bayeseval.errors import (
     CategoryOutOfRangeError,
     KExceedsNError,
@@ -44,6 +46,38 @@ def one(n, c):
     return BinaryTally.from_counts([(n, c)])
 
 
+# Pascal's triangle up to row 150, built by addition alone
+PASCAL = [[1]]
+for _ in range(150):
+    PASCAL.append([a + b for a, b in zip([0] + PASCAL[-1], PASCAL[-1] + [0])])
+
+
+def exact_values(n, c, k, tau):
+    """Exact pass@k, pass^k, gpass@k:tau and mgpass@k of one (n, c) pair,
+    from hits[j] = C(c, j) C(n - c, k - j), the k-subsets with j correct,
+    read off Pascal's triangle; mgpass by its defining sum over thresholds."""
+    hits = [PASCAL[c][j] * PASCAL[n - c][k - j] if j <= c and k - j <= n - c else 0
+            for j in range(k + 1)]
+    total = sum(hits)  # C(n, k) by Vandermonde's identity
+    at_least = [sum(hits[i:]) for i in range(k + 2)]  # subsets with >= i correct
+    lo = math.ceil(Fraction(k, 2)) + 1
+    return {
+        "pass_at_k": Fraction(at_least[1], total),
+        "pass_hat_k": Fraction(hits[k], total),
+        "g_pass_at_k_tau": Fraction(at_least[math.ceil(tau * k)], total),
+        "mg_pass_at_k":
+            Fraction(2, k) * sum(Fraction(at_least[i], total) for i in range(lo, k + 1)),
+    }
+
+
+ESTIMATORS = {
+    "pass_at_k": pass_at_k,
+    "pass_hat_k": pass_hat_k,
+    "g_pass_at_k_tau": g_pass_at_k_tau,
+    "mg_pass_at_k": mg_pass_at_k,
+}
+
+
 class TestBinaryTally:
     def test_counts_are_frozen_int64(self):
         t = BinaryTally.from_counts([(4, 2), (5, 0)])
@@ -66,6 +100,44 @@ class TestBinaryTally:
         for n in (3, 80):
             table = score_table("mg_pass_at_k", n, 3)
             assert table.tolist() == [mg_pass_at_k(one(n, c), 3) for c in range(n + 1)]
+
+
+class TestExactRounding:
+    """Every table entry is the exact rational rounded to a float once."""
+
+    @settings(deadline=None)
+    @given(st.integers(1, 150), st.data())
+    def test_tables_are_exact_and_estimators_gather_them(self, n, data):
+        k = data.draw(st.integers(1, n), label="k")
+        q = data.draw(st.integers(1, 8), label="tau denominator")
+        tau = Fraction(data.draw(st.integers(1, q), label="tau numerator"), q)
+        exact = [exact_values(n, c, k, tau) for c in range(n + 1)]
+        correct = np.array(data.draw(st.lists(st.integers(0, n), min_size=1, max_size=12),
+                                     label="correct counts"))
+        tally = BinaryTally(np.full(correct.size, n), correct)
+        for kind, estimator in ESTIMATORS.items():
+            if kind == "mg_pass_at_k" and k < 2:
+                continue
+            args = (tau,) if kind == "g_pass_at_k_tau" else ()
+            table = score_table(kind, n, k, *args)
+            assert table.tolist() == [float(e[kind]) for e in exact], kind
+            assert estimator(tally, k, *args) == float(table[correct].mean()), kind
+
+    def test_large_trial_count_tables_build_fast(self):
+        # one row replicate of a pass@2 curve on 2,000 trials builds a table
+        # for every n = 2..2,000
+        rng = np.random.default_rng(3)
+        mats = {f"m{i}": validate_matrix(rng.random((2, 2_000)) < 0.3 + 0.2 * i, 2)
+                for i in range(3)}
+        score_table.cache_clear()
+        try:
+            start = time.perf_counter()
+            curve = tau_curves(mats, ["pass@2"], ResamplePlan("row", 1, seed=0))["pass@2"]
+            elapsed = time.perf_counter() - start
+        finally:
+            score_table.cache_clear()
+        assert curve.points[-1].n == 2_000
+        assert elapsed < 8.0, elapsed
 
 
 class TestPassAtK:
@@ -94,7 +166,7 @@ class TestPassAtK:
         assert abs(pass_at_k(BinaryTally.from_matrix(m), 2) - (5 / 6 + 1) / 2) < TOL
 
     def test_large_n_against_exact(self):
-        # product form at n > 64 agrees with exact integer arithmetic
+        # a large n takes the same exact integer ratio as a small one
         n, c, k = 500, 120, 8
         exact = 1 - math.comb(n - c, k) / math.comb(n, k)
         assert abs(pass_at_k(one(n, c), k) - exact) < 1e-10

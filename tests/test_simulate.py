@@ -74,8 +74,6 @@ class TestCohorts:
     def test_bad_spec_rejected(self):
         with pytest.raises(InputError):
             CohortSpec(questions=0)
-        with pytest.raises(InputError):
-            CohortSpec(shape_indices=(4, 18))
 
 
 class TestSampleTrials:
@@ -222,6 +220,12 @@ class TestSeparationExperiment:
         with pytest.raises(ZeroTrialsError):
             separation_experiment(cohort[0], cohort[1], [0, 5], replicates=10, seed=0)
 
+    def test_replicates_bounded_by_stream_indices(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_bernoulli", lambda *a: pytest.fail("drew a replicate"))
+        cohort = reference_cohort()
+        with pytest.raises(InputError, match="2\\^40"):
+            separation_experiment(cohort[0], cohort[1], [5], replicates=2**40 + 1)
+
     def test_min_trials_helper(self):
         cohort = reference_cohort()
         res = separation_experiment(cohort[10], cohort[5], [5, 10, 20], replicates=400, seed=4)
@@ -303,6 +307,11 @@ class TestFreshTauCurves:
     def test_replicates_validated(self):
         with pytest.raises(InputError):
             fresh_tau_curves(reference_cohort()[:3], ["bayes"], 4, replicates=0)
+
+    def test_replicates_bounded_by_stream_indices(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_bernoulli", lambda *a: pytest.fail("drew a replicate"))
+        with pytest.raises(InputError, match="2\\^40"):
+            fresh_tau_curves(reference_cohort()[:3], ["bayes"], 4, replicates=2**40 + 1)
 
     def test_no_count_wraparound(self):
         # prefix counts past 32,767 trials must not wrap (int16 would)
