@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import InputError
 
-_MASK64 = (1 << 64) - 1
-
 # stream domains, packed into the top byte of the second key word
 DOMAIN_COLUMN = 0
 DOMAIN_ROW = 1
@@ -42,17 +40,32 @@ def check_replicates(replicates: int) -> None:
         raise InputError(f"replicates must be <= 2^40 (the stream index space), got {replicates}")
 
 
+def _key(seed: int, domain: int, index: int) -> np.ndarray:
+    """The (seed, domain, index) Philox key; a seed outside [0, 2^64) is rejected, not wrapped."""
+    if not 0 <= seed < 1 << 64:
+        raise InputError(f"seed must be in [0, 2^64), got {seed}")
+    if not 0 <= domain < 256:
+        raise ValueError(f"domain out of range: {domain}")
+    if not 0 <= index < STREAM_INDICES:
+        raise ValueError(f"stream index out of range: {index}")
+    return np.array([seed, (domain << 56) | index], dtype=np.uint64)
+
+
 def stream_rng(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Generator for the (seed, domain, index) coordinate.
 
     ``index`` is typically a replicate number (< ``STREAM_INDICES``). Every
     replicate source (bootstrap, fresh matrices, separation) draws all models
     of replicate ``index`` from this one stream, trial-major. Distinct
-    coordinates never share a key.
+    coordinates never share a key; ``rekey`` moves a generator to another.
     """
-    if not 0 <= domain < 256:
-        raise ValueError(f"domain out of range: {domain}")
-    if not 0 <= index < STREAM_INDICES:
-        raise ValueError(f"stream index out of range: {index}")
-    key = np.array([seed & _MASK64, (domain << 56) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
+
+
+def rekey(rng: np.random.Generator, seed: int, domain: int, index: int) -> None:
+    """Restart ``rng`` (from ``stream_rng``) as a new ``stream_rng(seed, domain, index)``,
+    without the OS-entropy SeedSequence that ``Philox(key=...)`` draws and discards."""
+    zero = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {"bit_generator": "Philox", "buffer": zero, "buffer_pos": 4,
+                               "state": {"counter": zero, "key": _key(seed, domain, index)},
+                               "has_uint32": 0, "uinteger": 0}

@@ -24,6 +24,7 @@ from ._rng import (
     DOMAIN_TRIALS,
     check_replicates,
     draw_block,
+    rekey,
     stream_rng,
 )
 from .bayes import moment_sums, posterior_moments
@@ -192,16 +193,22 @@ def _separation_chunk(grid_points: int, questions: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * questions * (grid_points + 1)))
 
 
-def _bernoulli(probs: np.ndarray, seed: int, domain: int, replicate: int, out: np.ndarray) -> None:
-    """Replicate ``replicate``'s first n trials of the (models, questions)
-    ``probs`` as 0/1 in the (n, models, questions) ``out``, drawn trial-major
-    from its one stream a block of float64 uniforms at a time: ``random``
-    fills in order, so neither a larger n nor the block moves a bit."""
-    rng = stream_rng(seed, domain, replicate)
-    block = draw_block(8 * probs.size)
+def _thresholds(probs: np.ndarray) -> np.ndarray:
+    """Success thresholds ceil(p 2^32) as uint64: exact at p = 0 and p = 1."""
+    return np.ceil(probs * 2.0**32).astype(np.uint64)
+
+
+def _bernoulli(rng: np.random.Generator, thresholds: np.ndarray, out: np.ndarray) -> None:
+    """``rng``'s next n trials as 0/1 in the (n, models, questions) ``out``: a
+    cell succeeds iff its 32-bit word (raw 64-bit words, low half first) is
+    below its ``thresholds`` entry. Blocks of trials hold an even number of
+    cells unless last, so neither a larger n nor the block moves a bit."""
+    block = draw_block(4 * thresholds.size)
+    block += block * thresholds.size % 2
     for t in range(0, len(out), block):
         part = out[t:t + block]
-        np.less(rng.random(part.shape), probs, out=part)
+        raw = rng.bit_generator.random_raw(-(-part.size // 2)).astype("<u8", copy=False)
+        np.less(raw.view("<u4")[:part.size].reshape(part.shape), thresholds, out=part)
 
 
 def separation_experiment(
@@ -217,8 +224,10 @@ def separation_experiment(
     both models; the result reports the fraction ordered correctly by the
     posterior mean (exact-tie replicates count one half) and the mean
     absolute z-score. Each grid point scores a prefix of every replicate's
-    trials (``_bernoulli``), so no point depends on the rest of the grid.
-    Neither sum depends on chunking: halves add exactly, |z| via ``math.fsum``.
+    trials (``_bernoulli``, one re-keyed generator), so no point depends on
+    the rest of the grid; a block's trials are summed into the counts between
+    grid points as it is drawn, so no replicate is held whole. Neither sum
+    depends on chunking: halves add exactly, |z| via ``math.fsum``.
     """
     check_replicates(replicates)
     grid = sorted(set(int(n) for n in n_grid))
@@ -228,25 +237,33 @@ def separation_experiment(
         raise InputError("models must share the question count")
     m = model_a.questions
     g = len(grid)
-    probs = np.stack([model_a.probs, model_b.probs])
-    cuts = [0, *grid[:-1]]  # trials between grid points, summed then accumulated
     chunk = _separation_chunk(g, m)
 
     p_correct = np.zeros(g)
     abs_z = np.empty((replicates, g))
     binary = np.array([0.0, 1.0])
-    draws = np.empty((grid[-1], 2, m), dtype=bool)   # one replicate's trials
-    q_block = draw_block(16 * grid[-1])   # questions whose two models' trials cast to int64
+    thresholds = _thresholds(np.stack([model_a.probs, model_b.probs]))
+    rng = stream_rng(seed, DOMAIN_SEPARATION, 0)
+    step = draw_block(16 * m)   # trials whose two models' cells cast to int64
+    draws = np.empty((min(step, grid[-1]), 2, m), dtype=bool)
+    blocks = []   # per draw block: its trials, its cuts at grid points, its first segment
+    for t in range(0, grid[-1], step):
+        part = draws[:min(step, grid[-1] - t)]
+        cuts = [0, *(n - t for n in grid if t < n < t + len(part))]
+        blocks.append((part, cuts, sum(n <= t for n in grid)))
 
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
-        # correct counts per (grid point, model, replicate, question, category 1)
-        counts = np.empty((g, 2, stop - start, m, 1), dtype=np.int64)
+        # correct counts per (segment, model, replicate, question, category 1),
+        # summed over segments into counts per grid point once they are all in
+        counts = np.zeros((g, 2, stop - start, m, 1), dtype=np.int64)
         for r in range(start, stop):
-            _bernoulli(probs, seed, DOMAIN_SEPARATION, r, draws)
-            for q in range(0, m, q_block):   # reduceat casts its whole input to int64
-                sums = np.add.reduceat(draws[:, :, q:q + q_block], cuts, axis=0, dtype=np.int64)
-                np.cumsum(sums, axis=0, out=counts[:, :, r - start, q:q + q_block, 0])
+            rekey(rng, seed, DOMAIN_SEPARATION, r)
+            for part, cuts, lo in blocks:
+                _bernoulli(rng, thresholds, part)
+                sums = np.add.reduceat(part, cuts, axis=0, dtype=np.int64)
+                counts[lo:lo + len(cuts), :, r - start, :, 0] += sums
+        np.cumsum(counts, axis=0, out=counts)
         for i, n in enumerate(grid):
             # uniform prior: posterior counts + 1, T = N + 2
             mu, sigma = posterior_moments(*moment_sums(counts[i] + 1, n + 2), binary, m, n + 2)
@@ -279,8 +296,8 @@ def fresh_tau_curves(
     per model from its true success probabilities, and rankings are
     compared against the cohort's known true-mean ranking. This is the
     idealized baseline the bootstrap curves approximate; it runs on the
-    same replicate-prefix engine. Trials come from ``_bernoulli``, so the
-    curve at n does not depend on ``n_max``.
+    same replicate-prefix engine. Trials come from ``_bernoulli`` on one
+    re-keyed generator, so the curve at n does not depend on ``n_max``.
     """
     from .bootstrap import tau_curves_from_draws
 
@@ -288,12 +305,14 @@ def fresh_tau_curves(
         raise InputError("models must share the question count")
     if n_max < 1:
         raise ZeroTrialsError("need at least one trial")
-    probs = np.stack([m.probs for m in cohort])
+    thresholds = _thresholds(np.stack([m.probs for m in cohort]))
+    rng = stream_rng(seed, DOMAIN_FRESH, 0)
 
     def draw(start: int, stop: int) -> np.ndarray:
-        out = np.empty((n_max, len(probs), stop - start, probs.shape[1]), np.uint8)
+        out = np.empty((n_max, len(cohort), stop - start, thresholds.shape[1]), np.uint8)
         for r in range(start, stop):
-            _bernoulli(probs, seed, DOMAIN_FRESH, r, out[:, :, r - start])
+            rekey(rng, seed, DOMAIN_FRESH, r)
+            _bernoulli(rng, thresholds, out[:, :, r - start])
         return out
 
     return tau_curves_from_draws(

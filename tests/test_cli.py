@@ -326,6 +326,16 @@ class TestConverge:
         error = json.loads(err)
         assert error["error"] == "InputError" and "2^40" in error["message"]
 
+    def test_negative_seed_exits_2(self, capsys, model_dir):
+        # -1 would wrap onto seed 2^64 - 1's streams
+        code, out, err = run(
+            capsys, "converge", "--results-dir", model_dir, "--methods", "bayes",
+            "--replicates", "8", "--seed", "-1",
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "2^64" in error["message"]
+
     def test_no_methods_exits_2_before_any_draw(self, capsys, model_dir, monkeypatch):
         monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
         code, out, err = run(
@@ -523,6 +533,27 @@ class TestSimulate:
         assert (code, out) == (2, "")
         error = json.loads(err)
         assert error["error"] == "InputError" and "2^40" in error["message"]
+
+    def test_separation_seed_past_64_bits_exits_2(self, capsys):
+        # 2^64 would wrap onto seed 0's streams and print its report
+        code, out, err = run(
+            capsys, "simulate", "separation", "--a", "LLM10", "--b", "LLM9",
+            "--ngrid", "10", "--replicates", "8", "--seed", str(2**64),
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "2^64" in error["message"]
+
+    def test_last_model_seed_past_64_bits_exits_2_before_any_csv(self, capsys, tmp_path):
+        # model i is keyed by seed + i: at 2^64 - 11 the eleventh model's seed
+        # is 2^64 - 1 and every CSV is written; at 2^64 - 10 it would wrap
+        argv = ["simulate", "--preset", "reference", "--trials", "4", "--out-dir"]
+        code, _, _ = run(capsys, *argv, str(tmp_path / "last"), "--seed", str(2**64 - 11))
+        assert code == 0 and len(list((tmp_path / "last").glob("*.csv"))) == 11
+        code, out, err = run(capsys, *argv, str(tmp_path / "past"), "--seed", str(2**64 - 10))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "InputError"
+        assert not list((tmp_path / "past").glob("*.csv"))
 
     @pytest.mark.parametrize("before", [True, False])
     def test_separation_cohort_options_either_side(self, capsys, tmp_path, before):

@@ -30,6 +30,17 @@ REFERENCE_RANKS = {
 }
 
 
+def redraw(seed, domain, replicate, n, probs):
+    """Replicate ``replicate``'s first n trials of the (models, questions)
+    ``probs`` by a route independent of ``simulate``: numpy's full-range
+    uint32 draw, which splits each 64-bit Philox word low half first, against
+    ceil(p 2^32)."""
+    words = stream_rng(seed, domain, replicate).integers(
+        0, 2**32, size=(n, *probs.shape), dtype=np.uint32
+    )
+    return words < np.ceil(probs * 2.0**32)
+
+
 class TestCohorts:
     def test_reference_means_are_pinned(self):
         cohort = reference_cohort()
@@ -163,9 +174,7 @@ class TestSeparationExperiment:
         reps, seed = 3000, 0
         probs = np.stack([a.probs, b.probs])
         totals = np.array([
-            (stream_rng(seed, DOMAIN_SEPARATION, r).random((n, 2, a.questions)) < probs)
-            .sum(axis=(0, 2))
-            for r in range(reps)
+            redraw(seed, DOMAIN_SEPARATION, r, n, probs).sum(axis=(0, 2)) for r in range(reps)
         ])
         wins, ties = (totals[:, 0] > totals[:, 1]).sum(), (totals[:, 0] == totals[:, 1]).sum()
         assert ties > 0
@@ -183,9 +192,9 @@ class TestSeparationExperiment:
 
     def test_chunk_memory_bounded_by_bytes(self):
         # the counts of a chunk of replicates stay within the byte budget;
-        # the fixed terms are one replicate's draw (float64 uniforms and
-        # booleans, 9 bytes a cell), its int64 sums between grid points and
-        # the (replicates, grid) |z| array
+        # the fixed terms are one draw block (here the whole replicate: its
+        # booleans and their int64 cast, 9 bytes a cell), its int64 sums
+        # between grid points and the (replicates, grid) |z| array
         grid, reps = list(range(1, 51)), 1000
         for questions in (100, 400):
             a = CoinModel("a", np.full(questions, 0.6))
@@ -200,16 +209,18 @@ class TestSeparationExperiment:
                 tracemalloc.stop()
             assert peak <= simulate._CHUNK_BYTES + fixed + (256 << 10), (questions, peak)
 
-    def test_one_replicate_within_budget(self):
-        # one replicate of 2 x 20,000 questions x 320 trials: its 12.8 MB of
-        # booleans plus one block of uniforms and one block of int64 sums,
-        # not 102 MB of either at once
+    @pytest.mark.parametrize("n", [320, 3200])
+    def test_one_replicate_within_budget(self, n):
+        # one replicate of 2 x 20,000 questions x n trials (12.8 or 128 MB of
+        # booleans): each draw block's trials are added into the per-point
+        # counts as they are drawn, so only one block of words, booleans and
+        # int64 casts is held at a time
         a = CoinModel("a", np.full(20_000, 0.6))
         b = CoinModel("b", np.full(20_000, 0.5))
         separation_experiment(a, b, [1], replicates=1)  # numpy's first-draw imports
         tracemalloc.start()
         try:
-            separation_experiment(a, b, [40, 320], replicates=1, seed=3)
+            separation_experiment(a, b, [40, n], replicates=1, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -249,8 +260,7 @@ class TestFreshTauCurves:
         probs = np.stack([c.probs for c in cohort])
         # replicate r: every model's trials from one stream, trial-major
         draws = [
-            (stream_rng(seed, DOMAIN_FRESH, r).random((n_max, *probs.shape)) < probs)
-            .transpose(1, 2, 0)
+            redraw(seed, DOMAIN_FRESH, r, n_max, probs).transpose(1, 2, 0)
             for r in range(replicates)
         ]
         for name in methods:
@@ -325,21 +335,49 @@ class TestFreshTauCurves:
 class TestDrawBlocks:
     @pytest.mark.parametrize("block", [1, 3, 7, 10**9])
     def test_blocks_keep_every_bit(self, monkeypatch, block):
-        # random fills in order, so drawing a replicate a block of trials at
-        # a time (and summing its separation counts a block of questions at a
-        # time) gives the bits of one whole draw
+        # words are drawn in order, so drawing a replicate a block of trials
+        # at a time (and adding separation's counts a block at a time) gives
+        # the bits of one whole draw
         cohort = reference_cohort()
         probs = np.stack([cohort[i].probs for i in (0, 5, 9)])
-        whole = stream_rng(4, DOMAIN_FRESH, 2).random((23, *probs.shape)) < probs
+        whole = redraw(4, DOMAIN_FRESH, 2, 23, probs)
         expected = (
             separation_experiment(cohort[9], cohort[8], [1, 10, 23], replicates=40, seed=4),
             fresh_tau_curves(cohort[:4], ["bayes", "pass@2"], 12, replicates=20, seed=4),
         )
         monkeypatch.setattr(simulate, "draw_block", lambda unit_bytes: block)
         out = np.empty((23, *probs.shape), np.uint8)
-        simulate._bernoulli(probs, 4, DOMAIN_FRESH, 2, out)
+        simulate._bernoulli(stream_rng(4, DOMAIN_FRESH, 2), simulate._thresholds(probs), out)
         assert np.array_equal(out, whole)
         assert expected == (
             separation_experiment(cohort[9], cohort[8], [1, 10, 23], replicates=40, seed=4),
             fresh_tau_curves(cohort[:4], ["bayes", "pass@2"], 12, replicates=20, seed=4),
         )
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_odd_cell_count_blocks_keep_every_bit(self, monkeypatch, block):
+        # 3 models x 5 questions: 15 cells a trial, so one 64-bit word
+        # straddles two trials and a block must hold an even cell count
+        cohort = generate_cohort(CohortSpec(questions=5, seed=2))[2:5]
+        probs = np.stack([m.probs for m in cohort])
+        whole = redraw(6, DOMAIN_FRESH, 1, 11, probs)
+        expected = fresh_tau_curves(cohort, ["bayes", "avg"], 11, replicates=9, seed=6)
+        monkeypatch.setattr(simulate, "draw_block", lambda unit_bytes: block)
+        out = np.empty((11, *probs.shape), np.uint8)
+        simulate._bernoulli(stream_rng(6, DOMAIN_FRESH, 1), simulate._thresholds(probs), out)
+        assert np.array_equal(out, whole)
+        assert fresh_tau_curves(cohort, ["bayes", "avg"], 11, replicates=9, seed=6) == expected
+
+
+class TestThresholds:
+    def test_edge_probabilities(self):
+        # p = 0 and p = 1 are exact; p is rounded up to a multiple of 2^-32
+        got = simulate._thresholds(np.array([0.0, 1.0, 2.0**-40, 0.5]))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [0, 2**32, 1, 2**31]
+
+    def test_zero_never_and_one_always_succeeds(self):
+        probs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        out = np.empty((5_000, *probs.shape), bool)
+        simulate._bernoulli(stream_rng(3, DOMAIN_FRESH, 0), simulate._thresholds(probs), out)
+        assert np.array_equal(out, np.broadcast_to(probs == 1.0, out.shape))
