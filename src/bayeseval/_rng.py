@@ -40,10 +40,15 @@ def check_replicates(replicates: int) -> None:
         raise InputError(f"replicates must be <= 2^40 (the stream index space), got {replicates}")
 
 
-def _key(seed: int, domain: int, index: int) -> np.ndarray:
-    """The (seed, domain, index) Philox key; a seed outside [0, 2^64) is rejected, not wrapped."""
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2^64), the first key word, rather than wrap it."""
     if not 0 <= seed < 1 << 64:
         raise InputError(f"seed must be in [0, 2^64), got {seed}")
+
+
+def _key(seed: int, domain: int, index: int) -> np.ndarray:
+    """The (seed, domain, index) Philox key; a seed outside [0, 2^64) is rejected, not wrapped."""
+    check_seed(seed)
     if not 0 <= domain < 256:
         raise ValueError(f"domain out of range: {domain}")
     if not 0 <= index < STREAM_INDICES:

@@ -11,9 +11,11 @@ One replicate-prefix engine, ``_reduce_replicates``, serves tau curves,
 convergence@n, the worst-case trajectory and ``simulate.fresh_tau_curves``.
 Per chunk of replicates: a source draws each replicate's trials for every
 model (bootstrap resamples or fresh Bernoulli draws) as (n, model, replicate,
-question) category indices in the smallest unsigned dtype; int64 running
-counts of shape (model, replicate, question, C) advance one trial per n, so
-no count width caps the trial budget; ``Method.scores_from_counts`` scores
+question) category indices in the smallest unsigned dtype. Running int64
+counts of shape (model, replicate, question, C), kept only when a method
+reads them (the pass family, CI sigmas), advance one trial per n; else
+int64 prefix category totals over questions stand in for them. No count
+width caps the trial budget. ``Method.scores_from_{counts,totals}`` scores
 every prefix. Each score row then adds its integer tau-b terms (numerator
 sums bucketed by tied-pair count) and records the prefixes whose ranking
 differs from gold, which give the convergence points. A CI-aware gold
@@ -74,15 +76,17 @@ def _draw_block(cells_per_trial: int) -> int:
     return draw_block(16 * cells_per_trial, _CHUNK_TARGET_BYTES)
 
 
-def _chunk_size(empty_draw: np.ndarray, num_categories: int) -> int:
+def _chunk_size(empty_draw: np.ndarray, num_categories: int, counts: bool) -> int:
     """Replicates per engine chunk: as many as the byte budget left after
     the draw block holds, at least one. ``empty_draw`` is a zero-replicate
-    draw. A replicate's (model, question) cell costs its draws plus 24
-    bytes per category: the int64 running counts and the float64 scratch
-    of scoring them (CI sigmas take the most). No result depends on the
-    chunk size."""
-    n_max, models, _, questions = empty_draw.shape
-    per_rep = models * questions * (n_max * empty_draw.itemsize + 24 * num_categories)
+    draw. With ``counts``, a replicate's (model, question) cell costs its
+    draws plus 24 bytes per category: the int64 running counts and the
+    float64 scratch of scoring them (CI sigmas take the most). Without, a
+    replicate costs its draws, one category mask and n_max x models x C x 8
+    bytes of int64 prefix totals. No result depends on the chunk size."""
+    n_max, models, _, questions, d = *empty_draw.shape, empty_draw.itemsize
+    per_rep = models * (questions * (n_max * d + 24 * num_categories) if counts
+                        else n_max * (questions * (d + 1) + 8 * (num_categories - 1)))
     budget = _CHUNK_TARGET_BYTES - _CHUNK_TARGET_BYTES // DRAW_SHARE
     return max(1, budget // max(per_rep, 1))
 
@@ -231,8 +235,8 @@ def _match_gold_ci(mu, sigma, z: float, gold_ranks: np.ndarray) -> np.ndarray:
 
 
 def _gold_matcher(gold: RankTable, model_ids, method: Method, ci_z, num_categories):
-    """``match(n, scores, counts)``: which replicates rank like ``gold`` at n,
-    by point ranking or, with ``ci_z``, by CI-tied ranking at that z."""
+    """``match(n, scores, counts)``: which rows of ``scores`` rank like ``gold``
+    at n, by point ranking or, with ``ci_z``, by CI-tied ranking at that z."""
     gold_ranks = np.asarray(gold.rank_vector(model_ids))
     if ci_z is None:
         perm = np.argsort(gold_ranks, kind="stable")
@@ -240,7 +244,7 @@ def _gold_matcher(gold: RankTable, model_ids, method: Method, ci_z, num_categori
         return lambda n, scores, counts: _match_gold(scores, perm, strict)
 
     def match(n, scores, counts):
-        sigma = method.sigmas_from_counts(counts, n, num_categories).T
+        sigma = method.sigmas_from_counts(counts[:, :len(scores)], n, num_categories).T
         return _match_gold_ci(scores, sigma, ci_z, gold_ranks)
 
     return match
@@ -286,7 +290,8 @@ def _reduce_replicates(
     ``draw(start, stop)`` returns replicates start..stop-1 as an (n_max,
     models, reps, questions) array of category indices; ``draw(0, 0)``
     sizes the chunks. Per chunk, int64 running counts advance one trial
-    per n, every method scores them, the first ``tau_reps`` replicates add
+    per n (if no method reads counts, int64 prefix category totals stand
+    in for them), every method scores them, the first ``tau_reps`` replicates add
     their tau-b terms and the first ``conv_reps`` note each prefix whose
     ranking differs from gold. Returns, per method, the (3, n_max + 1, n0)
     tau-b terms of ``_tau_terms`` (None when ``tau_reps`` is 0) and the
@@ -306,24 +311,33 @@ def _reduce_replicates(
     onsets = [max(1, m.min_trials) for m in methods]
     cats = np.arange(1, num_categories)
     replicates = max(tau_reps, conv_reps)
-    chunk = _chunk_size(draw(0, 0), num_categories)
+    moments = ci_z is None and all(m.moment_based for m in methods)
+    chunk = _chunk_size(draw(0, 0), num_categories, not moments)
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
         t_rows, c_rows = min(stop, tau_reps) - start, min(stop, conv_reps) - start
         trials = draw(start, stop)
-        counts = np.zeros(trials.shape[1:] + (cats.size,), dtype=np.int64)
+        if moments:
+            counts, totals = None, np.empty(trials.shape[:-1] + (cats.size,), np.int64)
+            for j, c in enumerate(cats):
+                np.sum(trials == c, axis=-1, out=totals[..., j])
+            np.cumsum(totals, axis=0, out=totals)
+        else:
+            counts, totals = np.zeros(trials.shape[1:] + (cats.size,), np.int64), None
         for n in range(1, n_max + 1):
-            counts += trials[n - 1, ..., None] == cats
+            if not moments:
+                counts += trials[n - 1, ..., None] == cats
             for i, (m, match) in enumerate(zip(methods, matchers)):
                 if n < onsets[i]:
                     continue
-                scores = m.scores_from_counts(counts, n, num_categories).T
+                scores = (m.scores_from_totals(totals[n - 1], trials.shape[-1], n, num_categories)
+                          if moments else m.scores_from_counts(counts, n, num_categories)).T
                 if t_rows > 0:
                     tau[i, :, n] += _tau_terms(scores[:t_rows], iu, ju, sg, n0)
                 if c_rows > 0:
-                    differs = ~match(n, scores[:c_rows], counts[:, :c_rows])
+                    differs = ~match(n, scores[:c_rows], counts)
                     last_mismatch[i, start:start + c_rows][differs] = n
-        del trials, counts  # before the next chunk's draw
+        del trials, counts, totals  # before the next chunk's draw
     points = [
         (np.maximum(last + 1, lo), last == n_max) if conv_reps else None
         for last, lo in zip(last_mismatch, onsets)

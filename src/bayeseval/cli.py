@@ -199,8 +199,9 @@ def _cmd_converge(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    from . import simulate
+    from . import _rng, simulate
 
+    _rng.check_seed(args.seed)  # echoed in the report even when no stream is keyed
     cohort = _cohort_from_args(args)
     gold = simulate.gold_ranking(cohort)
     report = {

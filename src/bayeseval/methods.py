@@ -41,6 +41,11 @@ class Method:
     weights: WeightVector | None = None
 
     @property
+    def moment_based(self) -> bool:
+        """``bayes`` or ``avg``: any C, and scores from category totals alone."""
+        return self.kind in ("bayes", "avg")
+
+    @property
     def min_trials(self) -> int:
         if self.kind == "bayes":
             return 0
@@ -53,7 +58,7 @@ class Method:
             raise MethodUndefinedError(
                 f"{self.name} undefined at N={trials} (needs N >= {self.min_trials})"
             )
-        if self.kind not in ("bayes", "avg") and num_categories != 2:
+        if not self.moment_based and num_categories != 2:
             raise MethodUndefinedError(f"{self.name} requires binary outcomes (C = 1)")
 
     def score(self, matrix: ResultsMatrix) -> float:
@@ -78,7 +83,7 @@ class Method:
         average inherits it through the exact scale factor); subset
         estimators report zero.
         """
-        if self.kind not in ("bayes", "avg"):
+        if not self.moment_based:
             return self.score(matrix), 0.0
         self.check_defined(matrix.trials, matrix.num_categories)
         s = evaluate_performance(matrix, UNIFORM, self._weights_for(matrix))
@@ -95,17 +100,22 @@ class Method:
 
         ``counts`` has shape (..., M, C); the trailing axes are question
         and category (category 0 is implicit as ``trials - sum``).
-        Returns an array of shape (...) of per-model scores.
+        Returns (...) scores: ``bayes``/``avg`` via ``scores_from_totals``.
         """
+        if self.moment_based:
+            totals = np.einsum("...mc->...c", counts)
+            return self.scores_from_totals(totals, counts.shape[-2], trials, num_categories)
         self.check_defined(trials, num_categories)
-        if self.kind not in ("bayes", "avg"):
-            table = passk.score_table(self.kind, trials, self.k, self.tau)
-            return table[counts[..., 0]].mean(axis=-1)
-        # int64 category totals over questions first, then one weighted sum:
-        # the bits of evaluate_performance / naive_weighted_average, in any
-        # question order
-        w, m = self._weight_array(num_categories), counts.shape[-2]
-        totals = np.einsum("...mc->...c", counts)
+        table = passk.score_table(self.kind, trials, self.k, self.tau)
+        return table[counts[..., 0]].mean(axis=-1)
+
+    def scores_from_totals(self, totals: np.ndarray, questions: int, trials: int,
+                           num_categories: int) -> np.ndarray:
+        """``bayes`` or ``avg`` scores (...) from (..., C) int64 totals of categories
+        1..C over ``questions`` questions of ``trials`` trials: the bits of
+        ``evaluate_performance`` / ``naive_weighted_average``, in any question order."""
+        self.check_defined(trials, num_categories)
+        w, m = self._weight_array(num_categories), questions
         if self.kind == "bayes":
             # uniform prior: posterior counts are counts + 1, T = 1 + C + N
             return posterior_moments(totals + m, None, w, m, num_categories + trials)[0]
@@ -123,7 +133,7 @@ class Method:
         estimators have zero sigma.
         """
         self.check_defined(trials, num_categories)
-        if self.kind not in ("bayes", "avg"):
+        if not self.moment_based:
             return np.zeros(counts.shape[:-2])
         t, m = num_categories + trials, counts.shape[-2]
         w = self._weight_array(num_categories)

@@ -15,7 +15,7 @@ from bayeseval.bootstrap import (
     worst_case_trajectory,
 )
 from bayeseval.errors import AllTiedError, InputError, MethodUndefinedError, NegativeZError
-from bayeseval.methods import parse_method
+from bayeseval.methods import Method, parse_method
 from bayeseval.model import ResultsMatrix, WeightVector, validate_matrix
 from bayeseval.ranking import ScoredModel, kendall_tau_b, rank_with_ci, rank_without_ci
 from bayeseval.simulate import fresh_tau_curves, reference_cohort, sample_trials
@@ -539,6 +539,35 @@ class TestSharedScan:
             scan.points["pass@2"] = scan.points["bayes"]
 
 
+class TestMomentTotals:
+    """A scan of ``bayes`` and ``avg`` alone scores from prefix category
+    totals and never builds per-question counts, with the same bits."""
+
+    def test_five_categories_equal_counts_scan(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        mats = {f"m{i}": validate_matrix(rng.integers(0, 5, size=(9, 11)), 5) for i in range(4)}
+        w = WeightVector((0.0, 0.0, 1.0, 2.0, 3.0))
+        tau_plan, conv_plan = ResamplePlan("row", 12, seed=3), ResamplePlan("row", 17, seed=3)
+        methods = ["bayes", "avg"]
+        # ci_z needs sigmas from counts, so this scan builds them
+        ci = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan, weights=w, ci_z=1.0)
+        monkeypatch.setattr(Method, "scores_from_counts", lambda *a: pytest.fail("built counts"))
+        moments = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan, weights=w)
+        for name in methods:
+            assert moments.tau_sums[name].tobytes() == ci.tau_sums[name].tobytes()
+
+    @pytest.mark.parametrize("scheme", ["row", "column"])
+    def test_binary_equal_mixed_scan(self, scheme):
+        mats = small_cohort(n_models=5, n=12, seed=8)
+        tau_plan, conv_plan = ResamplePlan(scheme, 30, seed=4), ResamplePlan(scheme, 25, seed=4)
+        mixed = bootstrap.scan_replicates(mats, ["bayes", "avg", "pass@2"], tau_plan, conv_plan)
+        moments = bootstrap.scan_replicates(mats, ["bayes", "avg"], tau_plan, conv_plan)
+        for name in ("bayes", "avg"):
+            assert moments.tau_sums[name].tobytes() == mixed.tau_sums[name].tobytes()
+            for a, b in zip(moments.points[name], mixed.points[name]):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestChunkFree:
     """No engine output depends on how many replicates a chunk holds."""
 
@@ -549,12 +578,19 @@ class TestChunkFree:
         tau_plan, conv_plan = ResamplePlan("row", 70, seed=2), ResamplePlan("row", 45, seed=2)
         scan = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan)
         convs = [convergence_distributions(mats, methods, conv_plan, ci_z=z) for z in (None, 1.0)]
+        rng = np.random.default_rng(9)
+        cat5 = {f"m{i}": validate_matrix(rng.integers(0, 5, size=(7, 12)), 5) for i in range(4)}
+        moments = bootstrap.scan_replicates(cat5, ["bayes", "avg"], tau_plan, conv_plan,
+                                            weights=WeightVector((0.0, 0.0, 1.0, 2.0, 3.0)))
         return (
             tau_curves(mats, methods, tau_plan),
             [{k: (d.counts.tobytes(), d.censored_count) for k, d in c.items()} for c in convs],
             {k: a.tobytes() for k, a in scan.tau_sums.items()},
             {k: (a.tobytes(), b.tobytes()) for k, (a, b) in scan.points.items()},
             fresh_tau_curves(reference_cohort()[:5], ["bayes", "pass@2"], 10, 70, seed=4),
+            fresh_tau_curves(reference_cohort()[:5], ["bayes"], 10, 70, seed=4),
+            {k: a.tobytes() for k, a in moments.tau_sums.items()},
+            {k: (a.tobytes(), b.tobytes()) for k, (a, b) in moments.points.items()},
             worst_case_trajectory(mats, "pass@2", ResamplePlan("column", 45, seed=1)),
         )
 
@@ -577,6 +613,28 @@ class TestChunkFree:
         mats = {f"m{i}": validate_matrix(rng.integers(0, 2, size=(questions, trials)), 2)
                 for i in range(models)}
         methods, gold = ["bayes", "pass@2"], gold_table(mats)
+        plan = ResamplePlan("row", 20, seed=1)
+        tracemalloc.start()
+        try:
+            bootstrap.scan_replicates(mats, methods, plan, plan, gold=gold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # outside the per-chunk budget: the source's uint8 copies of the
+        # inputs and the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
+        outside = (models * questions * trials
+                   + len(methods) * 3 * (trials + 1) * (models * (models - 1) // 2) * 8)
+        assert peak <= budget + outside
+
+    def test_moment_chunk_peak_stays_within_budget(self, monkeypatch):
+        # a bayes,avg scan builds prefix totals, not counts: one replicate's
+        # C = 5 draws and category mask take 2 x 720 kB against a 4 MiB budget
+        budget, models, questions, trials = 4 << 20, 6, 1000, 120
+        monkeypatch.setattr(bootstrap, "_CHUNK_TARGET_BYTES", budget)
+        rng = np.random.default_rng(2)
+        mats = {f"m{i}": validate_matrix(rng.integers(0, 5, size=(questions, trials)), 5)
+                for i in range(models)}
+        methods, gold = ["bayes", "avg"], gold_table(mats)
         plan = ResamplePlan("row", 20, seed=1)
         tracemalloc.start()
         try:

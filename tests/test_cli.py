@@ -555,6 +555,19 @@ class TestSimulate:
         assert json.loads(err)["error"] == "InputError"
         assert not list((tmp_path / "past").glob("*.csv"))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("spec", [False, True])
+    def test_unkeyed_cohort_seed_outside_64_bits_exits_2(self, capsys, tmp_path, seed, spec):
+        # without --trials no stream is keyed by --seed, yet the report echoes it;
+        # a spec with its own seed keys its cohort by that one
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps({"questions": 12, "seed": 3}))
+        cohort = ["--spec", str(path)] if spec else ["--preset", "reference"]
+        code, out, err = run(capsys, "simulate", *cohort, "--seed", str(seed))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "2^64" in error["message"]
+
     @pytest.mark.parametrize("before", [True, False])
     def test_separation_cohort_options_either_side(self, capsys, tmp_path, before):
         spec = tmp_path / "cohort.json"
