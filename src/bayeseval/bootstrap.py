@@ -303,6 +303,8 @@ def _reduce_replicates(
     """
     for m in methods:
         m.check_defined(n_max, num_categories)
+    methods = [dataclasses.replace(m, weights=m.weights or WeightVector.identity(num_categories))
+               for m in methods]   # weights resolved once per scan, not at every prefix
     if tau_reps:
         iu, ju, sg, n0, _ = _pair_structure(gold, model_ids)
         tau = np.zeros((len(methods), 3, n_max + 1, n0))

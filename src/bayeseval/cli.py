@@ -20,18 +20,16 @@ import sys
 from pathlib import Path
 
 from . import io
-from .bayes import evaluate_performance
 from .errors import (
     BayesEvalError,
     InputError,
     InternalInvariantError,
     MethodUndefinedError,
 )
-from .methods import parse_method, parse_methods
 from .model import UNIFORM, WeightVector
 
-# bootstrap, ranking, simulate and rubric are imported by the handlers that
-# run them, so each command loads only its own modules
+# bayes, methods, bootstrap, ranking, simulate and rubric are imported by the
+# handlers that run them, so each command loads only its own modules
 
 _Z_REPORT_LEVELS = (1.645, 1.96)
 _DEFAULT_CONVERGE_METHODS = "bayes,pass@2,pass@4,pass@8"
@@ -91,6 +89,9 @@ def _cohort_from_args(args) -> list:
 # -- subcommand implementations ------------------------------------------------
 
 def _cmd_eval(args) -> None:
+    from .bayes import evaluate_performance
+    from .methods import parse_method
+
     labels = io.load_label_map(args.labels) if args.labels else None
     matrix = io.load_results_csv(args.results, args.categories, labels)
     weights = _parse_weights(args.weights)
@@ -128,6 +129,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_rank(args) -> None:
+    from .methods import parse_method
     from .ranking import ScoredModel, rank_with_ci, rank_without_ci
 
     try:
@@ -153,6 +155,7 @@ def _cmd_rank(args) -> None:
 
 def _cmd_converge(args) -> None:
     from . import bootstrap
+    from .methods import parse_methods
 
     items = dict(_load_dir(args.results_dir, None))
     methods = parse_methods(args.methods)

@@ -186,29 +186,35 @@ class SeparationResult:
         }
 
 
-def _separation_chunk(grid_points: int, questions: int) -> int:
-    """Replicates per chunk, at least one: a replicate's int64 counts of two
-    models take 16 bytes per question at each grid point, plus one point's
-    posterior counts while it is scored. No result depends on the chunk."""
-    return max(1, _CHUNK_BYTES // (16 * questions * (grid_points + 1)))
+def _separation_chunk(grid_points: int, questions: int, group_bytes: int) -> int:
+    """Replicates per chunk, at least one, in what ``group_bytes`` of draws leave:
+    16 bytes per question for each grid point's int64 counts of two models, and
+    one point's posterior counts while it is scored. No result depends on it."""
+    return max(1, (_CHUNK_BYTES - group_bytes) // (16 * questions * (grid_points + 1)))
 
 
-def _thresholds(probs: np.ndarray) -> np.ndarray:
-    """Success thresholds ceil(p 2^32) as uint64: exact at p = 0 and p = 1."""
-    return np.ceil(probs * 2.0**32).astype(np.uint64)
+def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """uint32 limits min(ceil(p 2^32), 2^32 - 1) and the mask where ceil(p 2^32) is
+    2^32 (None if nowhere): below ceil(p 2^32), so p = 0 never and p = 1 always."""
+    ceil = np.ceil(probs * 2.0**32)
+    always = ceil == 2.0**32
+    return np.minimum(ceil, 2.0**32 - 1).astype(np.uint32), always if always.any() else None
 
 
-def _bernoulli(rng: np.random.Generator, thresholds: np.ndarray, out: np.ndarray) -> None:
-    """``rng``'s next n trials as 0/1 in the (n, models, questions) ``out``: a
-    cell succeeds iff its 32-bit word (raw 64-bit words, low half first) is
-    below its ``thresholds`` entry. Blocks of trials hold an even number of
+def _bernoulli(rng: np.random.Generator, thresholds, out: np.ndarray) -> None:
+    """``rng``'s next n trials as 0/1 in the (n, models, questions) ``out``: a cell
+    succeeds iff its 32-bit word (raw 64-bit words, low half first) is below its
+    ``_thresholds`` limit or is masked. Blocks of trials hold an even number of
     cells unless last, so neither a larger n nor the block moves a bit."""
-    block = draw_block(4 * thresholds.size)
-    block += block * thresholds.size % 2
+    limits, always = thresholds
+    block = draw_block(4 * limits.size)
+    block += block * limits.size % 2
     for t in range(0, len(out), block):
         part = out[t:t + block]
         raw = rng.bit_generator.random_raw(-(-part.size // 2)).astype("<u8", copy=False)
-        np.less(raw.view("<u4")[:part.size].reshape(part.shape), thresholds, out=part)
+        np.less(raw.view("<u4")[:part.size].reshape(part.shape), limits, out=part.view(bool))
+        if always is not None:
+            part |= always
 
 
 def separation_experiment(
@@ -225,9 +231,10 @@ def separation_experiment(
     posterior mean (exact-tie replicates count one half) and the mean
     absolute z-score. Each grid point scores a prefix of every replicate's
     trials (``_bernoulli``, one re-keyed generator), so no point depends on
-    the rest of the grid; a block's trials are summed into the counts between
-    grid points as it is drawn, so no replicate is held whole. Neither sum
-    depends on chunking: halves add exactly, |z| via ``math.fsum``.
+    the rest of the grid. As many whole replicates as a draw block of trials
+    holds are drawn as one group, each grid segment summed over it at once; a
+    longer replicate is drawn and summed a block at a time, never held whole.
+    Neither sum depends on chunking: halves add exactly, |z| via ``math.fsum``.
     """
     check_replicates(replicates)
     grid = sorted(set(int(n) for n in n_grid))
@@ -237,38 +244,41 @@ def separation_experiment(
         raise InputError("models must share the question count")
     m = model_a.questions
     g = len(grid)
-    chunk = _separation_chunk(g, m)
+    step = draw_block(16 * m)   # trials of one draw block
+    group = min(max(1, step // grid[-1]), replicates)   # whole replicates drawn at once
+    draws = np.empty((min(step, grid[-1]), group, 2, m), np.uint8)   # trial, replicate, model, q
+    chunk = _separation_chunk(g, m, draws.nbytes)
 
     p_correct = np.zeros(g)
     abs_z = np.empty((replicates, g))
     binary = np.array([0.0, 1.0])
     thresholds = _thresholds(np.stack([model_a.probs, model_b.probs]))
     rng = stream_rng(seed, DOMAIN_SEPARATION, 0)
-    step = draw_block(16 * m)   # trials whose two models' cells cast to int64
-    draws = np.empty((min(step, grid[-1]), 2, m), dtype=bool)
-    blocks = []   # per draw block: its trials, its cuts at grid points, its first segment
-    for t in range(0, grid[-1], step):
-        part = draws[:min(step, grid[-1] - t)]
-        cuts = [0, *(n - t for n in grid if t < n < t + len(part))]
-        blocks.append((part, cuts, sum(n <= t for n in grid)))
+    points = list(enumerate(zip([0, *grid], grid)))   # point i adds trials lo..n-1
+    blocks = [(t, [(i, max(lo - t, 0), min(n - t, len(draws))) for i, (lo, n) in points
+                   if lo < t + len(draws) and n > t]) for t in range(0, grid[-1], len(draws))]
 
     for start in range(0, replicates, chunk):
         stop = min(start + chunk, replicates)
-        # correct counts per (segment, model, replicate, question, category 1),
+        # correct counts per (segment, replicate, model, question, category 1),
         # summed over segments into counts per grid point once they are all in
-        counts = np.zeros((g, 2, stop - start, m, 1), dtype=np.int64)
-        for r in range(start, stop):
-            rekey(rng, seed, DOMAIN_SEPARATION, r)
-            for part, cuts, lo in blocks:
-                _bernoulli(rng, thresholds, part)
-                sums = np.add.reduceat(part, cuts, axis=0, dtype=np.int64)
-                counts[lo:lo + len(cuts), :, r - start, :, 0] += sums
+        counts = np.zeros((g, stop - start, 2, m, 1), dtype=np.int64)
+        for first in range(start, stop, group):
+            reps = range(first - start, min(first + group, stop) - start)   # rows of counts
+            for t, segments in blocks:   # more than one only for a group of one
+                for j, r in enumerate(reps):
+                    if t == 0:
+                        rekey(rng, seed, DOMAIN_SEPARATION, start + r)
+                    _bernoulli(rng, thresholds, draws[:grid[-1] - t, j])
+                for i, a, b in segments:   # a narrow sum, at most b - a per cell
+                    counts[i, reps.start:reps.stop, ..., 0] += np.add.reduce(
+                        draws[a:b, :len(reps)], axis=0, dtype=np.min_scalar_type(b - a))
         np.cumsum(counts, axis=0, out=counts)
         for i, n in enumerate(grid):
             # uniform prior: posterior counts + 1, T = N + 2
             mu, sigma = posterior_moments(*moment_sums(counts[i] + 1, n + 2), binary, m, n + 2)
-            gap = mu[0] - mu[1]   # zero exactly when the correct totals tie
-            abs_z[start:stop, i] = np.abs(gap) / np.hypot(sigma[0], sigma[1])
+            gap = mu[:, 0] - mu[:, 1]   # zero exactly when the correct totals tie
+            abs_z[start:stop, i] = np.abs(gap) / np.hypot(sigma[:, 0], sigma[:, 1])
             p_correct[i] += ((gap > 0) + 0.5 * (gap == 0)).sum()
         del counts  # before the next chunk's counts
 
@@ -309,7 +319,7 @@ def fresh_tau_curves(
     rng = stream_rng(seed, DOMAIN_FRESH, 0)
 
     def draw(start: int, stop: int) -> np.ndarray:
-        out = np.empty((n_max, len(cohort), stop - start, thresholds.shape[1]), np.uint8)
+        out = np.empty((n_max, len(cohort), stop - start, cohort[0].questions), np.uint8)
         for r in range(start, stop):
             rekey(rng, seed, DOMAIN_FRESH, r)
             _bernoulli(rng, thresholds, out[:, :, r - start])

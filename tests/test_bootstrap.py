@@ -556,6 +556,18 @@ class TestMomentTotals:
         for name in methods:
             assert moments.tau_sums[name].tobytes() == ci.tau_sums[name].tobytes()
 
+    def test_identity_weights_built_once_per_method(self, monkeypatch):
+        # an unweighted method's identity weights are built once per scan,
+        # not once per prefix (12 prefixes here)
+        mats = small_cohort(n_models=4, n=12, seed=2)
+        plan = ResamplePlan("row", 20, seed=1)
+        gold = bootstrap.gold_table(mats)
+        calls, identity = [], WeightVector.identity.__func__
+        monkeypatch.setattr(WeightVector, "identity",
+                            classmethod(lambda cls, c: calls.append(c) or identity(cls, c)))
+        bootstrap.scan_replicates(mats, ["bayes", "avg"], plan, plan, gold=gold)
+        assert calls == [2, 2]
+
     @pytest.mark.parametrize("scheme", ["row", "column"])
     def test_binary_equal_mixed_scan(self, scheme):
         mats = small_cohort(n_models=5, n=12, seed=8)

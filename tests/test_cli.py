@@ -791,9 +791,9 @@ class TestImportFootprint:
         ("eval", {"bootstrap", "ranking", "simulate", "rubric"}),
         ("rank", {"bootstrap", "simulate", "rubric"}),
         ("converge", {"simulate", "rubric"}),
-        ("simulate", {"bootstrap", "rubric"}),
-        ("separation", {"bootstrap", "rubric"}),
-        ("rubric", {"bootstrap", "simulate", "ranking"}),
+        ("simulate", {"bootstrap", "rubric", "methods", "passk"}),
+        ("separation", {"bootstrap", "rubric", "methods", "passk"}),
+        ("rubric", {"bootstrap", "simulate", "ranking", "methods", "passk", "bayes"}),
     ])
     def test_subcommand_loads_only_its_modules(self, tmp_path, model_dir, binary_csv,
                                                 command, absent):

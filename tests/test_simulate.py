@@ -165,6 +165,24 @@ class TestSeparationExperiment:
         again = separation_experiment(cohort[9], cohort[8], [10, 20], replicates=700, seed=9)
         assert again == results[2]
 
+    @pytest.mark.parametrize("pair", ["reference", "edges"])
+    def test_groups_chunks_and_blocks_keep_every_bit(self, monkeypatch, pair):
+        # a draw block of 23 trials holds a group of one whole replicate, one
+        # of 7 * 23 a group of 7, one of 10^9 a group of the whole chunk, and
+        # one of 3 trials makes each replicate a group of one drawn in blocks
+        if pair == "reference":
+            a, b = reference_cohort()[9], reference_cohort()[8]
+        else:   # p = 0, p = 1 and ceil(p 2^32) = 2^32, beside ordinary rates
+            a = CoinModel("a", np.array([0.0, 1.0, 1 - 2.0**-40, 0.999999, 0.6]))
+            b = CoinModel("b", np.array([1.0, 0.0, 0.5, 1 - 2.0**-40, 0.0]))
+        expected = separation_experiment(a, b, [1, 10, 23], replicates=40, seed=5)
+        for block in (23, 7 * 23, 10**9, 3):
+            monkeypatch.setattr(simulate, "draw_block", lambda unit_bytes, b=block: b)
+            for chunk in (1, 7, 512):
+                monkeypatch.setattr(simulate, "_separation_chunk", lambda *shape, c=chunk: c)
+                got = separation_experiment(a, b, [1, 10, 23], replicates=40, seed=5)
+                assert got == expected, (block, chunk)
+
     @pytest.mark.parametrize("n", [1, 80])
     def test_exact_ties_count_one_half(self, n):
         # redraw each replicate's trials from its one stream, both models
@@ -370,14 +388,34 @@ class TestDrawBlocks:
 
 
 class TestThresholds:
+    # a cell succeeds iff its 32-bit word is below ceil(p 2^32): stored as a
+    # uint32 limit min(ceil(p 2^32), 2^32 - 1) plus a mask of the cells whose
+    # ceil(p 2^32) is 2^32, which always succeed
+    EDGES = np.array([0.0, 1.0, 2.0**-40, 0.5, 1 - 2.0**-40, 1 - 2.0**-32])
+
     def test_edge_probabilities(self):
-        # p = 0 and p = 1 are exact; p is rounded up to a multiple of 2^-32
-        got = simulate._thresholds(np.array([0.0, 1.0, 2.0**-40, 0.5]))
-        assert got.dtype == np.uint64
-        assert got.tolist() == [0, 2**32, 1, 2**31]
+        limits, always = simulate._thresholds(self.EDGES)
+        assert limits.dtype == np.uint32
+        assert limits.tolist() == [0, 2**32 - 1, 1, 2**31, 2**32 - 1, 2**32 - 1]
+        assert always.tolist() == [False, True, False, False, True, False]
+
+    def test_no_mask_without_a_certain_cell(self):
+        limits, always = simulate._thresholds(np.array([0.0, 0.5, 1 - 2.0**-32]))
+        assert limits.tolist() == [0, 2**31, 2**32 - 1] and always is None
 
     def test_zero_never_and_one_always_succeeds(self):
-        probs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        probs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1 - 2.0**-40]])
         out = np.empty((5_000, *probs.shape), bool)
         simulate._bernoulli(stream_rng(3, DOMAIN_FRESH, 0), simulate._thresholds(probs), out)
-        assert np.array_equal(out, np.broadcast_to(probs == 1.0, out.shape))
+        assert np.array_equal(out, np.broadcast_to(probs > 0.5, out.shape))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_odd_cell_count_edges_match_the_full_range_draw(self, dtype):
+        # 3 models x 5 questions with p = 0, p = 1, ceil(p 2^32) = 2^32 and
+        # 1 - 2^-32 (limit 2^32 - 1, no mask) beside ordinary rates
+        probs = np.array([[0.0, 1.0, 1 - 2.0**-40, 1 - 2.0**-32, 0.3],
+                          [0.7, 0.0, 1.0, 0.5, 2.0**-40],
+                          [1 - 2.0**-40, 0.999999, 0.0, 1.0, 0.1]])
+        out = np.empty((41, *probs.shape), dtype)
+        simulate._bernoulli(stream_rng(8, DOMAIN_FRESH, 2), simulate._thresholds(probs), out)
+        assert np.array_equal(out, redraw(8, DOMAIN_FRESH, 2, 41, probs))
