@@ -209,10 +209,10 @@ class TestSeparationExperiment:
         assert inside.at(80) == alone.at(80)
 
     def test_chunk_memory_bounded_by_bytes(self):
-        # the counts of a chunk of replicates stay within the byte budget;
-        # the fixed terms are one draw block (here the whole replicate: its
-        # booleans and their int64 cast, 9 bytes a cell), its int64 sums
-        # between grid points and the (replicates, grid) |z| array
+        # the counts of a chunk of replicates and its group buffer of draws
+        # stay within the byte budget; the fixed terms are 9 bytes a cell of
+        # one replicate (its 32-bit words and their booleans take 5), its
+        # sums between grid points and the (replicates, grid) |z| array
         grid, reps = list(range(1, 51)), 1000
         for questions in (100, 400):
             a = CoinModel("a", np.full(questions, 0.6))
@@ -231,8 +231,8 @@ class TestSeparationExperiment:
     def test_one_replicate_within_budget(self, n):
         # one replicate of 2 x 20,000 questions x n trials (12.8 or 128 MB of
         # booleans): each draw block's trials are added into the per-point
-        # counts as they are drawn, so only one block of words, booleans and
-        # int64 casts is held at a time
+        # counts as they are drawn, so only one block of words and booleans
+        # is held at a time
         a = CoinModel("a", np.full(20_000, 0.6))
         b = CoinModel("b", np.full(20_000, 0.5))
         separation_experiment(a, b, [1], replicates=1)  # numpy's first-draw imports
@@ -391,10 +391,10 @@ class TestThresholds:
     # a cell succeeds iff its 32-bit word is below ceil(p 2^32): stored as a
     # uint32 limit min(ceil(p 2^32), 2^32 - 1) plus a mask of the cells whose
     # ceil(p 2^32) is 2^32, which always succeed
-    EDGES = np.array([0.0, 1.0, 2.0**-40, 0.5, 1 - 2.0**-40, 1 - 2.0**-32])
 
     def test_edge_probabilities(self):
-        limits, always = simulate._thresholds(self.EDGES)
+        edges = np.array([0.0, 1.0, 2.0**-40, 0.5, 1 - 2.0**-40, 1 - 2.0**-32])
+        limits, always = simulate._thresholds(edges)
         assert limits.dtype == np.uint32
         assert limits.tolist() == [0, 2**32 - 1, 1, 2**31, 2**32 - 1, 2**32 - 1]
         assert always.tolist() == [False, True, False, False, True, False]
