@@ -4,9 +4,10 @@ A method wraps two evaluation surfaces: whole-matrix scoring (used by the
 ``eval``/``rank`` commands) and vectorized scoring from per-category
 count tensors (used by the bootstrap engine, where thousands of replicate
 prefixes are scored at once). Both give the same score for the same
-counts: the pass family reads ``passk`` kernels either way, and ``bayes``
-and ``avg`` take mu and sigma from ``bayes.posterior_moments`` either way,
-on exact integer moment sums that no question order changes.
+counts, from exact integer sums that no question order changes: the pass
+family sums ``passk.numerators`` with ``passk.exact_mean`` either way, and
+``bayes`` and ``avg`` take mu and sigma from ``bayes.posterior_moments``
+either way, on exact integer moment sums.
 
 Method spec grammar: ``bayes``, ``avg``, ``pass@K``, ``pass^K``,
 ``naive^K``, ``gpass@K:TAU``, ``mgpass@K``. TAU parses as a decimal or a
@@ -100,14 +101,17 @@ class Method:
 
         ``counts`` has shape (..., M, C); the trailing axes are question
         and category (category 0 is implicit as ``trials - sum``).
-        Returns (...) scores: ``bayes``/``avg`` via ``scores_from_totals``.
+        Returns (...) scores: ``bayes``/``avg`` via ``scores_from_totals``;
+        the pass family as ``passk.exact_mean`` of the method's
+        ``passk.numerators`` table at ``trials``, the same integer sum as
+        the whole-matrix estimator, built for this call only.
         """
         if self.moment_based:
             totals = np.einsum("...mc->...c", counts)
             return self.scores_from_totals(totals, counts.shape[-2], trials, num_categories)
         self.check_defined(trials, num_categories)
-        table = passk.score_table(self.kind, trials, self.k, self.tau)
-        return table[counts[..., 0]].mean(axis=-1)
+        nums, den = passk.numerators(self.kind, trials, self.k, self.tau)
+        return passk.exact_mean(nums, den, counts[..., 0])
 
     def scores_from_totals(self, totals: np.ndarray, questions: int, trials: int,
                            num_categories: int) -> np.ndarray:

@@ -1,44 +1,33 @@
 """Pass@k estimator family over binary per-question tallies.
 
 Every estimator averages a per-question value of ``(n, c)``: ``n`` trials
-observed, ``c`` of them correct. Each has one kernel for a single pair;
-the estimators evaluate it once per distinct pair, and ``score_table``
-tabulates it over ``c = 0..n`` for the resampling engine, so both share
-every per-question value. Each kernel but the plug-in ``naive_pass_hat_k``
-is an exact ratio of subset counts, rounded to the nearest float once at
-every n; its cost grows with the size of C(n, k).
+observed, ``c`` of them correct, the value exactly ``num[c] / den`` for the
+integer table of ``numerators``. ``exact_mean`` sums num[c] over the M
+questions in integers and divides once by M * den. The whole-matrix
+estimators here (``eval``, ``rank``) and the resampling engine
+(``Method.scores_from_counts``) both take that sum, so their scores agree
+bit for bit in any question order. Tables are built per call, never kept;
+their cost grows with the size of den, C(n, k) or n^k.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    CategoryOutOfRangeError,
-    KExceedsNError,
-    KTooSmallError,
-    KZeroError,
-    TauOutOfRangeError,
-    ZeroTrialsError,
-)
+from .errors import (CategoryOutOfRangeError, EmptyInputError, KExceedsNError, KTooSmallError,
+                     KZeroError, TauOutOfRangeError, ZeroTrialsError)
 from .model import ResultsMatrix
 
-__all__ = [
-    "BinaryTally",
-    "pass_at_k",
-    "pass_hat_k",
-    "naive_pass_hat_k",
-    "g_pass_at_k_tau",
-    "mg_pass_at_k",
-    "score_table",
-    "tau_fraction",
-]
+__all__ = ["BinaryTally", "pass_at_k", "pass_hat_k", "naive_pass_hat_k", "g_pass_at_k_tau",
+           "mg_pass_at_k", "exact_mean", "numerators", "tau_fraction"]
+
 
 @dataclass(frozen=True, eq=False)
 class BinaryTally:
@@ -51,6 +40,8 @@ class BinaryTally:
         n, c = (np.array(a, dtype=np.int64).reshape(-1) for a in (self.trials, self.correct))
         if n.shape != c.shape or ((c < 0) | (c > n)).any():
             raise CategoryOutOfRangeError("tally needs one 0 <= c <= n per question")
+        if not n.size:
+            raise EmptyInputError("tally needs at least one question")
         for name, a in (("trials", n), ("correct", c)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -73,39 +64,6 @@ class BinaryTally:
     def __len__(self) -> int:
         return self.trials.size
 
-    @property
-    def min_trials(self) -> int:
-        return int(self.trials.min())
-
-
-# -- per-(n, c) kernels --------------------------------------------------------
-# ``int / int`` rounds each exact ratio once; ``math.comb`` is 0 when a
-# subset outgrows its pool, which covers c = 0 and n - c < k.
-
-def _hits(n: int, c: int, k: int, j: int) -> int:
-    """k-subsets of n trials (c of them correct) with exactly j correct."""
-    return math.comb(c, j) * math.comb(n - c, k - j)
-
-
-def _g_pass(n: int, c: int, k: int, j0: int) -> float:
-    return sum(_hits(n, c, k, j) for j in range(j0, k + 1)) / math.comb(n, k)
-
-
-def _mg_pass(n: int, c: int, k: int) -> float:
-    # (2/k) * sum of g_i over i = lo..k: a subset with j correct counts once
-    # for each i <= j, so it is weighted j - lo + 1
-    lo = (k + 1) // 2 + 1  # ceil(k / 2) + 1
-    hits = sum((j - lo + 1) * _hits(n, c, k, j) for j in range(lo, k + 1))
-    return 2 * hits / (k * math.comb(n, k))
-
-
-_KERNELS = {
-    "pass_at_k": lambda n, c, k: ((t := math.comb(n, k)) - math.comb(n - c, k)) / t,
-    "pass_hat_k": lambda n, c, k: math.comb(c, k) / math.comb(n, k),
-    "naive_pass_hat_k": lambda n, c, k: 1.0 - (1.0 - c / n) ** k,
-    "mg_pass_at_k": _mg_pass,
-}
-
 
 def tau_fraction(tau: float | Fraction) -> Fraction:
     """``tau`` as an exact rational; a float is read as its shortest
@@ -113,43 +71,79 @@ def tau_fraction(tau: float | Fraction) -> Fraction:
     return tau if isinstance(tau, Fraction) else Fraction(str(float(tau)))
 
 
-def _kernel(kind: str, k: int, min_trials: int, tau: float | Fraction | None = None):
-    """The ``(n, c) -> value`` kernel of ``kind``, after checking k and tau."""
+def _comb_column(n: int, k: int) -> list[int]:
+    """C(m, k) for m = 0..n, by C(m, k) = C(m - 1, k) * m / (m - k)."""
+    column = [0] * k + [1]
+    for m in range(k + 1, n + 1):
+        column.append(column[-1] * m // (m - k))
+    return column
+
+
+def _at_least(n: int, k: int, j0: int) -> list[int]:
+    """Per c = 0..n: k-subsets of n trials, c of them correct, with at least
+    j0 >= 1 correct. Making one more trial correct adds the subsets holding it
+    and exactly j0 - 1 of the c others, C(c, j0 - 1) C(n - 1 - c, k - j0)."""
+    steps = map(operator.mul, _comb_column(n - 1, j0 - 1), reversed(_comb_column(n - 1, k - j0)))
+    return [0, *accumulate(steps)]
+
+
+def numerators(kind: str, n: int, k: int,
+               tau: float | Fraction | None = None) -> tuple[list[int], int]:
+    """Integer table ``num[c]`` for c = 0..n and its one denominator ``den``:
+    estimator ``kind`` (its function name, e.g. ``"pass_at_k"``) at ``n``
+    trials, ``c`` of them correct, is exactly ``num[c] / den``. Checks k and
+    tau first. Built on each call and not kept."""
     if kind == "mg_pass_at_k" and k < 2:
         raise KTooSmallError(f"metric undefined for k={k}; needs k >= 2")
     if k < 1:
         raise KZeroError(f"k must be >= 1, got {k}")
     if kind == "naive_pass_hat_k":
-        if min_trials == 0:
+        if n == 0:
             raise ZeroTrialsError("plug-in estimator needs n >= 1 for every question")
-    elif k > min_trials:
-        raise KExceedsNError(f"k={k} exceeds trials n={min_trials} for some question")
-    if kind != "g_pass_at_k_tau":
-        return partial(_KERNELS[kind], k=k)
-    frac = tau_fraction(tau)
-    if not 0 < frac <= 1:
-        raise TauOutOfRangeError(f"tau must satisfy 0 < tau <= 1, got {tau}")
-    return partial(_g_pass, k=k, j0=math.ceil(frac * k))
+        return [n**k - (n - c) ** k for c in range(n + 1)], n**k
+    if k > n:
+        raise KExceedsNError(f"k={k} exceeds trials n={n} for some question")
+    den = math.comb(n, k)
+    if kind == "g_pass_at_k_tau":
+        frac = tau_fraction(tau)
+        if not 0 < frac <= 1:
+            raise TauOutOfRangeError(f"tau must satisfy 0 < tau <= 1, got {tau}")
+        return _at_least(n, k, math.ceil(frac * k)), den
+    if kind != "mg_pass_at_k":
+        return _at_least(n, k, 1 if kind == "pass_at_k" else k), den
+    # mgpass, (2/k) * sum of g_i over i = lo..k, counts a subset with j >= lo
+    # correct j - lo + 1 times. Since j C(c, j) = c C(c - 1, j - 1), the j-weighted
+    # count is c times the at-least-(lo - 1) count of (k - 1)-subsets of n - 1 trials
+    lo = (k + 1) // 2 + 1  # ceil(k / 2) + 1
+    at_lo, shifted = _at_least(n, k, lo), [0, *_at_least(n - 1, k - 1, lo - 1)]
+    return [2 * (c * shifted[c] - (lo - 1) * at_lo[c]) for c in range(n + 1)], k * den
 
 
-def _mean_over_questions(kind: str, tally: BinaryTally, k: int, tau=None) -> float:
-    kernel = _kernel(kind, k, tally.min_trials, tau)
-    pairs, where = np.unique(np.stack([tally.trials, tally.correct]), axis=1, return_inverse=True)
-    values = np.array([kernel(n, c) for n, c in pairs.T.tolist()])
-    return float(values[where.reshape(-1)].mean())
+def exact_mean(nums: list[int], den: int, index: np.ndarray) -> np.ndarray:
+    """``sum_q nums[index[..., q]] / (M * den)`` over the last axis (M
+    entries) of ``index``, for integer ``nums`` in [0, den]. The sum is exact,
+    so no order of the M entries changes a bit. Below 2^53, M * den and the
+    int64 sum are exact floats and the one division rounds the exact mean
+    once; below 2^63 the int64 sum is rounded to a float before dividing;
+    past that the sums are Python ints and the mean is rounded once."""
+    total = index.shape[-1] * den
+    if total < 2**63:
+        return np.array(nums, dtype=np.int64)[index].sum(axis=-1) / total
+    sums = np.array(nums, dtype=object)[index].sum(axis=-1)
+    return np.array(sums / total, dtype=np.float64)
 
 
-@lru_cache(maxsize=None)
-def score_table(kind: str, n: int, k: int, tau: float | Fraction | None = None) -> np.ndarray:
-    """Per-question values of estimator ``kind`` (its function name, e.g.
-    ``"pass_at_k"``) at ``n`` trials for c = 0..n, cached and read-only;
-    indexing it with correct counts and averaging gives exactly the
-    estimator's value. It costs n + 1 kernel calls on integers the size of
-    C(n, k); each entry but the plug-in's is the exact rational rounded once."""
-    kernel = _kernel(kind, k, n, tau)
-    table = np.array([kernel(n, c) for c in range(n + 1)])
-    table.setflags(write=False)
-    return table
+def _tally_mean(kind: str, tally: BinaryTally, k: int, tau=None) -> float:
+    # each n's table is scaled to the lcm of the denominators and placed at
+    # its own offset, so mixed trial counts take the same one sum
+    ns, where = np.unique(tally.trials, return_inverse=True)
+    tables = [numerators(kind, n, k, tau) for n in ns.tolist()]
+    den = math.lcm(*(d for _, d in tables))
+    nums, starts = [], []
+    for table, d in tables:
+        starts.append(len(nums))
+        nums += [x * (den // d) for x in table]
+    return float(exact_mean(nums, den, np.array(starts)[where.reshape(-1)] + tally.correct))
 
 
 # -- estimators ------------------------------------------------------------------
@@ -164,12 +158,12 @@ def pass_at_k(tally: BinaryTally, k: int) -> float:
         KZeroError: k < 1.
         KExceedsNError: k > n for some question.
     """
-    return _mean_over_questions("pass_at_k", tally, k)
+    return _tally_mean("pass_at_k", tally, k)
 
 
 def pass_hat_k(tally: BinaryTally, k: int) -> float:
     """Probability that all k sampled trials are correct: ``C(c,k)/C(n,k)``."""
-    return _mean_over_questions("pass_hat_k", tally, k)
+    return _tally_mean("pass_hat_k", tally, k)
 
 
 def naive_pass_hat_k(tally: BinaryTally, k: int) -> float:
@@ -179,7 +173,7 @@ def naive_pass_hat_k(tally: BinaryTally, k: int) -> float:
         ZeroTrialsError: some question has n = 0.
         KZeroError: k < 1.
     """
-    return _mean_over_questions("naive_pass_hat_k", tally, k)
+    return _tally_mean("naive_pass_hat_k", tally, k)
 
 
 def g_pass_at_k_tau(tally: BinaryTally, k: int, tau: float | Fraction) -> float:
@@ -193,7 +187,7 @@ def g_pass_at_k_tau(tally: BinaryTally, k: int, tau: float | Fraction) -> float:
         TauOutOfRangeError: tau outside (0, 1].
         KZeroError / KExceedsNError: invalid k.
     """
-    return _mean_over_questions("g_pass_at_k_tau", tally, k, tau)
+    return _tally_mean("g_pass_at_k_tau", tally, k, tau)
 
 
 def mg_pass_at_k(tally: BinaryTally, k: int) -> float:
@@ -207,4 +201,4 @@ def mg_pass_at_k(tally: BinaryTally, k: int) -> float:
         KTooSmallError: k < 2 (the sum is empty).
         KExceedsNError: k > n for some question.
     """
-    return _mean_over_questions("mg_pass_at_k", tally, k)
+    return _tally_mean("mg_pass_at_k", tally, k)

@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from bayeseval.bootstrap import ResamplePlan, tau_curves
 from bayeseval.errors import (
     CategoryOutOfRangeError,
+    EmptyInputError,
     KExceedsNError,
     KTooSmallError,
     KZeroError,
@@ -22,9 +25,9 @@ from bayeseval.passk import (
     g_pass_at_k_tau,
     mg_pass_at_k,
     naive_pass_hat_k,
+    numerators,
     pass_at_k,
     pass_hat_k,
-    score_table,
 )
 
 TOL = 1e-12
@@ -53,9 +56,10 @@ for _ in range(150):
 
 
 def exact_values(n, c, k, tau):
-    """Exact pass@k, pass^k, gpass@k:tau and mgpass@k of one (n, c) pair,
-    from hits[j] = C(c, j) C(n - c, k - j), the k-subsets with j correct,
-    read off Pascal's triangle; mgpass by its defining sum over thresholds."""
+    """Exact pass@k, pass^k, naive^k, gpass@k:tau and mgpass@k of one (n, c)
+    pair, from hits[j] = C(c, j) C(n - c, k - j), the k-subsets with j
+    correct, read off Pascal's triangle; mgpass by its defining sum over
+    thresholds, naive^k as 1 - (1 - c/n)^k in rationals."""
     hits = [PASCAL[c][j] * PASCAL[n - c][k - j] if j <= c and k - j <= n - c else 0
             for j in range(k + 1)]
     total = sum(hits)  # C(n, k) by Vandermonde's identity
@@ -64,6 +68,7 @@ def exact_values(n, c, k, tau):
     return {
         "pass_at_k": Fraction(at_least[1], total),
         "pass_hat_k": Fraction(hits[k], total),
+        "naive_pass_hat_k": 1 - (1 - Fraction(c, n)) ** k,
         "g_pass_at_k_tau": Fraction(at_least[math.ceil(tau * k)], total),
         "mg_pass_at_k":
             Fraction(2, k) * sum(Fraction(at_least[i], total) for i in range(lo, k + 1)),
@@ -73,6 +78,7 @@ def exact_values(n, c, k, tau):
 ESTIMATORS = {
     "pass_at_k": pass_at_k,
     "pass_hat_k": pass_hat_k,
+    "naive_pass_hat_k": naive_pass_hat_k,
     "g_pass_at_k_tau": g_pass_at_k_tau,
     "mg_pass_at_k": mg_pass_at_k,
 }
@@ -82,7 +88,7 @@ class TestBinaryTally:
     def test_counts_are_frozen_int64(self):
         t = BinaryTally.from_counts([(4, 2), (5, 0)])
         assert t.trials.dtype == t.correct.dtype == np.int64
-        assert len(t) == 2 and t.min_trials == 4
+        assert len(t) == 2
         with pytest.raises(ValueError):
             t.correct[0] = 3
 
@@ -91,19 +97,41 @@ class TestBinaryTally:
         with pytest.raises(CategoryOutOfRangeError):
             BinaryTally.from_counts(pairs)
 
-    def test_mixed_trial_counts_average_per_question(self):
-        pairs = [(4, 2), (6, 2), (4, 2), (6, 5)]
-        want = np.mean([pass_at_k(one(n, c), 2) for n, c in pairs])
-        assert pass_at_k(BinaryTally.from_counts(pairs), 2) == want
+    def test_rejects_an_empty_tally(self):
+        with pytest.raises(EmptyInputError):
+            BinaryTally.from_counts([])
+        with pytest.raises(EmptyInputError):
+            BinaryTally(np.zeros(0), np.zeros(0))
 
-    def test_score_table_matches_estimators(self):
+    def test_mixed_trial_counts_average_per_question(self):
+        # each n's table is scaled to the lcm of the denominators, so the
+        # mean is the exact mean of the per-question values, rounded once
+        pairs = [(4, 2), (6, 2), (4, 2), (6, 5)]
+        tau = Fraction(1, 2)
+        for kind, estimator in ESTIMATORS.items():
+            args = (tau,) if kind == "g_pass_at_k_tau" else ()
+            want = float(sum(exact_values(n, c, 2, tau)[kind] for n, c in pairs) / len(pairs))
+            for order in (pairs, pairs[::-1]):
+                assert estimator(BinaryTally.from_counts(order), 2, *args) == want, kind
+
+    def test_numerator_table_matches_estimators(self):
         for n in (3, 80):
-            table = score_table("mg_pass_at_k", n, 3)
-            assert table.tolist() == [mg_pass_at_k(one(n, c), 3) for c in range(n + 1)]
+            nums, den = numerators("mg_pass_at_k", n, 3)
+            assert den == 3 * math.comb(n, 3)
+            assert [float(Fraction(x, den)) for x in nums] == [
+                mg_pass_at_k(one(n, c), 3) for c in range(n + 1)]
+
+
+def exact_sum_rule(nums, den, correct):
+    """The score ``exact_mean`` promises for these questions: the exact mean
+    rounded once, except that an M * den in [2^53, 2^63) rounds the integer
+    sum to a float first."""
+    s, total = sum(nums[c] for c in correct), len(correct) * den
+    return float(s) / float(total) if 2**53 <= total < 2**63 else float(Fraction(s, total))
 
 
 class TestExactRounding:
-    """Every table entry is the exact rational rounded to a float once."""
+    """Every table entry is an exact rational and every estimator one exact sum."""
 
     @settings(deadline=None)
     @given(st.integers(1, 150), st.data())
@@ -112,30 +140,40 @@ class TestExactRounding:
         q = data.draw(st.integers(1, 8), label="tau denominator")
         tau = Fraction(data.draw(st.integers(1, q), label="tau numerator"), q)
         exact = [exact_values(n, c, k, tau) for c in range(n + 1)]
-        correct = np.array(data.draw(st.lists(st.integers(0, n), min_size=1, max_size=12),
-                                     label="correct counts"))
-        tally = BinaryTally(np.full(correct.size, n), correct)
+        correct = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=12),
+                            label="correct counts")
+        tally = BinaryTally(np.full(len(correct), n), np.array(correct))
         for kind, estimator in ESTIMATORS.items():
             if kind == "mg_pass_at_k" and k < 2:
                 continue
             args = (tau,) if kind == "g_pass_at_k_tau" else ()
-            table = score_table(kind, n, k, *args)
-            assert table.tolist() == [float(e[kind]) for e in exact], kind
-            assert estimator(tally, k, *args) == float(table[correct].mean()), kind
+            nums, den = numerators(kind, n, k, *args)
+            assert [Fraction(x, den) for x in nums] == [e[kind] for e in exact], kind
+            assert estimator(tally, k, *args) == exact_sum_rule(nums, den, correct), kind
 
     def test_large_trial_count_tables_build_fast(self):
         # one row replicate of a pass@2 curve on 2,000 trials builds a table
-        # for every n = 2..2,000
+        # for every n = 2..2,000, and keeps none of them once it returns
         rng = np.random.default_rng(3)
         mats = {f"m{i}": validate_matrix(rng.random((2, 2_000)) < 0.3 + 0.2 * i, 2)
                 for i in range(3)}
-        score_table.cache_clear()
+        plan = ResamplePlan("row", 1, seed=0)
+        # tracing every allocation slows the builds about 20-fold, so the
+        # memory check runs on the first 500 trials: their 499 tables would
+        # hold about 1 MB as float64
+        first = {mid: mx.prefix(500) for mid, mx in mats.items()}
+        tracemalloc.start()
         try:
-            start = time.perf_counter()
-            curve = tau_curves(mats, ["pass@2"], ResamplePlan("row", 1, seed=0))["pass@2"]
-            elapsed = time.perf_counter() - start
+            before = tracemalloc.get_traced_memory()[0]
+            tau_curves(first, ["pass@2"], plan)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
         finally:
-            score_table.cache_clear()
+            tracemalloc.stop()
+        assert held < 64 * 1024, held
+        start = time.perf_counter()
+        curve = tau_curves(mats, ["pass@2"], plan)["pass@2"]
+        elapsed = time.perf_counter() - start
         assert curve.points[-1].n == 2_000
         assert elapsed < 8.0, elapsed
 

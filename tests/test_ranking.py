@@ -270,9 +270,9 @@ class TestRankTable:
 
 
 @st.composite
-def permuted_cohort(draw):
+def permuted_cohort(draw, categories=st.integers(2, 5)):
     """Four models' matrices, each also with its rows permuted, and tenths weights."""
-    k, m, n = draw(st.integers(2, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 8))
+    k, m, n = draw(categories), draw(st.integers(1, 9)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells = [rng.integers(0, k, size=(m, n)) for _ in range(4)]
     perms = [draw(st.permutations(range(m))) for _ in cells]
@@ -285,8 +285,6 @@ class TestQuestionOrderFreeRankings:
     @settings(max_examples=100, deadline=None)
     @given(permuted_cohort())
     def test_row_permutation_keeps_rank_tables(self, case):
-        # pass-family scores still depend on question order, so only the
-        # posterior-based methods are pinned here
         original, permuted, w = case
         for spec in ("bayes", "avg"):
             method = parse_method(spec, w)
@@ -296,3 +294,25 @@ class TestQuestionOrderFreeRankings:
             ]
             assert rank_without_ci(tables[0]) == rank_without_ci(tables[1])
             assert rank_with_ci(tables[0], 1.645) == rank_with_ci(tables[1], 1.645)
+
+    @settings(max_examples=100, deadline=None)
+    @given(permuted_cohort(categories=st.just(2)))
+    def test_row_permutation_keeps_pass_family_scores_and_rank_tables(self, case):
+        original, permuted, _ = case
+        for spec in pass_family(original[0].trials):
+            method = parse_method(spec)
+            tables = [
+                [ScoredModel(f"m{i}", *method.score_with_sigma(mx)) for i, mx in enumerate(mxs)]
+                for mxs in (original, permuted)
+            ]
+            assert [(s.mu, s.sigma) for s in tables[0]] == [(s.mu, s.sigma) for s in tables[1]]
+            assert rank_without_ci(tables[0]) == rank_without_ci(tables[1])
+            assert rank_with_ci(tables[0], 1.645) == rank_with_ci(tables[1], 1.645)
+
+
+def pass_family(n: int) -> list[str]:
+    """Every pass-family kind at each k <= n (mgpass from k = 2)."""
+    return [spec for k in range(1, n + 1)
+            for spec in (f"pass@{k}", f"pass^{k}", f"naive^{k}", f"gpass@{k}:1/2",
+                         f"gpass@{k}:0.3", f"mgpass@{k}")
+            if k > 1 or not spec.startswith("mgpass")]
