@@ -216,6 +216,9 @@ def _cmd_simulate(args) -> None:
     if args.trials is not None:
         if args.trials < 1:
             raise InputError("--trials must be >= 1")
+        if args.seed + len(cohort) > 1 << 64:
+            raise InputError(f"--seed {args.seed}: model i is keyed by seed + i, so {len(cohort)} "
+                             f"models need --seed <= 2^64 - {len(cohort)}")
         matrices = {
             m.model_id: simulate.sample_trials(m, args.trials, args.seed + i)
             for i, m in enumerate(cohort)

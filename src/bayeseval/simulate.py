@@ -131,12 +131,12 @@ def reference_cohort() -> list[CoinModel]:
 
 
 def sample_trials(model: CoinModel, trials: int, seed: int) -> ResultsMatrix:
-    """Independent Bernoulli trial matrix (C = 1); deterministic given seed."""
+    """Bernoulli trials (C = 1) by ``_bernoulli``: the first n match any ``trials`` >= n."""
     if trials < 1:
         raise ZeroTrialsError("need at least one trial")
-    rng = stream_rng(seed, DOMAIN_TRIALS, 0)
-    cells = (rng.random((model.questions, trials)) < model.probs[:, None]).astype(np.int64)
-    return ResultsMatrix(cells, num_categories=2)
+    cells = np.empty((model.questions, trials), np.uint8)   # filled trial-major via its transpose
+    _bernoulli(stream_rng(seed, DOMAIN_TRIALS, 0), _thresholds(model.probs), cells.T[:, None])
+    return ResultsMatrix(cells.astype(np.int64), num_categories=2)
 
 
 def gold_ranking(cohort: Sequence[CoinModel]) -> RankTable:

@@ -552,7 +552,11 @@ class TestSimulate:
         assert code == 0 and len(list((tmp_path / "last").glob("*.csv"))) == 11
         code, out, err = run(capsys, *argv, str(tmp_path / "past"), "--seed", str(2**64 - 10))
         assert (code, out) == (2, "")
-        assert json.loads(err)["error"] == "InputError"
+        error = json.loads(err)
+        assert error["error"] == "InputError"
+        # the message names the --seed given, not the seed + i that passed 2^64
+        assert f"--seed {2**64 - 10}:" in error["message"] and str(2**64) not in error["message"]
+        assert "model i is keyed by seed + i" in error["message"]
         assert not list((tmp_path / "past").glob("*.csv"))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])

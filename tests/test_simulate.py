@@ -1,10 +1,13 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bayeseval import simulate
-from bayeseval._rng import DOMAIN_FRESH, DOMAIN_SEPARATION, stream_rng
+from bayeseval._rng import DOMAIN_FRESH, DOMAIN_SEPARATION, DOMAIN_TRIALS, stream_rng
 from bayeseval.errors import AllTiedError, InputError, ZeroTrialsError
 from bayeseval.methods import parse_method
 from bayeseval.model import validate_matrix
@@ -93,6 +96,33 @@ class TestSampleTrials:
         zeros = CoinModel("lo", np.zeros(5))
         assert sample_trials(ones, 7, seed=1).cells.min() == 1
         assert sample_trials(zeros, 7, seed=1).cells.max() == 0
+        # ceil(p 2^32) = 2^32 lies past every 32-bit limit: a success by the mask
+        almost = CoinModel("almost", np.full(5, 1 - 2**-40))
+        assert sample_trials(almost, 7, seed=1).cells.min() == 1
+
+    def test_equals_an_independent_redraw_of_the_rule(self):
+        # the stream's raw 64-bit words, low half first, one 32-bit word per
+        # cell trial by trial; a success iff the word is below ceil(p 2^32),
+        # in Python ints. 29 questions: one word's halves straddle two trials
+        probs = np.concatenate([[0.0, 1.0, 1 - 2**-40, 2**-33], reference_cohort()[5].probs[:25]])
+        trials, m = 11, probs.size
+        raw = stream_rng(13, DOMAIN_TRIALS, 0).bit_generator.random_raw(-(-trials * m // 2))
+        words = [half for w in raw.tolist() for half in (w & 0xFFFFFFFF, w >> 32)]
+        limits = [math.ceil(Fraction(p) * 2**32) for p in probs.tolist()]
+        want = [[int(words[t * m + q] < limits[q]) for t in range(trials)] for q in range(m)]
+        cells = sample_trials(CoinModel("m", probs), trials, seed=13).cells
+        assert cells.dtype == np.int64 and cells.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0, 1), min_size=1, max_size=9), st.integers(1, 120),
+           st.integers(1, 120), st.integers(0, 2**64 - 1))
+    # 20,001 questions: draw blocks of 52 trials, so 70 trials take two and 110 three
+    @example([0.25, 0.5, 0.75] * 6667, 70, 110, 5)
+    def test_first_n_trials_match_any_longer_draw(self, probs, a, b, seed):
+        n, trials = sorted((a, b))
+        model = CoinModel("m", np.array(probs))
+        assert np.array_equal(sample_trials(model, n, seed).cells,
+                              sample_trials(model, trials, seed).cells[:, :n])
 
     def test_determinism(self):
         m = reference_cohort()[0]
