@@ -7,27 +7,26 @@ random stream keyed by (seed, scheme, replicate) and draws every model's
 trials from it, trial-major, so ``resample`` reproduces exactly what the
 engine scored and any split of the replicates draws the same bits.
 
-One replicate-prefix engine, ``_reduce_replicates``, serves tau curves,
-convergence@n, the worst-case trajectory and ``simulate.fresh_tau_curves``.
-Per chunk of replicates: a source draws each replicate's trials for every
-model (bootstrap resamples or fresh Bernoulli draws) as (n, model, replicate,
-question) category indices in the smallest unsigned dtype. Running int64
-counts of shape (model, replicate, question, C), kept only when a method
-reads them (the pass family, CI sigmas), advance one trial per n; else
-int64 prefix category totals over questions stand in for them. No count
-width caps the trial budget. ``Method.scores_from_{counts,totals}`` scores
-every prefix. Each score row then adds its integer tau-b terms (numerator
-sums bucketed by tied-pair count) and records the prefixes whose ranking
-differs from gold, which give the convergence points. A CI-aware gold
-match ranks each replicate as ``rank_with_ci`` would, with sigmas from
-``Method.sigmas_from_counts`` on the same counts. One pass serves both
-artifacts: ``scan_replicates`` scans max(R_tau, R_conv) replicates, the
-tau terms cover the first R_tau and the convergence points the first
-R_conv, so the tau replicates are the first R_tau convergence replicates;
-``tau_curves`` and ``convergence_distributions`` read that result through
-``scan=`` or, left without it, scan for their own artifact alone. Every
-reduction is exact integer arithmetic, so no result depends on the chunk
-size, which a byte budget sets from the problem shape.
+Each artifact runs its own scan of replicates 0..R-1, a chunk of
+replicates at a time. A source draws each replicate's trials for every
+model (bootstrap resamples or fresh Bernoulli draws) as (n, model,
+replicate, question) category indices in the smallest unsigned dtype.
+Int64 counts per (model, replicate, question, category), kept only when a
+method reads them (the pass family, CI sigmas), or else int64 prefix
+category totals over questions, feed ``Method.scores_from_{counts,totals}``.
+Tau curves (``tau_curves``, ``tau_curves_from_draws``) score every prefix
+upward and add integer tau-b terms, bucketed by tied-pair count.
+Convergence@n (``convergence_distributions``, ``worst_case_trajectory``)
+walks down from n_max: a replicate converges one past its last prefix
+whose ranking differs from gold, so its first mismatch going down
+finishes it, and each method scores only the replicates still matching
+gold. A CI-aware match ranks as ``rank_with_ci`` would, with sigmas from
+``Method.sigmas_from_counts``. So ``converge`` draws replicates
+0..min(R_tau, R_conv)-1 twice, once per scan; at the default 10^4 and
+10^5 replicates the downward scan, which mostly stops near n_max, more
+than pays for that. Every reduction is exact integer arithmetic per
+replicate, so no result depends on the chunk size, which a byte budget
+sets from the problem shape.
 
 Rankings inside replicates are point-estimate rankings; the gold standard
 is the posterior-mean ranking of the unresampled matrices at the full
@@ -40,7 +39,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,9 +58,7 @@ __all__ = [
     "TauCurve",
     "ConvergenceDistribution",
     "WorstCaseTrajectory",
-    "ReplicateScan",
     "resample",
-    "scan_replicates",
     "tau_curves",
     "tau_curves_from_draws",
     "convergence_distributions",
@@ -236,7 +232,8 @@ def _match_gold_ci(mu, sigma, z: float, gold_ranks: np.ndarray) -> np.ndarray:
 
 def _gold_matcher(gold: RankTable, model_ids, method: Method, ci_z, num_categories):
     """``match(n, scores, counts)``: which rows of ``scores`` rank like ``gold``
-    at n, by point ranking or, with ``ci_z``, by CI-tied ranking at that z."""
+    at n, by point ranking or, with ``ci_z``, by CI-tied ranking at that z
+    with sigmas from the same replicates' ``counts``."""
     gold_ranks = np.asarray(gold.rank_vector(model_ids))
     if ci_z is None:
         perm = np.argsort(gold_ranks, kind="stable")
@@ -244,7 +241,7 @@ def _gold_matcher(gold: RankTable, model_ids, method: Method, ci_z, num_categori
         return lambda n, scores, counts: _match_gold(scores, perm, strict)
 
     def match(n, scores, counts):
-        sigma = method.sigmas_from_counts(counts[:, :len(scores)], n, num_categories).T
+        sigma = method.sigmas_from_counts(counts, n, num_categories).T
         return _match_gold_ci(scores, sigma, ci_z, gold_ranks)
 
     return match
@@ -263,7 +260,18 @@ def _as_methods(method_specs, weights: WeightVector | None = None) -> list[Metho
     return methods
 
 
-# -- the replicate-prefix engine ---------------------------------------------
+def _request(matrices, methods, plan: ResamplePlan, weights, gold):
+    """The checked models, methods and trial budget of a scan, and its gold
+    ranking: ``gold``, or the posterior-mean ranking at the budget."""
+    items = _model_items(matrices)
+    methods = _as_methods(methods, weights)
+    n_max = plan.budget(items[0][1].trials)
+    if gold is None:
+        gold = gold_table(dict(items), n_max, weights)
+    return items, methods, n_max, gold
+
+
+# -- the replicate-prefix scans ----------------------------------------------
 
 def _resample_draw(items, plan: ResamplePlan, n_max: int):
     """Source: ``resample`` of each replicate, written into the chunk, on
@@ -280,171 +288,87 @@ def _resample_draw(items, plan: ResamplePlan, n_max: int):
     return draw
 
 
-def _reduce_replicates(
-    draw, model_ids, methods, gold: RankTable, n_max: int, tau_reps: int, conv_reps: int,
-    *, num_categories: int, ci_z: float | None = None,
-):
-    """Score every method at every prefix of replicates 0..max(tau_reps,
-    conv_reps)-1 and reduce them, one chunk of replicates at a time.
-
-    ``draw(start, stop)`` returns replicates start..stop-1 as an (n_max,
-    models, reps, questions) array of category indices; ``draw(0, 0)``
-    sizes the chunks. Per chunk, int64 running counts advance one trial
-    per n (if no method reads counts, int64 prefix category totals stand
-    in for them), every method scores them, the first ``tau_reps`` replicates add
-    their tau-b terms and the first ``conv_reps`` note each prefix whose
-    ranking differs from gold. Returns, per method, the (3, n_max + 1, n0)
-    tau-b terms of ``_tau_terms`` (None when ``tau_reps`` is 0) and the
-    convergence points and censored flags (None when ``conv_reps`` is 0).
-    A replicate converges one past its last prefix (n >= onset) that
-    differs from gold, at the onset if none does, and is censored if
-    n_max does. Every result is integer arithmetic per replicate, so the
-    chunk size never changes a bit.
-    """
+def _prepared(methods, n_max: int, num_categories: int, ci_z: float | None = None):
+    """The methods, checked at the budget, with weights resolved once per
+    scan rather than at every prefix; and whether the scan keeps int64
+    running counts per question, which the pass family and CI sigmas read.
+    Without them, int64 prefix category totals over questions stand in."""
     for m in methods:
         m.check_defined(n_max, num_categories)
     methods = [dataclasses.replace(m, weights=m.weights or WeightVector.identity(num_categories))
-               for m in methods]   # weights resolved once per scan, not at every prefix
-    if tau_reps:
-        iu, ju, sg, n0, _ = _pair_structure(gold, model_ids)
-        tau = np.zeros((len(methods), 3, n_max + 1, n0))
+               for m in methods]
+    return methods, ci_z is not None or not all(m.moment_based for m in methods)
+
+
+def _prefix_totals(trials: np.ndarray, cats: np.ndarray) -> np.ndarray:
+    """(n_max, models, reps, C - 1) int64 totals over questions of each
+    category 1..C in every prefix of the (n_max, models, reps, M) draws."""
+    totals = np.empty(trials.shape[:-1] + (cats.size,), np.int64)
+    for j, c in enumerate(cats):
+        np.sum(trials == c, axis=-1, out=totals[..., j])
+    return np.cumsum(totals, axis=0, out=totals)
+
+
+def _convergence_points(items, methods, plan: ResamplePlan, n_max: int, gold: RankTable,
+                        ci_z: float | None = None):
+    """Each method's convergence point and censored flag for the plan's
+    replicates, scanning each chunk down from n_max.
+
+    A replicate converges one past its last prefix n >= onset whose
+    ranking differs from gold, at the onset if none does, and is censored
+    if n_max does. Going down, the first mismatch met is that last one.
+    Per chunk, int64 counts at n_max are built one trial at a time (or
+    prefix totals). At each n from n_max down, a method scores only the
+    replicates it still holds, those that matched gold at every larger n;
+    one that differs finishes at n + 1 and leaves. The replicates no method
+    holds are dropped, and trial n's cells are taken from the rest before
+    n - 1. Returns (points, censored), each (methods, replicates).
+    """
+    num_categories, replicates = items[0][1].num_categories, plan.replicates
+    methods, counted = _prepared(methods, n_max, num_categories, ci_z)
+    model_ids = [mid for mid, _ in items]
     matchers = [_gold_matcher(gold, model_ids, m, ci_z, num_categories) for m in methods]
-    last_mismatch = np.zeros((len(methods), conv_reps), np.int64)
     onsets = [max(1, m.min_trials) for m in methods]
+    points = np.repeat(np.array(onsets, np.int64)[:, None], replicates, axis=1)
+    censored = np.zeros(points.shape, bool)
     cats = np.arange(1, num_categories)
-    replicates = max(tau_reps, conv_reps)
-    moments = ci_z is None and all(m.moment_based for m in methods)
-    chunk = _chunk_size(draw(0, 0), num_categories, not moments)
+    draw = _resample_draw(items, plan, n_max)
+    chunk = _chunk_size(draw(0, 0), num_categories, counted)
     for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
-        t_rows, c_rows = min(stop, tau_reps) - start, min(stop, conv_reps) - start
-        trials = draw(start, stop)
-        if moments:
-            counts, totals = None, np.empty(trials.shape[:-1] + (cats.size,), np.int64)
-            for j, c in enumerate(cats):
-                np.sum(trials == c, axis=-1, out=totals[..., j])
-            np.cumsum(totals, axis=0, out=totals)
+        trials = draw(start, min(start + chunk, replicates))
+        counts, totals = None, None
+        if counted:
+            counts = np.zeros(trials.shape[1:] + (cats.size,), np.int64)
+            for n in range(n_max):  # a trial at a time: no mask of the whole draw
+                counts += trials[n, ..., None] == cats
         else:
-            counts, totals = np.zeros(trials.shape[1:] + (cats.size,), np.int64), None
-        for n in range(1, n_max + 1):
-            if not moments:
-                counts += trials[n - 1, ..., None] == cats
+            totals = _prefix_totals(trials, cats)
+        rows = np.arange(trials.shape[2])  # chunk replicates some method holds
+        held = np.ones((len(methods), rows.size), bool)
+        for n in range(n_max, 0, -1):
             for i, (m, match) in enumerate(zip(methods, matchers)):
-                if n < onsets[i]:
+                mine = np.flatnonzero(held[i])
+                if n < onsets[i] or not mine.size:
+                    held[i] = False  # matched gold down to the onset
                     continue
-                scores = (m.scores_from_totals(totals[n - 1], trials.shape[-1], n, num_categories)
-                          if moments else m.scores_from_counts(counts, n, num_categories)).T
-                if t_rows > 0:
-                    tau[i, :, n] += _tau_terms(scores[:t_rows], iu, ju, sg, n0)
-                if c_rows > 0:
-                    differs = ~match(n, scores[:c_rows], counts)
-                    last_mismatch[i, start:start + c_rows][differs] = n
+                sub = counts if not counted or mine.size == rows.size else counts[:, mine]
+                scores = (m.scores_from_counts(sub, n, num_categories) if counted else
+                          m.scores_from_totals(totals[n - 1][:, rows[mine]], trials.shape[-1], n,
+                                               num_categories)).T
+                out = mine[~match(n, scores, sub)]
+                points[i, start + rows[out]] = n + 1
+                censored[i, start + rows[out]] = n == n_max
+                held[i, out] = False
+            keep = held.any(axis=0)
+            if not keep.any():
+                break
+            if not keep.all():
+                rows, held = rows[keep], held[:, keep]
+                counts = counts[:, keep] if counted else None
+            if counted:
+                counts -= trials[n - 1][:, rows, :, None] == cats
         del trials, counts, totals  # before the next chunk's draw
-    points = [
-        (np.maximum(last + 1, lo), last == n_max) if conv_reps else None
-        for last, lo in zip(last_mismatch, onsets)
-    ]
-    return list(tau) if tau_reps else [None] * len(methods), points
-
-
-# -- one scan for tau curves and convergence@n -------------------------------
-
-@dataclass(frozen=True)
-class ReplicateScan:
-    """What one pass over shared replicates leaves for ``tau_curves`` and
-    ``convergence_distributions``; made by ``scan_replicates``.
-
-    ``tau_sums[name]`` is a method's (3, n_max + 1, n0) tau-b terms of the
-    first ``tau_plan.replicates`` replicates: per n and per tied-pair count
-    n1, the sum of tau-b numerators, the sum of their squares and the
-    replicate count, all integers (see ``_tau_terms``); ``points[name]``
-    holds the convergence point and censored flag of each of the first
-    ``convergence_plan.replicates``. The arrays are read-only.
-    """
-
-    model_ids: tuple[str, ...]
-    methods: tuple[Method, ...]
-    weights: WeightVector | None
-    gold: RankTable
-    n_max: int
-    tau_plan: ResamplePlan | None
-    convergence_plan: ResamplePlan | None
-    ci_z: float | None
-    tau_sums: Mapping[str, np.ndarray]
-    points: Mapping[str, tuple[np.ndarray, np.ndarray]]
-
-
-def scan_replicates(
-    matrices,
-    methods: Sequence[Method | str] | str,
-    tau_plan: ResamplePlan | None = None,
-    convergence_plan: ResamplePlan | None = None,
-    weights: WeightVector | None = None,
-    gold: RankTable | None = None,
-    ci_z: float | None = None,
-) -> ReplicateScan:
-    """Draw, count and score every replicate of both plans in one pass.
-
-    Replicate r is keyed by (seed, scheme, r) alone, so the tau
-    replicates are the first R_tau of the convergence replicates (or the
-    other way round): one scan over max(R_tau, R_conv) replicates sums each
-    method's tau-b terms over the first R_tau of them and finds the
-    convergence points of the first R_conv; a plan left as None gets
-    neither. Pass the result as ``scan=`` to ``tau_curves`` and
-    ``convergence_distributions``; both then read it instead of scanning.
-    ``gold`` and ``ci_z`` are as in those functions.
-
-    Raises:
-        NegativeZError: ``ci_z`` not > 0, before any draw.
-        InputError: no plan, or plans that differ in scheme, seed or
-            trial budget.
-    """
-    if ci_z is not None and not ci_z > 0:
-        raise NegativeZError(f"z threshold must be > 0, got {ci_z}")
-    items = _model_items(matrices)
-    methods = _as_methods(methods, weights)
-    plans = [p for p in (tau_plan, convergence_plan) if p is not None]
-    if not plans:
-        raise InputError("a replicate scan needs a tau plan, a convergence plan or both")
-    trials = items[0][1].trials
-    if len({(p.scheme, p.seed, p.budget(trials)) for p in plans}) > 1:
-        raise InputError("tau and convergence plans must share scheme, seed and n_max")
-    n_max = plans[0].budget(trials)
-    if gold is None:
-        gold = gold_table(dict(items), n_max, weights)
-    model_ids = tuple(mid for mid, _ in items)
-    tau, points = _reduce_replicates(
-        _resample_draw(items, plans[0], n_max), model_ids, methods, gold, n_max,
-        tau_plan.replicates if tau_plan else 0,
-        convergence_plan.replicates if convergence_plan else 0,
-        num_categories=items[0][1].num_categories, ci_z=ci_z,
-    )
-    tau_sums = {m.name: t for m, t in zip(methods, tau) if t is not None}
-    conv_points = {m.name: p for m, p in zip(methods, points) if p is not None}
-    for a in [*tau_sums.values(), *(a for p in conv_points.values() for a in p)]:
-        a.setflags(write=False)
-    return ReplicateScan(
-        model_ids, tuple(methods), weights, gold, n_max, tau_plan, convergence_plan, ci_z,
-        MappingProxyType(tau_sums), MappingProxyType(conv_points),
-    )
-
-
-def _served_methods(scan: ReplicateScan, artifact, matrices, methods, plan, weights, gold,
-                    ci_z=None) -> list[Method]:
-    """The requested methods, once ``scan`` is shown to hold ``artifact``
-    ("tau" or "convergence") for exactly these arguments."""
-    methods = _as_methods(methods, weights)
-    made_with = scan.tau_plan if artifact == "tau" else scan.convergence_plan
-    if not (
-        plan == made_with
-        and tuple(mid for mid, _ in _model_items(matrices)) == scan.model_ids
-        and weights == scan.weights
-        and (gold is None or gold == scan.gold)
-        and (artifact == "tau" or ci_z == scan.ci_z)
-        and all(m in scan.methods for m in methods)
-    ):
-        raise InputError(f"the replicate scan was not made for this {artifact} request")
-    return methods
+    return points, censored
 
 
 # -- tau curves ---------------------------------------------------------------
@@ -524,14 +448,39 @@ def tau_curves_from_draws(
 
     ``draw(start, stop)`` returns replicates start..stop-1 as an
     (n_max, models, reps, questions) array of category indices, models in
-    ``model_ids`` order; the engine sizes its chunks from ``draw(0, 0)``.
+    ``model_ids`` order; the scan sizes its chunks from ``draw(0, 0)``.
+
+    Every prefix of every replicate is scored upward, one chunk of
+    replicates at a time, and adds its ``_tau_terms``: integers, exact in
+    float64 while replicates x n0**2 < 2**53, so no chunk size changes a bit.
+
+    Raises:
+        InputError: replicates x n0**2 >= 2**53, with n0 the model pairs;
+            before any draw.
     """
     check_replicates(replicates)
-    methods = _as_methods(methods)
-    tau, _ = _reduce_replicates(
-        draw, model_ids, methods, gold, n_max, replicates, 0, num_categories=num_categories,
-    )
-    n2 = _pair_structure(gold, model_ids)[4]
+    iu, ju, sg, n0, n2 = _pair_structure(gold, model_ids)
+    if replicates * n0 ** 2 >= 2 ** 53:
+        raise InputError(f"{replicates} replicates of {len(model_ids)} models: tau-b sums "
+                         f"need replicates x {n0}^2 < 2^53 to stay exact")
+    methods, counted = _prepared(_as_methods(methods), n_max, num_categories)
+    cats = np.arange(1, num_categories)
+    tau = np.zeros((len(methods), 3, n_max + 1, n0))
+    chunk = _chunk_size(draw(0, 0), num_categories, counted)
+    for start in range(0, replicates, chunk):
+        trials = draw(start, min(start + chunk, replicates))
+        counts = np.zeros(trials.shape[1:] + (cats.size,), np.int64) if counted else None
+        totals = None if counted else _prefix_totals(trials, cats)
+        for n in range(1, n_max + 1):
+            if counted:
+                counts += trials[n - 1, ..., None] == cats
+            for i, m in enumerate(methods):
+                if n >= max(1, m.min_trials):
+                    scores = (m.scores_from_counts(counts, n, num_categories) if counted else
+                              m.scores_from_totals(totals[n - 1], trials.shape[-1], n,
+                                                   num_categories)).T
+                    tau[i, :, n] += _tau_terms(scores, iu, ju, sg, n0)
+        del trials, counts, totals  # before the next chunk's draw
     return {m.name: _tau_curve(m, terms, n2, scheme) for m, terms in zip(methods, tau)}
 
 
@@ -541,8 +490,6 @@ def tau_curves(
     plan: ResamplePlan,
     weights: WeightVector | None = None,
     gold: RankTable | None = None,
-    *,
-    scan: ReplicateScan | None = None,
 ) -> dict[str, TauCurve]:
     """Mean tau-b curves of one or more methods over shared replicates.
 
@@ -553,16 +500,15 @@ def tau_curves(
     and are excluded from that point's mean (their count shows up in
     ``valid_replicates``).
 
-    Without ``scan`` this runs ``scan_replicates`` with ``plan`` as its
-    only plan. With ``scan`` (made with this ``plan`` as its tau plan and
-    the same matrices, methods and weights) it reads the tau sums of that
-    pass, with the scan's gold, and draws nothing.
+    Raises:
+        InputError: too many replicates for exact tau-b sums, as in
+            ``tau_curves_from_draws``; before any draw.
     """
-    if scan is None:
-        scan = scan_replicates(matrices, methods, plan, None, weights, gold)
-    methods = _served_methods(scan, "tau", matrices, methods, plan, weights, gold)
-    n2 = _pair_structure(scan.gold, scan.model_ids)[4]
-    return {m.name: _tau_curve(m, scan.tau_sums[m.name], n2, plan.scheme.value) for m in methods}
+    items, methods, n_max, gold = _request(matrices, methods, plan, weights, gold)
+    return tau_curves_from_draws(
+        _resample_draw(items, plan, n_max), [mid for mid, _ in items], methods, gold, n_max,
+        plan.replicates, scheme=plan.scheme.value, num_categories=items[0][1].num_categories,
+    )
 
 
 # -- convergence@n ------------------------------------------------------------
@@ -635,8 +581,6 @@ def convergence_distributions(
     weights: WeightVector | None = None,
     gold: RankTable | None = None,
     ci_z: float | None = None,
-    *,
-    scan: ReplicateScan | None = None,
 ) -> dict[str, ConvergenceDistribution]:
     """Convergence@n PMFs for one or more methods over shared replicates.
 
@@ -644,24 +588,21 @@ def convergence_distributions(
     the gold point ranking. ``ci_z`` switches the replicate side to
     CI-tied rankings at that z threshold, as ``rank_with_ci`` would rank
     them: ``bayes`` and ``avg`` use their closed-form sigma, subset
-    estimators sigma 0. Both run on the same engine and replicates.
+    estimators sigma 0. Both run on the same downward scan and replicates.
 
-    Without ``scan`` this runs ``scan_replicates`` with ``plan`` as its
-    only plan. With ``scan`` (made with this ``plan`` as its convergence
-    plan and the same matrices, methods, weights and ``ci_z``) it reads the
-    convergence points of that pass, with the scan's gold, and draws
-    nothing.
+    Raises:
+        NegativeZError: ``ci_z`` not > 0, before any draw.
     """
-    if scan is None:
-        scan = scan_replicates(matrices, methods, None, plan, weights, gold, ci_z)
-    methods = _served_methods(scan, "convergence", matrices, methods, plan, weights, gold, ci_z)
+    if ci_z is not None and not ci_z > 0:
+        raise NegativeZError(f"z threshold must be > 0, got {ci_z}")
+    items, methods, n_max, gold = _request(matrices, methods, plan, weights, gold)
+    points, censored = _convergence_points(items, methods, plan, n_max, gold, ci_z)
     out = {}
-    for m in methods:
-        conv, censored = scan.points[m.name]
-        hist = np.bincount(conv[~censored], minlength=scan.n_max + 2)[: scan.n_max + 1]
+    for m, conv, cens in zip(methods, points, censored):
+        hist = np.bincount(conv[~cens], minlength=n_max + 2)[: n_max + 1]
         out[m.name] = ConvergenceDistribution(
-            m.name, plan.scheme.value, scan.n_max, hist.astype(np.int64),
-            int(censored.sum()), plan.replicates,
+            m.name, plan.scheme.value, n_max, hist.astype(np.int64), int(cens.sum()),
+            plan.replicates,
         )
     return out
 
@@ -708,10 +649,8 @@ def worst_case_trajectory(
     Censored replicates rank worse than any converged one; ties break
     toward the lowest replicate index.
     """
-    (m,) = _as_methods(method, weights)
-    scan = scan_replicates(matrices, [m], None, plan, weights, gold)
-    conv, censored = scan.points[m.name]
-    items, n_max = _model_items(matrices), scan.n_max
+    items, (m,), n_max, gold = _request(matrices, method, plan, weights, gold)
+    (conv,), (censored,) = _convergence_points(items, [m], plan, n_max, gold)
     key = np.where(censored, n_max + 1, conv)
     worst_rep = int(np.argmax(key))  # first occurrence wins
     conv_n = None if censored[worst_rep] else int(conv[worst_rep])

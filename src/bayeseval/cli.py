@@ -167,29 +167,29 @@ def _cmd_converge(args) -> None:
     else:
         # 0 and below reach ResamplePlan, which rejects them before any draw
         reps_tau = reps_conv = args.replicates
-    n_max = args.nmax
-    plan_tau = bootstrap.ResamplePlan(scheme, reps_tau, args.seed, n_max)
-    plan_conv = bootstrap.ResamplePlan(scheme, reps_conv, args.seed, n_max)
+    plan_tau = bootstrap.ResamplePlan(scheme, reps_tau, args.seed, args.nmax)
+    plan_conv = bootstrap.ResamplePlan(scheme, reps_conv, args.seed, args.nmax)
+    # one trial budget and one gold ranking for both artifacts and the report
+    n_max = plan_tau.budget(next(iter(items.values())).trials)
+    gold = bootstrap.gold_table(items, n_max)
     if args.format == "tsv":
         # scan and reduce only the artifact emitted
         name = methods[0].name
         if args.artifact == "tau":
-            result = bootstrap.tau_curves(items, methods, plan_tau)
+            result = bootstrap.tau_curves(items, methods, plan_tau, gold=gold)
         else:
-            result = bootstrap.convergence_distributions(items, methods, plan_conv)
+            result = bootstrap.convergence_distributions(items, methods, plan_conv, gold=gold)
         _emit(args, result[name])
         return
-    # one pass and one gold ranking for both artifacts and the report
-    scan = bootstrap.scan_replicates(items, methods, plan_tau, plan_conv)
-    curves = bootstrap.tau_curves(items, methods, plan_tau, scan=scan)
-    convs = bootstrap.convergence_distributions(items, methods, plan_conv, scan=scan)
+    curves = bootstrap.tau_curves(items, methods, plan_tau, gold=gold)
+    convs = bootstrap.convergence_distributions(items, methods, plan_conv, gold=gold)
     report = {
         "scheme": scheme,
         "seed": args.seed,
-        "n_max": scan.n_max,
+        "n_max": n_max,
         "replicates_tau": reps_tau,
         "replicates_convergence": reps_conv,
-        "gold": scan.gold.to_report(),
+        "gold": gold.to_report(),
         "methods": {
             m.name: {
                 "tau_curve": curves[m.name].to_report(),

@@ -1,9 +1,13 @@
+import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bayeseval import bootstrap
+from bayeseval import bootstrap, simulate
 from bayeseval.bootstrap import (
     ConvergenceDistribution,
     ResamplePlan,
@@ -15,6 +19,7 @@ from bayeseval.bootstrap import (
     worst_case_trajectory,
 )
 from bayeseval.errors import AllTiedError, InputError, MethodUndefinedError, NegativeZError
+from bayeseval.io import emit_report
 from bayeseval.methods import Method, parse_method
 from bayeseval.model import ResultsMatrix, WeightVector, validate_matrix
 from bayeseval.ranking import ScoredModel, kendall_tau_b, rank_with_ci, rank_without_ci
@@ -401,6 +406,22 @@ class TestWorstCase:
         assert traj.replicate_index == keys.index(worst)
 
 
+    @pytest.mark.parametrize("method", ["bayes", "pass@4"])
+    @pytest.mark.parametrize("cohort, plan", [
+        (small_cohort(n_models=4, n=10, seed=3), ResamplePlan("row", 25, seed=11)),
+        (separated_cohort(), ResamplePlan("column", 6, seed=1)),
+    ], ids=["censored", "converged"])
+    def test_report_agrees_with_convergence_distribution(self, cohort, plan, method):
+        report = json.loads(emit_report(worst_case_trajectory(cohort, method, plan)))
+        n_max = next(iter(cohort.values())).trials
+        onset = max(1, parse_method(method).min_trials)
+        assert [t["N"] for t in report["trajectory"]] == list(range(onset, n_max + 1))
+        dist = convergence_distributions(cohort, [method], plan)[method]
+        assert report["censored"] == (dist.censored_count > 0)
+        assert report["convergence_n"] == (
+            None if report["censored"] else int(np.flatnonzero(dist.counts).max()))
+
+
 class TestCountWidth:
     """Prefix counts past 32,767 trials must not wrap (int16 would)."""
 
@@ -423,43 +444,80 @@ class TestCountWidth:
 
 
 
-class TestSharedScan:
-    """One ``scan_replicates`` pass gives what two separate calls give."""
+def scan_points(matrices, methods, plan, weights=None, gold=None, ci_z=None):
+    """Each method's convergence points and censored flags, (methods,
+    replicates) each, from the downward scan behind convergence_distributions."""
+    items, methods, n_max, gold = bootstrap._request(matrices, methods, plan, weights, gold)
+    return bootstrap._convergence_points(items, methods, plan, n_max, gold, ci_z)
 
-    @pytest.mark.parametrize("scheme", ["row", "column"])
-    @pytest.mark.parametrize("reps", [(10, 23), (16, 16), (23, 10)])
-    @pytest.mark.parametrize("ci_z", [None, 1.0])
-    def test_equals_separate_calls(self, scheme, reps, ci_z, monkeypatch):
-        # chunks of 7 put chunk boundaries inside and around both counts
-        monkeypatch.setattr(bootstrap, "_chunk_size", lambda *shape: 7)
-        mats = small_cohort(n_models=4, n=12, seed=3)
-        methods = ["bayes", "avg", "pass@2"]
-        tau_plan = ResamplePlan(scheme, reps[0], seed=5)
-        conv_plan = ResamplePlan(scheme, reps[1], seed=5)
-        curves = tau_curves(mats, methods, tau_plan)
-        convs = convergence_distributions(mats, methods, conv_plan, ci_z=ci_z)
-        scan = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan, ci_z=ci_z)
-        assert tau_curves(mats, methods, tau_plan, scan=scan) == curves
-        shared_convs = convergence_distributions(mats, methods, conv_plan, ci_z=ci_z, scan=scan)
-        for name, dist in convs.items():
-            assert np.array_equal(shared_convs[name].counts, dist.counts)
-            assert shared_convs[name].censored_count == dist.censored_count
-            assert shared_convs[name].replicates == dist.replicates == reps[1]
 
-    def test_five_categories_with_weights(self, monkeypatch):
-        monkeypatch.setattr(bootstrap, "_chunk_size", lambda *shape: 6)
-        rng = np.random.default_rng(4)
-        mats = {f"m{i}": validate_matrix(rng.integers(0, 5, size=(8, 6)), 5) for i in range(4)}
-        w = WeightVector((0.0, 0.1, 0.7, 1.3, 2.9))
-        tau_plan, conv_plan = ResamplePlan("row", 9, seed=2), ResamplePlan("row", 14, seed=2)
-        curves = tau_curves(mats, ["bayes", "avg"], tau_plan, weights=w)
-        convs = convergence_distributions(mats, ["bayes", "avg"], conv_plan, weights=w)
-        scan = bootstrap.scan_replicates(mats, ["bayes", "avg"], tau_plan, conv_plan, weights=w)
-        assert tau_curves(mats, ["bayes", "avg"], tau_plan, weights=w, scan=scan) == curves
-        shared = convergence_distributions(mats, ["bayes", "avg"], conv_plan, weights=w, scan=scan)
-        for name, dist in convs.items():
-            assert np.array_equal(shared[name].counts, dist.counts)
-            assert shared[name].censored_count == dist.censored_count
+def upward_points(matrices, method, plan, gold, ci_z=None):
+    """Per-replicate convergence points and censored flags, scanned upward
+    over ``Method.score`` of each prefix of ``resample``'s replicates."""
+    ids, n_max = list(matrices), next(iter(matrices.values())).trials
+    gold_ranks, lo = gold.rank_vector(ids), max(1, method.min_trials)
+    points, censored = [], []
+    for r in range(plan.replicates):
+        resampled = replicate_matrices(matrices, plan, r)
+        last_mismatch = 0
+        for n in range(lo, n_max + 1):
+            scored = [ScoredModel(mid, *method.score_with_sigma(rx.prefix(n)))
+                      for mid, rx in zip(ids, resampled)]
+            table = rank_without_ci(scored) if ci_z is None else rank_with_ci(scored, ci_z)
+            if table.rank_vector(ids) != gold_ranks:
+                last_mismatch = n
+        points.append(max(lo, last_mismatch + 1))
+        censored.append(last_mismatch == n_max)
+    return points, censored
+
+
+class TestDownwardScan:
+    """Convergence points found walking down from n_max equal an upward scan's."""
+
+    METHODS = ["bayes", "avg", "pass@2", "pass@3", "naive^2", "mgpass@2", "gpass@3:1/2"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16), flat=st.booleans(), models=st.integers(2, 4),
+        questions=st.integers(1, 3), trials=st.integers(1, 7),
+        methods=st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True),
+        replicates=st.integers(1, 12), chunk=st.sampled_from([1, 7, 64]),
+        scheme=st.sampled_from(["row", "column"]),
+        ci_z=st.sampled_from([None, 0.5, 1.645, 1e9]),
+        gold_values=st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=4, max_size=4)),
+    )
+    # flat data gives all-tied replicates: every one censored against a
+    # strict gold, none against the all-tied posterior gold
+    @example(seed=0, flat=True, models=3, questions=2, trials=5, methods=["bayes", "pass@2"],
+             replicates=9, chunk=7, scheme="row", ci_z=None, gold_values=[0, 1, 2, 0])
+    @example(seed=0, flat=True, models=3, questions=2, trials=5, methods=["bayes", "pass@2"],
+             replicates=9, chunk=7, scheme="row", ci_z=None, gold_values=None)
+    @example(seed=1, flat=False, models=4, questions=3, trials=6, methods=["bayes", "pass@3"],
+             replicates=8, chunk=1, scheme="column", ci_z=1e9, gold_values=[0, 1, 2, 2])
+    def test_points_equal_upward_reference(self, seed, flat, models, questions, trials, methods,
+                                           replicates, chunk, scheme, ci_z, gold_values):
+        rng = np.random.default_rng(seed)
+        methods = [parse_method(name) for name in methods]
+        trials = max([trials] + [m.min_trials for m in methods])
+        mats = {
+            f"m{i}": validate_matrix(
+                (rng.random((questions, trials)) < (0.0 if flat else rng.choice([0.2, 0.5, 0.9])))
+                .astype(int), 2)
+            for i in range(models)
+        }
+        gold = (gold_table(mats) if gold_values is None else
+                rank_without_ci([ScoredModel(mid, float(v)) for mid, v in zip(mats, gold_values)]))
+        plan = ResamplePlan(scheme, replicates, seed=seed)
+        with mock.patch.object(bootstrap, "_chunk_size", lambda *shape: chunk):
+            points, censored = scan_points(mats, methods, plan, gold=gold, ci_z=ci_z)
+        for m, got_points, got_censored in zip(methods, points, censored):
+            want_points, want_censored = upward_points(mats, m, plan, gold, ci_z)
+            assert got_censored.tolist() == want_censored, m.name
+            assert got_points.tolist() == want_points, m.name
+
+
+class TestScans:
+    """Each artifact draws and scans its own replicates."""
 
     def test_each_replicate_drawn_once(self, monkeypatch):
         calls = []
@@ -468,80 +526,60 @@ class TestSharedScan:
                             lambda cells, plan, r, out=None: calls.append((r, len(cells))) or
                             real(cells, plan, r, out))
         mats = small_cohort(n_models=3, n=6)
-        bootstrap.scan_replicates(mats, ["bayes", "pass@2"], ResamplePlan("row", 4),
-                                  ResamplePlan("row", 9))
+        tau_curves(mats, ["bayes", "pass@2"], ResamplePlan("row", 4))
         # one draw per replicate, every model's trials in it
+        assert sorted(calls) == [(r, 3) for r in range(4)]
+        calls.clear()
+        convergence_distributions(mats, ["bayes", "pass@2"], ResamplePlan("row", 9))
         assert sorted(calls) == [(r, 3) for r in range(9)]
 
-    @pytest.mark.parametrize("other", [
-        ResamplePlan("column", 8, seed=1, n_max=10),
-        ResamplePlan("row", 8, seed=2, n_max=10),
-        ResamplePlan("row", 8, seed=1, n_max=9),
-        ResamplePlan("row", 8, seed=1),
-    ])
-    def test_plans_must_share_scheme_seed_and_budget(self, other, monkeypatch):
-        monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
-        with pytest.raises(InputError):
-            bootstrap.scan_replicates(small_cohort(n=12), ["bayes"],
-                                      ResamplePlan("row", 5, seed=1, n_max=10), other)
-
-    def test_budget_is_compared_not_the_field(self):
-        mats = small_cohort(n=12)
-        scan = bootstrap.scan_replicates(mats, ["bayes"], ResamplePlan("row", 3, n_max=12),
-                                         ResamplePlan("row", 4))
-        assert scan.n_max == 12
-
-    def test_needs_a_plan(self):
-        with pytest.raises(InputError):
-            bootstrap.scan_replicates(small_cohort(), ["bayes"])
-
-    def test_needs_a_method(self, monkeypatch):
+    @pytest.mark.parametrize("scan", [tau_curves, convergence_distributions])
+    def test_needs_a_method(self, scan, monkeypatch):
         monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
         with pytest.raises(InputError, match="at least one method"):
-            bootstrap.scan_replicates(small_cohort(), [], ResamplePlan("row", 2))
+            scan(small_cohort(), [], ResamplePlan("row", 2))
 
-    def test_matrices_must_be_a_mapping(self):
+    @pytest.mark.parametrize("scan", [tau_curves, convergence_distributions])
+    def test_matrices_must_be_a_mapping(self, scan):
         pairs = list(small_cohort().items())
         with pytest.raises(InputError, match="map model ids"):
-            bootstrap.scan_replicates(pairs, ["bayes"], ResamplePlan("row", 2))
+            scan(pairs, ["bayes"], ResamplePlan("row", 2))
 
-    def test_mismatched_requests_rejected(self):
-        mats = small_cohort(n=12)
-        tau_plan, conv_plan = ResamplePlan("row", 4, seed=1), ResamplePlan("row", 6, seed=1)
-        scan = bootstrap.scan_replicates(mats, ["bayes"], tau_plan, conv_plan)
-        tau_only = bootstrap.scan_replicates(mats, ["bayes"], tau_plan)
-        with pytest.raises(InputError):
-            tau_curves(mats, ["bayes"], conv_plan, scan=scan)            # wrong plan
-        with pytest.raises(InputError):
-            tau_curves(mats, ["pass@2"], tau_plan, scan=scan)            # method not scanned
-        with pytest.raises(InputError):
-            convergence_distributions(mats, ["bayes"], conv_plan, ci_z=1.0, scan=scan)
-        with pytest.raises(InputError):
-            convergence_distributions(mats, ["bayes"], conv_plan, scan=tau_only)
-        with pytest.raises(InputError):
-            tau_curves(mats, ["bayes"], tau_plan, weights=WeightVector((0.0, 2.0)), scan=scan)
-        fewer = dict(list(mats.items())[:3])
-        with pytest.raises(InputError):
-            tau_curves(fewer, ["bayes"], tau_plan, scan=scan)
-        other_gold = gold_table(fewer | {"x": next(iter(mats.values()))})
-        with pytest.raises(InputError):
-            tau_curves(mats, ["bayes"], tau_plan, gold=other_gold, scan=scan)
+    @staticmethod
+    def one_cell_models(count):
+        return {f"m{i:02d}": validate_matrix([[i % 2]], 2) for i in range(count)}
 
-    def test_result_is_read_only(self):
-        mats = small_cohort(n=12)
-        scan = bootstrap.scan_replicates(mats, ["bayes"], ResamplePlan("row", 3),
-                                         ResamplePlan("row", 3))
-        with pytest.raises(ValueError):
-            scan.tau_sums["bayes"][0, 1] = 1.0
-        with pytest.raises(ValueError):
-            scan.points["bayes"][0][0] = 1
-        with pytest.raises(TypeError):
-            scan.points["pass@2"] = scan.points["bayes"]
+    def test_tau_sums_past_2_53_rejected_before_any_draw(self, monkeypatch):
+        # 20 models: 2^40 x 190^2 >= 2^53; 11 models: 2^40 x 55^2 < 2^53
+        class Drew(Exception):
+            pass
+
+        def drew(*args):
+            raise Drew
+
+        monkeypatch.setattr(bootstrap, "stream_rng", drew)
+        plan = ResamplePlan("row", 2**40)
+        with pytest.raises(InputError, match="2\\^53"):
+            tau_curves(self.one_cell_models(20), ["bayes"], plan)
+        with pytest.raises(Drew):
+            tau_curves(self.one_cell_models(11), ["bayes"], plan)
+
+    def test_fresh_tau_sums_past_2_53_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_bernoulli", lambda *a: pytest.fail("drew a replicate"))
+        cohort = [simulate.CoinModel(f"m{i:02d}", [i / 20]) for i in range(20)]
+        with pytest.raises(InputError, match="2\\^53"):
+            fresh_tau_curves(cohort, ["bayes"], 1, replicates=2**40)
 
 
 class TestMomentTotals:
     """A scan of ``bayes`` and ``avg`` alone scores from prefix category
     totals and never builds per-question counts, with the same bits."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Make every later scan keep per-question counts."""
+        real = bootstrap._prepared
+        monkeypatch.setattr(bootstrap, "_prepared", lambda *a: (real(*a)[0], True))
 
     def test_five_categories_equal_counts_scan(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -549,12 +587,19 @@ class TestMomentTotals:
         w = WeightVector((0.0, 0.0, 1.0, 2.0, 3.0))
         tau_plan, conv_plan = ResamplePlan("row", 12, seed=3), ResamplePlan("row", 17, seed=3)
         methods = ["bayes", "avg"]
-        # ci_z needs sigmas from counts, so this scan builds them
-        ci = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan, weights=w, ci_z=1.0)
-        monkeypatch.setattr(Method, "scores_from_counts", lambda *a: pytest.fail("built counts"))
-        moments = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan, weights=w)
-        for name in methods:
-            assert moments.tau_sums[name].tobytes() == ci.tau_sums[name].tobytes()
+
+        def run():
+            return (tau_curves(mats, methods, tau_plan, weights=w),
+                    scan_points(mats, methods, conv_plan, weights=w))
+
+        with monkeypatch.context() as m:
+            m.setattr(Method, "scores_from_counts", lambda *a: pytest.fail("built counts"))
+            curves, (points, censored) = run()
+        self.counted(monkeypatch)
+        counted_curves, (counted_points, counted_censored) = run()
+        assert curves == counted_curves
+        assert points.tobytes() == counted_points.tobytes()
+        assert censored.tobytes() == counted_censored.tobytes()
 
     def test_identity_weights_built_once_per_method(self, monkeypatch):
         # an unweighted method's identity weights are built once per scan,
@@ -565,44 +610,46 @@ class TestMomentTotals:
         calls, identity = [], WeightVector.identity.__func__
         monkeypatch.setattr(WeightVector, "identity",
                             classmethod(lambda cls, c: calls.append(c) or identity(cls, c)))
-        bootstrap.scan_replicates(mats, ["bayes", "avg"], plan, plan, gold=gold)
-        assert calls == [2, 2]
+        for scan in (tau_curves, convergence_distributions):
+            calls.clear()
+            scan(mats, ["bayes", "avg"], plan, gold=gold)
+            assert calls == [2, 2], scan.__name__
 
     @pytest.mark.parametrize("scheme", ["row", "column"])
     def test_binary_equal_mixed_scan(self, scheme):
         mats = small_cohort(n_models=5, n=12, seed=8)
         tau_plan, conv_plan = ResamplePlan(scheme, 30, seed=4), ResamplePlan(scheme, 25, seed=4)
-        mixed = bootstrap.scan_replicates(mats, ["bayes", "avg", "pass@2"], tau_plan, conv_plan)
-        moments = bootstrap.scan_replicates(mats, ["bayes", "avg"], tau_plan, conv_plan)
-        for name in ("bayes", "avg"):
-            assert moments.tau_sums[name].tobytes() == mixed.tau_sums[name].tobytes()
-            for a, b in zip(moments.points[name], mixed.points[name]):
-                assert a.tobytes() == b.tobytes()
+        mixed, moments = ["bayes", "avg", "pass@2"], ["bayes", "avg"]
+        mixed_curves, moment_curves = (tau_curves(mats, m, tau_plan) for m in (mixed, moments))
+        mixed_points, moment_points = (scan_points(mats, m, conv_plan) for m in (mixed, moments))
+        for i, name in enumerate(moments):
+            assert moment_curves[name] == mixed_curves[name]
+            for a, b in zip(moment_points, mixed_points):
+                assert a[i].tobytes() == b[i].tobytes()
 
 
 class TestChunkFree:
-    """No engine output depends on how many replicates a chunk holds."""
+    """No scan output depends on how many replicates a chunk holds."""
 
     @staticmethod
     def outputs():
         mats = small_cohort(n_models=5, n=12, seed=3)
         methods = ["bayes", "avg", "pass@2", "mgpass@3"]
         tau_plan, conv_plan = ResamplePlan("row", 70, seed=2), ResamplePlan("row", 45, seed=2)
-        scan = bootstrap.scan_replicates(mats, methods, tau_plan, conv_plan)
-        convs = [convergence_distributions(mats, methods, conv_plan, ci_z=z) for z in (None, 1.0)]
         rng = np.random.default_rng(9)
         cat5 = {f"m{i}": validate_matrix(rng.integers(0, 5, size=(7, 12)), 5) for i in range(4)}
-        moments = bootstrap.scan_replicates(cat5, ["bayes", "avg"], tau_plan, conv_plan,
-                                            weights=WeightVector((0.0, 0.0, 1.0, 2.0, 3.0)))
+        w = WeightVector((0.0, 0.0, 1.0, 2.0, 3.0))
+
+        def points(*args, **kwargs):  # as bytes, so == compares bits
+            return tuple(a.tobytes() for a in scan_points(*args, **kwargs))
+
         return (
             tau_curves(mats, methods, tau_plan),
-            [{k: (d.counts.tobytes(), d.censored_count) for k, d in c.items()} for c in convs],
-            {k: a.tobytes() for k, a in scan.tau_sums.items()},
-            {k: (a.tobytes(), b.tobytes()) for k, (a, b) in scan.points.items()},
+            [points(mats, methods, conv_plan, ci_z=z) for z in (None, 1.0)],
             fresh_tau_curves(reference_cohort()[:5], ["bayes", "pass@2"], 10, 70, seed=4),
             fresh_tau_curves(reference_cohort()[:5], ["bayes"], 10, 70, seed=4),
-            {k: a.tobytes() for k, a in moments.tau_sums.items()},
-            {k: (a.tobytes(), b.tobytes()) for k, (a, b) in moments.points.items()},
+            tau_curves(cat5, ["bayes", "avg"], tau_plan, weights=w),
+            points(cat5, ["bayes", "avg"], conv_plan, weights=w),
             worst_case_trajectory(mats, "pass@2", ResamplePlan("column", 45, seed=1)),
         )
 
@@ -616,6 +663,19 @@ class TestChunkFree:
                 results.append(self.outputs())
         assert all(r == results[0] for r in results[1:])
 
+    @staticmethod
+    def peaks(mats, methods, plan) -> list[int]:
+        """tracemalloc peak of each scan of ``plan``, given the gold ranking."""
+        gold, peaks = gold_table(mats), []
+        for scan in (tau_curves, convergence_distributions):
+            tracemalloc.start()
+            try:
+                scan(mats, methods, plan, gold=gold)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
+
     def test_chunk_peak_stays_within_budget(self, monkeypatch):
         # one replicate draws 6 x 1000 x 120 = 720 kB, so 16 replicates
         # (the old floor) would hold 11.5 MB against a 4 MiB budget
@@ -624,19 +684,13 @@ class TestChunkFree:
         rng = np.random.default_rng(0)
         mats = {f"m{i}": validate_matrix(rng.integers(0, 2, size=(questions, trials)), 2)
                 for i in range(models)}
-        methods, gold = ["bayes", "pass@2"], gold_table(mats)
-        plan = ResamplePlan("row", 20, seed=1)
-        tracemalloc.start()
-        try:
-            bootstrap.scan_replicates(mats, methods, plan, plan, gold=gold)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        methods = ["bayes", "pass@2"]
         # outside the per-chunk budget: the source's uint8 copies of the
         # inputs and the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
         outside = (models * questions * trials
                    + len(methods) * 3 * (trials + 1) * (models * (models - 1) // 2) * 8)
-        assert peak <= budget + outside
+        for peak in self.peaks(mats, methods, ResamplePlan("row", 20, seed=1)):
+            assert peak <= budget + outside
 
     def test_moment_chunk_peak_stays_within_budget(self, monkeypatch):
         # a bayes,avg scan builds prefix totals, not counts: one replicate's
@@ -646,19 +700,13 @@ class TestChunkFree:
         rng = np.random.default_rng(2)
         mats = {f"m{i}": validate_matrix(rng.integers(0, 5, size=(questions, trials)), 5)
                 for i in range(models)}
-        methods, gold = ["bayes", "avg"], gold_table(mats)
-        plan = ResamplePlan("row", 20, seed=1)
-        tracemalloc.start()
-        try:
-            bootstrap.scan_replicates(mats, methods, plan, plan, gold=gold)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        methods = ["bayes", "avg"]
         # outside the per-chunk budget: the source's uint8 copies of the
         # inputs and the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
         outside = (models * questions * trials
                    + len(methods) * 3 * (trials + 1) * (models * (models - 1) // 2) * 8)
-        assert peak <= budget + outside
+        for peak in self.peaks(mats, methods, ResamplePlan("row", 20, seed=1)):
+            assert peak <= budget + outside
 
     def test_single_replicate_draw_stays_within_budget(self, monkeypatch):
         # one replicate's int64 indices, 4 x 2000 x 80 x 8 bytes = 5.1 MB,
@@ -669,20 +717,14 @@ class TestChunkFree:
         rng = np.random.default_rng(1)
         mats = {f"m{i}": validate_matrix(rng.integers(0, 2, size=(questions, trials)), 2)
                 for i in range(models)}
-        methods, gold = ["bayes", "pass@2"], gold_table(mats)
+        methods = ["bayes", "pass@2"]
+        # outside the budget: the source's uint8 copies of the inputs
+        # and the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
+        outside = (models * questions * trials
+                   + len(methods) * 3 * (trials + 1) * (models * (models - 1) // 2) * 8)
         for scheme in ("row", "column"):
-            plan = ResamplePlan(scheme, 3, seed=1)
-            tracemalloc.start()
-            try:
-                bootstrap.scan_replicates(mats, methods, plan, plan, gold=gold)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # outside the budget: the source's uint8 copies of the inputs
-            # and the tau-b sums, 3 x (n_max + 1) x pairs float64 per method
-            outside = (models * questions * trials
-                       + len(methods) * 3 * (trials + 1) * (models * (models - 1) // 2) * 8)
-            assert peak <= budget + outside, scheme
+            for peak in self.peaks(mats, methods, ResamplePlan(scheme, 3, seed=1)):
+                assert peak <= budget + outside, scheme
 
 
 class TestOneStreamPerReplicate:

@@ -74,6 +74,11 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--results", binary_csv, "--method", "zap@3")
         assert code == 2
 
+    def test_zero_k_exits_2_with_json_error(self, capsys, binary_csv):
+        code, out, err = run(capsys, "eval", "--results", binary_csv, "--method", "pass@0")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "InputError"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--results", str(tmp_path / "nope.csv"))
         assert code == 2
@@ -358,7 +363,7 @@ class TestConverge:
         def scan(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 TiB")
 
-        monkeypatch.setattr(bootstrap, "scan_replicates", scan)
+        monkeypatch.setattr(bootstrap, "tau_curves", scan)
         code, out, err = run(
             capsys, "converge", "--results-dir", model_dir, "--methods", "bayes",
             "--replicates", "2",
@@ -418,14 +423,46 @@ class TestConverge:
         return calls
 
     def test_one_draw_per_replicate(self, capsys, model_dir, monkeypatch):
+        # the tau curve and the convergence PMF each draw their own replicates
         calls = self.count_resamples(monkeypatch)
+        for name in ("tau_curves", "convergence_distributions"):
+            real = getattr(bootstrap, name)
+            monkeypatch.setattr(bootstrap, name,
+                                lambda *a, real=real, name=name, **k: calls.append(name) or
+                                real(*a, **k))
         code, out, _ = run(
             capsys, "converge", "--results-dir", model_dir, "--methods", "bayes,pass@2",
             "--replicates", "7",
         )
         assert code == 0
-        assert sorted(calls) == list(range(7))   # each draws all 3 models
+        # each draws all 3 models
+        assert calls == ["tau_curves", *range(7), "convergence_distributions", *range(7)]
         assert json.loads(out)["replicates_tau"] == json.loads(out)["replicates_convergence"] == 7
+
+    def test_inexact_tau_sums_exit_2_before_any_draw(self, capsys, tmp_path, monkeypatch):
+        # 2^40 replicates of 20 models: 2^40 x 190^2 >= 2^53; of 11: 2^40 x 55^2 < 2^53
+        class Drew(Exception):
+            pass
+
+        def drew(*args):
+            raise Drew
+
+        monkeypatch.setattr(bootstrap, "stream_rng", drew)
+        for models in (20, 11):
+            d = tmp_path / str(models)
+            d.mkdir()
+            for i in range(models):
+                write_csv(d / f"m{i:02d}.csv", [[i % 2]])
+            args = ("converge", "--results-dir", str(d), "--methods", "bayes",
+                    "--replicates", str(2**40))
+            if models == 11:
+                with pytest.raises(Drew):
+                    main(list(args))
+                continue
+            code, out, err = run(capsys, *args)
+            assert (code, out) == (2, "")
+            error = json.loads(err)
+            assert error["error"] == "InputError" and "2^53" in error["message"]
 
     @pytest.mark.parametrize("artifact, skipped", [
         ("tau", "convergence_distributions"), ("convergence", "tau_curves"),

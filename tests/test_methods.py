@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bayeseval.bayes import avg_sigma_from_bayes, evaluate_performance, naive_weighted_average
 from bayeseval.bootstrap import ResamplePlan, resample
+from bayeseval.errors import InputError
 from bayeseval.methods import parse_method
 from bayeseval.model import WeightVector, validate_matrix
 
@@ -23,6 +24,14 @@ def counts_of(matrices):
         np.stack([(mx.cells == j).sum(axis=1) for j in range(1, mx.num_categories)], axis=-1)
         for mx in matrices
     ])
+
+
+@pytest.mark.parametrize("spec", [
+    "pass@0", "naive^0", "mgpass@1", "gpass@4:0", "gpass@4:1.5", "gpass@4:1/0", "gpass@4:1..2",
+])
+def test_malformed_spec_rejected(spec):
+    with pytest.raises(InputError):
+        parse_method(spec)
 
 
 class TestOneScoringPath:
