@@ -32,7 +32,7 @@ _LAZY = {
     **dict.fromkeys(("RankTable", "ScoredModel", "kendall_tau_b", "min_trials_for_confidence",
                      "rank_with_ci", "rank_without_ci", "ranking_confidence", "z_score"),
                     "ranking"),
-    **dict.fromkeys(("SCHEMATA", "AttemptSignals", "Schema", "SignalTable", "ThresholdSet",
+    **dict.fromkeys(("SCHEMATA", "Schema", "SignalTable", "ThresholdSet",
                      "build_matrix", "categorize", "compute_thresholds", "derive_variables",
                      "schema_by_name"), "rubric"),
     **dict.fromkeys(("REFERENCE_MEANS", "CohortSpec", "CoinModel", "fresh_tau_curves",

@@ -311,18 +311,19 @@ def _prefix_totals(trials: np.ndarray, cats: np.ndarray) -> np.ndarray:
 
 def _convergence_points(items, methods, plan: ResamplePlan, n_max: int, gold: RankTable,
                         ci_z: float | None = None):
-    """Each method's convergence point and censored flag for the plan's
-    replicates, scanning each chunk down from n_max.
+    """Each method's convergence point for the plan's replicates, scanning
+    each chunk down from n_max.
 
     A replicate converges one past its last prefix n >= onset whose
-    ranking differs from gold, at the onset if none does, and is censored
-    if n_max does. Going down, the first mismatch met is that last one.
+    ranking differs from gold, at the onset if none does; n_max + 1 means
+    it is censored, n_max itself differing. Going down, the first mismatch
+    met is that last one.
     Per chunk, int64 counts at n_max are built one trial at a time (or
     prefix totals). At each n from n_max down, a method scores only the
     replicates it still holds, those that matched gold at every larger n;
     one that differs finishes at n + 1 and leaves. The replicates no method
     holds are dropped, and trial n's cells are taken from the rest before
-    n - 1. Returns (points, censored), each (methods, replicates).
+    n - 1. Returns the points, (methods, replicates).
     """
     num_categories, replicates = items[0][1].num_categories, plan.replicates
     methods, counted = _prepared(methods, n_max, num_categories, ci_z)
@@ -330,7 +331,6 @@ def _convergence_points(items, methods, plan: ResamplePlan, n_max: int, gold: Ra
     matchers = [_gold_matcher(gold, model_ids, m, ci_z, num_categories) for m in methods]
     onsets = [max(1, m.min_trials) for m in methods]
     points = np.repeat(np.array(onsets, np.int64)[:, None], replicates, axis=1)
-    censored = np.zeros(points.shape, bool)
     cats = np.arange(1, num_categories)
     draw = _resample_draw(items, plan, n_max)
     chunk = _chunk_size(draw(0, 0), num_categories, counted)
@@ -357,7 +357,6 @@ def _convergence_points(items, methods, plan: ResamplePlan, n_max: int, gold: Ra
                                                num_categories)).T
                 out = mine[~match(n, scores, sub)]
                 points[i, start + rows[out]] = n + 1
-                censored[i, start + rows[out]] = n == n_max
                 held[i, out] = False
             keep = held.any(axis=0)
             if not keep.any():
@@ -368,7 +367,7 @@ def _convergence_points(items, methods, plan: ResamplePlan, n_max: int, gold: Ra
             if counted:
                 counts -= trials[n - 1][:, rows, :, None] == cats
         del trials, counts, totals  # before the next chunk's draw
-    return points, censored
+    return points
 
 
 # -- tau curves ---------------------------------------------------------------
@@ -560,6 +559,7 @@ class ConvergenceDistribution:
         return rows
 
     def to_report(self) -> dict:
+        pmf, cdf = self.pmf, self.cdf
         return {
             "method": self.method,
             "scheme": self.scheme,
@@ -568,7 +568,7 @@ class ConvergenceDistribution:
             "mean_converged": self.mean_converged,
             "censored_mass": self.censored_mass,
             "pmf": [
-                {"n": n, "pmf": float(self.pmf[n]), "cdf": float(self.cdf[n])}
+                {"n": n, "pmf": float(pmf[n]), "cdf": float(cdf[n])}
                 for n in range(1, self.n_max + 1)
             ],
         }
@@ -596,13 +596,13 @@ def convergence_distributions(
     if ci_z is not None and not ci_z > 0:
         raise NegativeZError(f"z threshold must be > 0, got {ci_z}")
     items, methods, n_max, gold = _request(matrices, methods, plan, weights, gold)
-    points, censored = _convergence_points(items, methods, plan, n_max, gold, ci_z)
+    points = _convergence_points(items, methods, plan, n_max, gold, ci_z)
     out = {}
-    for m, conv, cens in zip(methods, points, censored):
-        hist = np.bincount(conv[~cens], minlength=n_max + 2)[: n_max + 1]
+    for m, conv in zip(methods, points):
+        hist = np.bincount(conv, minlength=n_max + 2)  # its last bin counts the censored
         out[m.name] = ConvergenceDistribution(
-            m.name, plan.scheme.value, n_max, hist.astype(np.int64), int(cens.sum()),
-            plan.replicates,
+            m.name, plan.scheme.value, n_max, hist[: n_max + 1].astype(np.int64),
+            int(hist[n_max + 1]), plan.replicates,
         )
     return out
 
@@ -650,10 +650,9 @@ def worst_case_trajectory(
     toward the lowest replicate index.
     """
     items, (m,), n_max, gold = _request(matrices, method, plan, weights, gold)
-    (conv,), (censored,) = _convergence_points(items, [m], plan, n_max, gold)
-    key = np.where(censored, n_max + 1, conv)
-    worst_rep = int(np.argmax(key))  # first occurrence wins
-    conv_n = None if censored[worst_rep] else int(conv[worst_rep])
+    (conv,) = _convergence_points(items, [m], plan, n_max, gold)
+    worst_rep = int(np.argmax(conv))  # first occurrence wins
+    conv_n = None if conv[worst_rep] > n_max else int(conv[worst_rep])
 
     lo = max(1, m.min_trials)
     trials = _resample_draw(items, plan, n_max)(worst_rep, worst_rep + 1)[:, :, 0]

@@ -259,7 +259,7 @@ _VERIFIER_FIELDS = {
     "compass_context_B": "verifier_wrong",
     "compass_context_C": "verifier_offtask",
 }
-# (JSON key, AttemptSignals field, integral) in the order a record's values are read
+# (JSON key, SignalTable column, integral) in the order a record's values are read
 _SIGNAL_COLUMNS = tuple(
     [(key, key, key == "repeated_pattern") for key in _REQUIRED_SIGNAL_FIELDS[2:]]
     + [(key, name, False) for key, name in _VERIFIER_FIELDS.items()]
@@ -364,7 +364,7 @@ def load_signals_jsonl(path) -> SignalSet:
         DuplicateCellError: the (question, trial) cell was already read.
         ParseError: a value that is not a number, or not integral.
         RangeViolationError: a value outside its range, in
-            ``AttemptSignals`` checking order.
+            ``SignalTable`` checking order.
     """
     take = itemgetter(*_REQUIRED_SIGNAL_FIELDS)
     take_verifier = itemgetter(*_VERIFIER_FIELDS)

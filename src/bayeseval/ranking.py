@@ -140,29 +140,22 @@ def rank_without_ci(models: Sequence[ScoredModel]) -> RankTable:
 def rank_with_ci(
     models: Sequence[ScoredModel],
     z_threshold: float = 1.645,
-    clique: bool = False,
 ) -> RankTable:
     """Ordering by mu with consecutive models tied when their z-score is small.
 
     Walks the descending-mu order; a pair with ``z < z_threshold`` joins
     the earlier model's rank group, otherwise the rank increments by one.
-    Ties chain by default, so a chain can tie two models whose direct
-    z-score exceeds the threshold; with ``clique=True`` a model joins a
-    group only when it is below threshold against every group member.
+    Ties chain, so a chain can tie two models whose direct z-score exceeds
+    the threshold.
     """
     if not z_threshold > 0:  # also rejects NaN, which would tie every model
         raise NegativeZError(f"z threshold must be > 0, got {z_threshold}")
     ordered = _sorted_desc(models)
     entries = [RankEntry(ordered[0].model_id, ordered[0].mu, ordered[0].sigma, 1)]
     rank = 1
-    group = [ordered[0]]
-    for cur in ordered[1:]:
-        peers = group if clique else group[-1:]
-        if any(z_score(peer, cur) >= z_threshold for peer in peers):
+    for prev, cur in zip(ordered, ordered[1:]):
+        if z_score(prev, cur) >= z_threshold:
             rank += 1
-            group = [cur]
-        else:
-            group.append(cur)
         entries.append(RankEntry(cur.model_id, cur.mu, cur.sigma, rank))
     return RankTable(tuple(entries))
 

@@ -9,13 +9,13 @@ repetition or a high off-task verifier probability), which dominates all
 other rules.
 
 Signals are processed as columns. A ``SignalTable`` holds one row per
-attempt: question codes, int64 trials, one float64 array per
-``AttemptSignals`` field and the source line of each row. Thresholds are
-percentiles of its columns, each rubric variable is one boolean array,
-each rule ANDs its literals' arrays into a mask, and ``build_matrix``
-places the categories on the (question, trial) grid with ``np.unique``.
-A single ``AttemptSignals``, or a mapping of them, runs through the same
-code as a table of one row per record.
+attempt: question codes, int64 trials, one float64 array per signal and
+the source line of each row; ``io.load_signals_jsonl`` reads one from a
+file and ``SignalTable.from_records`` builds one in memory. Thresholds
+are percentiles of its columns, each rubric variable is one boolean
+array, each rule ANDs its literals' arrays into a mask, and
+``build_matrix`` places the categories on the (question, trial) grid
+with ``np.unique``.
 
 Percentile thresholds use linear interpolation between closest ranks
 (the numpy default), fixed here so threshold values are stable across
@@ -24,8 +24,8 @@ implementations and runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .errors import (
 from .model import ResultsMatrix, WeightVector
 
 __all__ = [
-    "AttemptSignals",
     "SignalTable",
     "ThresholdSet",
     "RubricVariables",
@@ -55,25 +54,29 @@ __all__ = [
     "build_matrix",
 ]
 
-_PROBABILITIES = ("has_box", "is_correct", "verifier_correct", "verifier_wrong", "verifier_offtask")
+# has_box and is_correct are reals in [0, 1] read at 0.5, token_ratio is completion
+# tokens over the 32,768 budget, verifier_* are label probabilities A, B and C.
+_SIGNALS = ("has_box", "is_correct", "token_ratio", "repeated_pattern", "prompt_bpt",
+            "completion_bpt", "verifier_correct", "verifier_wrong", "verifier_offtask")
+_VERIFIER = _SIGNALS[6:]
+_PROBABILITIES = ("has_box", "is_correct", *_VERIFIER)
 _NON_NEGATIVE = ("token_ratio", "prompt_bpt", "completion_bpt")
 
 
-def _range_problem(s) -> tuple[int, str] | None:
+def _range_problem(s: SignalTable) -> tuple[int, str] | None:
     """The first row of ``s`` holding a value outside its range, and why.
 
-    ``s`` is an ``AttemptSignals`` (one row) or a ``SignalTable``. A row's
-    probabilities are checked first, then its non-negative reals, then
-    ``repeated_pattern``; NaN fails every check.
+    A row's probabilities are checked first, then its non-negative reals,
+    then ``repeated_pattern``; NaN fails every check.
     """
     checks = []     # (field, values, failing rows, message), in checking order
     for name in _PROBABILITIES:
-        v = np.atleast_1d(np.asarray(getattr(s, name), dtype=np.float64))
+        v = np.asarray(getattr(s, name), dtype=np.float64)
         checks.append((name, v, ~((v >= 0.0) & (v <= 1.0)), "{}={} outside [0, 1]"))
     for name in _NON_NEGATIVE:
-        v = np.atleast_1d(np.asarray(getattr(s, name), dtype=np.float64))
+        v = np.asarray(getattr(s, name), dtype=np.float64)
         checks.append((name, v, ~(np.isfinite(v) & (v >= 0.0)), "{}={} must be finite and >= 0"))
-    v = np.atleast_1d(np.asarray(s.repeated_pattern, dtype=np.float64))
+    v = np.asarray(s.repeated_pattern, dtype=np.float64)
     checks.append(("repeated_pattern", v, (v != 0.0) & (v != 1.0), "{} must be 0 or 1, got {}"))
     bad = np.logical_or.reduce([failing for _, _, failing, _ in checks])
     if not bad.any():
@@ -86,45 +89,15 @@ def _range_problem(s) -> tuple[int, str] | None:
     return row, message.format(name, value)
 
 
-@dataclass(frozen=True)
-class AttemptSignals:
-    """Raw per-attempt signals.
-
-    ``has_box`` and ``is_correct`` are accepted as reals in [0, 1] and
-    thresholded at 0.5 where the rubric needs booleans. ``token_ratio``
-    is completion tokens over the 32,768 budget. ``verifier_*`` are the
-    calibrated label probabilities for correct / wrong / off-task.
-    """
-
-    has_box: float
-    is_correct: float
-    token_ratio: float
-    repeated_pattern: int
-    prompt_bpt: float
-    completion_bpt: float
-    verifier_correct: float = 0.0   # A
-    verifier_wrong: float = 0.0     # B
-    verifier_offtask: float = 0.0   # C
-
-    def __post_init__(self):
-        found = _range_problem(self)
-        if found:
-            raise InputError(found[1])
-
-
-_SIGNAL_FIELDS = tuple(f.name for f in fields(AttemptSignals))
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class SignalTable:
     """Attempt signals as columns, one row per attempt.
 
     ``question`` holds int64 codes into ``question_ids``, ``trial`` the
-    int64 trial numbers, and each ``AttemptSignals`` field is a float64
-    column under the same name. ``lines`` gives each row's line in
-    ``source``, the file the rows were read from (empty for tables built
-    in memory, whose lines number the rows from 1). Construction checks
-    the ranges ``AttemptSignals`` checks, row by row.
+    int64 trial numbers, and each signal is a float64 column under its
+    name. ``lines`` gives each row's line in ``source``, the file the rows
+    were read from (empty for tables built in memory, whose lines number
+    the rows from 1). Construction checks each signal's range, row by row.
 
     Raises:
         InputError: columns of different lengths.
@@ -149,7 +122,7 @@ class SignalTable:
 
     def __post_init__(self):
         n = len(self.trial)
-        if any(len(getattr(self, name)) != n for name in ("question", *_SIGNAL_FIELDS, "lines")):
+        if any(len(getattr(self, name)) != n for name in ("question", *_SIGNALS, "lines")):
             raise InputError("signal table columns differ in length")
         found = _range_problem(self)
         if found:
@@ -161,20 +134,30 @@ class SignalTable:
         return len(self.trial)
 
     @classmethod
-    def from_records(cls, records: Mapping[tuple[str, int], AttemptSignals]) -> "SignalTable":
-        """One row per (question, trial) -> signals entry, in mapping order."""
+    def from_records(cls, records: Mapping[tuple[str, int], Mapping[str, float]]) -> "SignalTable":
+        """One row per (question, trial) -> {signal name: value} entry, in
+        mapping order. The verifier signals default to 0.
+
+        Raises:
+            InputError: a record names an unknown signal or lacks one.
+        """
+        columns = {name: [] for name in _SIGNALS}
+        for key, signals in records.items():
+            row = {**dict.fromkeys(_VERIFIER, 0.0), **signals}
+            for name in (*columns, *row):   # a missing signal is named before an unknown one
+                if (name in row) != (name in columns):
+                    what = "unknown" if name in row else "missing"
+                    raise InputError(f"record {key}: {what} signal {name!r}")
+            for name, column in columns.items():
+                column.append(row[name])
         codes: dict[str, int] = {}
         question = [codes.setdefault(q, len(codes)) for q, _ in records]
-        values = list(records.values())
         return cls(
             question_ids=tuple(codes),
             question=np.array(question, dtype=np.int64),
             trial=np.array([t for _, t in records], dtype=np.int64),
-            lines=np.arange(1, len(values) + 1),
-            **{
-                name: np.array([getattr(s, name) for s in values], dtype=np.float64)
-                for name in _SIGNAL_FIELDS
-            },
+            lines=np.arange(1, len(records) + 1),
+            **{name: np.array(column, dtype=np.float64) for name, column in columns.items()},
         )
 
     def take(self, rows: np.ndarray) -> "SignalTable":
@@ -184,20 +167,8 @@ class SignalTable:
             question=self.question[rows],
             trial=self.trial[rows],
             lines=self.lines[rows],
-            **{name: getattr(self, name)[rows] for name in _SIGNAL_FIELDS},
+            **{name: getattr(self, name)[rows] for name in _SIGNALS},
         )
-
-
-def _as_table(signals) -> SignalTable:
-    """``signals`` as a table: a table itself, one ``AttemptSignals``, a
-    (question, trial) -> signals mapping, or an iterable of signals."""
-    if isinstance(signals, SignalTable):
-        return signals
-    if isinstance(signals, AttemptSignals):
-        signals = (signals,)
-    if not isinstance(signals, Mapping):
-        signals = {("", i): s for i, s in enumerate(signals, start=1)}
-    return SignalTable.from_records(signals)
 
 
 @dataclass(frozen=True)
@@ -230,15 +201,14 @@ class ThresholdSet:
         }
 
 
-def compute_thresholds(signals: SignalTable | Iterable[AttemptSignals]) -> ThresholdSet:
-    """Percentile thresholds over a signal table or collection (order-invariant).
+def compute_thresholds(table: SignalTable) -> ThresholdSet:
+    """Percentile thresholds over a signal table (order-invariant).
 
     Raises:
         EmptyInputError: no signals.
         NoWrongItemsError / NoCorrectItemsError: a conditional percentile
             has no supporting items.
     """
-    table = _as_table(signals)
     if not len(table):
         raise EmptyInputError("cannot compute thresholds without signals")
     completion = table.completion_bpt
@@ -263,32 +233,31 @@ def compute_thresholds(signals: SignalTable | Iterable[AttemptSignals]) -> Thres
 
 @dataclass(frozen=True)
 class RubricVariables:
-    """Boolean rubric variables: one bool per variable for an
-    ``AttemptSignals``, one boolean array (a row per attempt) for a table."""
+    """Boolean rubric variables, one boolean array (a row per attempt) each."""
 
-    invalid: bool
-    correct: bool
-    wrong: bool
-    high_conf: bool
-    low_conf: bool
-    wrong_high_conf: bool
-    ood: bool
-    ind: bool
-    economical: bool
-    moderate: bool
-    verbose: bool
-    boxed: bool
-    unboxed: bool
-    a_high: bool
-    conf_top: bool        # completion_bpt <= corr_p33 (most confident tercile)
-    conf_mid: bool        # corr_p33 < completion_bpt <= corr_p66
-    conf_low: bool        # completion_bpt > corr_p66
-    top_offtask: bool     # argmax of verifier probabilities, ties prefer off-task
-    top_wrong: bool
-    top_correct: bool
+    invalid: np.ndarray
+    correct: np.ndarray
+    wrong: np.ndarray
+    high_conf: np.ndarray
+    low_conf: np.ndarray
+    wrong_high_conf: np.ndarray
+    ood: np.ndarray
+    ind: np.ndarray
+    economical: np.ndarray
+    moderate: np.ndarray
+    verbose: np.ndarray
+    boxed: np.ndarray
+    unboxed: np.ndarray
+    a_high: np.ndarray
+    conf_top: np.ndarray        # completion_bpt <= corr_p33 (most confident tercile)
+    conf_mid: np.ndarray        # corr_p33 < completion_bpt <= corr_p66
+    conf_low: np.ndarray        # completion_bpt > corr_p66
+    top_offtask: np.ndarray     # argmax of verifier probabilities, ties prefer off-task
+    top_wrong: np.ndarray
+    top_correct: np.ndarray
 
 
-def derive_variables(s: AttemptSignals | SignalTable, t: ThresholdSet) -> RubricVariables:
+def derive_variables(table: SignalTable, t: ThresholdSet) -> RubricVariables:
     """Map signals to rubric variables using the dataset thresholds.
 
     Boundary conventions are fixed: invalid when the off-task probability
@@ -297,13 +266,12 @@ def derive_variables(s: AttemptSignals | SignalTable, t: ThresholdSet) -> Rubric
     The verifier argmax resolves ties pessimistically: off-task, then
     wrong, then correct.
     """
-    table = _as_table(s)
     correct = table.is_correct >= 0.5
     bpt, ratio, prompt = table.completion_bpt, table.token_ratio, table.prompt_bpt
     a, b, c = table.verifier_correct, table.verifier_wrong, table.verifier_offtask
     top_offtask = (c >= a) & (c >= b)
     top_wrong = ~top_offtask & (b >= a)
-    variables = RubricVariables(
+    return RubricVariables(
         invalid=(table.repeated_pattern == 1) | (c >= 0.50),
         correct=correct,
         wrong=~correct,
@@ -325,9 +293,6 @@ def derive_variables(s: AttemptSignals | SignalTable, t: ThresholdSet) -> Rubric
         top_wrong=top_wrong,
         top_correct=~(top_offtask | top_wrong),
     )
-    if not isinstance(s, AttemptSignals):
-        return variables
-    return RubricVariables(**{name: bool(mask[0]) for name, mask in vars(variables).items()})
 
 
 @dataclass(frozen=True)
@@ -414,20 +379,18 @@ def _config_int(value, what: str) -> int:
     raise InputError(f"schema {what} must be an integer, got {value!r}")
 
 
-def categorize(s: AttemptSignals | SignalTable, schema: Schema, t: ThresholdSet):
+def categorize(table: SignalTable, schema: Schema, t: ThresholdSet) -> np.ndarray:
     """Category of each attempt under a schema; invalid always maps to 0.
 
-    Returns an int for an ``AttemptSignals`` and an int64 array (one entry
-    per row) for a table. Each rule's literals are ANDed into a row mask;
-    the masks of one category are ORed, and every valid row must be hit by
-    exactly one category.
+    Returns an int64 array, one entry per row. Each rule's literals are
+    ANDed into a row mask; the masks of one category are ORed, and every
+    valid row must be hit by exactly one category.
 
     Raises:
         UncoveredCaseError: the schema's rules leave an attempt unmapped or
             map it to more than one category; the first such row is named
             by its true variables.
     """
-    table = _as_table(s)
     variables = derive_variables(table, t)
     hit: dict[int, np.ndarray] = {}
     for cat, lits in schema.rules:
@@ -443,30 +406,27 @@ def categorize(s: AttemptSignals | SignalTable, schema: Schema, t: ThresholdSet)
         state = ", ".join(k for k, mask in sorted(vars(variables).items()) if mask[row])
         what = "no rule covers" if not cats else f"rules {cats} overlap on"
         raise UncoveredCaseError(f"schema {schema.name}: {what} [{state}]")
-    category = np.where(valid, sum(cat * mask for cat, mask in hit.items()), 0)
-    return int(category[0]) if isinstance(s, AttemptSignals) else category
+    return np.where(valid, sum(cat * mask for cat, mask in hit.items()), 0)
 
 
 def build_matrix(
-    records: SignalTable | Mapping[tuple[str, int], AttemptSignals],
+    table: SignalTable,
     schema: Schema,
     thresholds: ThresholdSet | None = None,
 ) -> ResultsMatrix:
     """Categorical results matrix from a complete (question, trial) grid.
 
-    ``records`` is a signal table or a (question, trial) -> signals
-    mapping, which is made a table once. Thresholds default to
-    percentiles of the very records being mapped. Question rows are
-    ordered by first appearance; trials sort ascending. The table's rows
-    are put in that grid order and categorized by one ``categorize`` call,
-    so an uncovered case is reported at its first grid cell.
+    Thresholds default to percentiles of the very table being mapped.
+    Question rows are ordered by first appearance; trials sort ascending.
+    The table's rows are put in that grid order and categorized by one
+    ``categorize`` call, so an uncovered case is reported at its first
+    grid cell.
 
     Raises:
-        EmptyInputError: no records.
+        EmptyInputError: no rows.
         IncompleteGridError: some (question, trial) pair is missing.
         InputError: a table holds two rows for one (question, trial) pair.
     """
-    table = _as_table(records)
     if not len(table):
         raise EmptyInputError("no signal records")
     if thresholds is None:

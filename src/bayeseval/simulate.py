@@ -28,9 +28,9 @@ from ._rng import (
     stream_rng,
 )
 from .bayes import moment_sums, posterior_moments
-from .errors import InputError, ZeroTrialsError
+from .errors import InputError, NegativeZError, NotReachableError, ZeroTrialsError
 from .model import ResultsMatrix
-from .ranking import RankTable, ScoredModel, min_trials_for_confidence, rank_without_ci
+from .ranking import RankTable, ScoredModel, rank_without_ci
 
 __all__ = [
     "CoinModel",
@@ -157,12 +157,18 @@ class SeparationResult:
     true_gap: float = field(default=0.0)
 
     def min_trials_for_z(self, target_z: float) -> int:
-        """Smallest grid N whose mean absolute z reaches the target."""
-        sigma_map = {
-            n: (1.0 / z if z > 0 else math.inf)
-            for n, z in zip(self.n_grid, self.mean_abs_z)
-        }
-        return min_trials_for_confidence(1.0, sigma_map, target_z)
+        """Smallest grid N whose mean absolute z reaches the target.
+
+        Raises:
+            NegativeZError: ``target_z`` not > 0.
+            NotReachableError: no grid N reaches it.
+        """
+        if not target_z > 0:
+            raise NegativeZError(f"target z must be > 0, got {target_z}")
+        for n, z in sorted(zip(self.n_grid, self.mean_abs_z)):
+            if z >= target_z:
+                return n
+        raise NotReachableError(f"mean |z| >= {target_z} not reached on the N grid")
 
     def at(self, n: int) -> tuple[float, float]:
         i = self.n_grid.index(n)

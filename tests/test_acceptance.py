@@ -404,12 +404,13 @@ def test_criterion_8_convergence_machinery():
 
 
 def test_criterion_9_rubric_totality_and_pipeline():
-    from bayeseval.rubric import SCHEMATA, build_matrix, categorize, schema_by_name
-    from test_rubric import THRESH, THRESH_FLIPPED, clean_grid, lattice_table, signal_lattice
+    from bayeseval.rubric import SCHEMATA, SignalTable, build_matrix, categorize, schema_by_name
+    from test_rubric import THRESH, THRESH_FLIPPED, clean_grid, signal_lattice, table_of
 
     lattice = signal_lattice()
-    table = lattice_table(lattice)
-    invalid = np.array([s.repeated_pattern == 1 or s.verifier_offtask >= 0.5 for s in lattice])
+    table = table_of(*lattice)
+    invalid = np.array([s["repeated_pattern"] == 1 or s["verifier_offtask"] >= 0.5
+                        for s in lattice])
     points = 0
     for thresholds in (THRESH, THRESH_FLIPPED):
         for schema in SCHEMATA:
@@ -424,7 +425,7 @@ def test_criterion_9_rubric_totality_and_pipeline():
     worst = 0.0
     for _ in range(20):
         pattern = rng.integers(0, 2, size=(4, 5)).tolist()
-        records = clean_grid(pattern, questions=4)
+        records = SignalTable.from_records(clean_grid(pattern, questions=4))
         cat_matrix = build_matrix(records, schema_by_name("exact-match"))
         mu_cat = evaluate_performance(
             cat_matrix, UNIFORM, WeightVector((0.0, 0.0, 1.0))

@@ -271,6 +271,29 @@ class TestConvergence:
         assert rep["pmf"][0] == {"n": 1, "pmf": 1.0, "cdf": 1.0}
         assert rep["censored_mass"] == 0.0
 
+    def test_all_censored_has_no_mean(self):
+        # all-zero models tie at every prefix, so no replicate matches a strict gold
+        flat = {f"m{i}": validate_matrix(np.zeros((2, 5), dtype=int), 2) for i in range(3)}
+        gold = rank_without_ci([ScoredModel(mid, float(i)) for i, mid in enumerate(flat)])
+        plan = ResamplePlan("row", 6, seed=2)
+        dist = convergence_distributions(flat, ["bayes"], plan, gold=gold)["bayes"]
+        assert (dist.censored_count, dist.counts.tolist()) == (6, [0] * 6)
+        assert dist.mean_converged is None
+        assert b'"mean_converged":null' in emit_report(dist)
+
+    def test_report_builds_pmf_and_cdf_once(self, monkeypatch):
+        # once per report, not once per n: cdf reads pmf once itself
+        calls = []
+        for name in ("pmf", "cdf"):
+            fget = getattr(ConvergenceDistribution, name).fget
+            monkeypatch.setattr(ConvergenceDistribution, name, property(
+                lambda self, fget=fget, name=name: calls.append(name) or fget(self)))
+        counts = np.r_[0, np.arange(1, 41)]
+        dist = ConvergenceDistribution("bayes", "row", 40, counts, 7, int(counts.sum()) + 7)
+        report = dist.to_report()
+        assert sorted(calls) == ["cdf", "pmf", "pmf"]
+        assert report["pmf"][-1]["cdf"] == pytest.approx(1 - 7 / dist.replicates)
+
     def test_ci_aware_flag(self):
         mats = small_cohort(n_models=3, n=8, seed=4)
         plan = ResamplePlan("column", replicates=8, seed=13)
@@ -445,18 +468,20 @@ class TestCountWidth:
 
 
 def scan_points(matrices, methods, plan, weights=None, gold=None, ci_z=None):
-    """Each method's convergence points and censored flags, (methods,
-    replicates) each, from the downward scan behind convergence_distributions."""
+    """Each method's convergence points, (methods, replicates), from the
+    downward scan behind convergence_distributions."""
     items, methods, n_max, gold = bootstrap._request(matrices, methods, plan, weights, gold)
     return bootstrap._convergence_points(items, methods, plan, n_max, gold, ci_z)
 
 
 def upward_points(matrices, method, plan, gold, ci_z=None):
-    """Per-replicate convergence points and censored flags, scanned upward
-    over ``Method.score`` of each prefix of ``resample``'s replicates."""
+    """Per-replicate convergence points, scanned upward over ``Method.score``
+    of each prefix of ``resample``'s replicates. A replicate is censored,
+    its ranking at n_max differing from gold, exactly when its point is
+    n_max + 1."""
     ids, n_max = list(matrices), next(iter(matrices.values())).trials
     gold_ranks, lo = gold.rank_vector(ids), max(1, method.min_trials)
-    points, censored = [], []
+    points = []
     for r in range(plan.replicates):
         resampled = replicate_matrices(matrices, plan, r)
         last_mismatch = 0
@@ -467,8 +492,7 @@ def upward_points(matrices, method, plan, gold, ci_z=None):
             if table.rank_vector(ids) != gold_ranks:
                 last_mismatch = n
         points.append(max(lo, last_mismatch + 1))
-        censored.append(last_mismatch == n_max)
-    return points, censored
+    return points
 
 
 class TestDownwardScan:
@@ -509,11 +533,9 @@ class TestDownwardScan:
                 rank_without_ci([ScoredModel(mid, float(v)) for mid, v in zip(mats, gold_values)]))
         plan = ResamplePlan(scheme, replicates, seed=seed)
         with mock.patch.object(bootstrap, "_chunk_size", lambda *shape: chunk):
-            points, censored = scan_points(mats, methods, plan, gold=gold, ci_z=ci_z)
-        for m, got_points, got_censored in zip(methods, points, censored):
-            want_points, want_censored = upward_points(mats, m, plan, gold, ci_z)
-            assert got_censored.tolist() == want_censored, m.name
-            assert got_points.tolist() == want_points, m.name
+            points = scan_points(mats, methods, plan, gold=gold, ci_z=ci_z)
+        for m, got in zip(methods, points):
+            assert got.tolist() == upward_points(mats, m, plan, gold, ci_z), m.name
 
 
 class TestScans:
@@ -594,12 +616,11 @@ class TestMomentTotals:
 
         with monkeypatch.context() as m:
             m.setattr(Method, "scores_from_counts", lambda *a: pytest.fail("built counts"))
-            curves, (points, censored) = run()
+            curves, points = run()
         self.counted(monkeypatch)
-        counted_curves, (counted_points, counted_censored) = run()
+        counted_curves, counted_points = run()
         assert curves == counted_curves
         assert points.tobytes() == counted_points.tobytes()
-        assert censored.tobytes() == counted_censored.tobytes()
 
     def test_identity_weights_built_once_per_method(self, monkeypatch):
         # an unweighted method's identity weights are built once per scan,
@@ -624,8 +645,7 @@ class TestMomentTotals:
         mixed_points, moment_points = (scan_points(mats, m, conv_plan) for m in (mixed, moments))
         for i, name in enumerate(moments):
             assert moment_curves[name] == mixed_curves[name]
-            for a, b in zip(moment_points, mixed_points):
-                assert a[i].tobytes() == b[i].tobytes()
+            assert moment_points[i].tobytes() == mixed_points[i].tobytes()
 
 
 class TestChunkFree:
@@ -641,7 +661,7 @@ class TestChunkFree:
         w = WeightVector((0.0, 0.0, 1.0, 2.0, 3.0))
 
         def points(*args, **kwargs):  # as bytes, so == compares bits
-            return tuple(a.tobytes() for a in scan_points(*args, **kwargs))
+            return scan_points(*args, **kwargs).tobytes()
 
         return (
             tau_curves(mats, methods, tau_plan),

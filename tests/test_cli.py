@@ -63,6 +63,21 @@ class TestEval:
         assert code == 3
         assert json.loads(err)["error"] == "KExceedsNError" or "pass@5" in err
 
+    def test_pass_method_on_three_categories_exits_3(self, capsys, tmp_path):
+        three = write_csv(tmp_path / "c3.csv", [[0, 1, 2], [2, 2, 1]], num_categories=3)
+        code, out, err = run(capsys, "eval", "--results", three, "--method", "pass@2")
+        assert (code, out) == (3, "")
+        error = json.loads(err)
+        assert error["error"] == "MethodUndefinedError"
+        assert "pass@2 requires binary outcomes" in error["message"]
+
+    def test_prior_with_pass_method_exits_2(self, capsys, tmp_path, binary_csv):
+        prior = write_csv(tmp_path / "p.csv", [[1, 1], [0, 0]])
+        code, out, err = run(capsys, "eval", "--results", binary_csv, "--method", "pass@2",
+                             "--prior", prior)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == "--prior only applies to the bayes method"
+
     def test_weight_mismatch_exit_code(self, capsys, binary_csv):
         code, _, err = run(
             capsys, "eval", "--results", binary_csv, "--weights", "0,1,2"
@@ -811,7 +826,7 @@ _PUBLIC = set("""
     BinaryTally g_pass_at_k_tau mg_pass_at_k naive_pass_hat_k pass_at_k pass_hat_k
     RankTable ScoredModel kendall_tau_b min_trials_for_confidence rank_with_ci
     rank_without_ci ranking_confidence z_score
-    SCHEMATA AttemptSignals Schema SignalTable ThresholdSet build_matrix categorize
+    SCHEMATA Schema SignalTable ThresholdSet build_matrix categorize
     compute_thresholds derive_variables schema_by_name
     REFERENCE_MEANS CohortSpec CoinModel fresh_tau_curves generate_cohort gold_ranking
     reference_cohort sample_trials separation_experiment

@@ -146,19 +146,11 @@ class TestRankWithCI:
 
     def test_chained_ties(self):
         # consecutive pairs within threshold chain into one group even
-        # when the ends are far apart
-        ms = models([0.50, 0.49, 0.48], [0.01, 0.01, 0.01])
-        t = rank_with_ci(ms, 1.645)
-        assert [e.rank for e in t.entries] == [1, 1, 1]
-
-    def test_clique_mode_breaks_long_chains(self):
-        # ends of the chain are ~1.41 sigma-units apart pairwise but the
-        # extremes differ by ~2.8; clique mode refuses to tie them
-        ms = models([0.50, 0.48, 0.46], [0.01, 0.01, 0.01])
-        chained = rank_with_ci(ms, 1.645)
-        cliques = rank_with_ci(ms, 1.645, clique=True)
-        assert [e.rank for e in chained.entries] == [1, 1, 1]
-        assert [e.rank for e in cliques.entries] == [1, 1, 2]
+        # when the ends are far apart: 0.50 and 0.46 are ~2.8 sigma-units
+        # apart, each consecutive pair ~1.41
+        for mus in ([0.50, 0.49, 0.48], [0.50, 0.48, 0.46]):
+            t = rank_with_ci(models(mus, [0.01, 0.01, 0.01]), 1.645)
+            assert [e.rank for e in t.entries] == [1, 1, 1], mus
 
     @pytest.mark.parametrize("z", [0.0, -1.0, math.nan])
     def test_threshold_must_be_positive(self, z):

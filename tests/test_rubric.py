@@ -10,12 +10,12 @@ from bayeseval.errors import (
     InputError,
     NoCorrectItemsError,
     NoWrongItemsError,
+    RangeViolationError,
     UncoveredCaseError,
 )
 from bayeseval.model import UNIFORM, WeightVector
 from bayeseval.rubric import (
     SCHEMATA,
-    AttemptSignals,
     Schema,
     SignalTable,
     ThresholdSet,
@@ -29,6 +29,7 @@ from bayeseval.rubric import (
 
 
 def sig(**kw):
+    """One attempt's signals, as a signal name -> value mapping."""
     base = dict(
         has_box=1.0,
         is_correct=1.0,
@@ -41,7 +42,17 @@ def sig(**kw):
         verifier_offtask=0.05,
     )
     base.update(kw)
-    return AttemptSignals(**base)
+    return base
+
+
+def table_of(*points):
+    """The signal mappings ``points`` as one table, a row per point."""
+    return SignalTable.from_records({("", i): s for i, s in enumerate(points, start=1)})
+
+
+def one(**kw):
+    """A one-row table of ``sig(**kw)``."""
+    return table_of(sig(**kw))
 
 
 THRESH = ThresholdSet(
@@ -70,7 +81,7 @@ THRESH_FLIPPED = ThresholdSet(
 class TestThresholds:
     def test_constant_distribution(self):
         sigs = [sig(completion_bpt=3.0, is_correct=float(i % 2)) for i in range(6)]
-        t = compute_thresholds(sigs)
+        t = compute_thresholds(table_of(*sigs))
         assert t.tau_high == 3.0
         assert t.tau_low_wrong == 3.0
 
@@ -78,15 +89,15 @@ class TestThresholds:
         sigs = [
             sig(completion_bpt=float(v), is_correct=float(v % 2)) for v in (1, 2, 3, 4, 5)
         ]
-        assert compute_thresholds(sigs).tau_high == pytest.approx(2.6, abs=1e-12)
+        assert compute_thresholds(table_of(*sigs)).tau_high == pytest.approx(2.6, abs=1e-12)
 
     def test_conditional_percentile_errors(self):
         with pytest.raises(NoWrongItemsError):
-            compute_thresholds([sig(is_correct=1.0)] * 3)
+            compute_thresholds(table_of(*[sig(is_correct=1.0)] * 3))
         with pytest.raises(NoCorrectItemsError):
-            compute_thresholds([sig(is_correct=0.0)] * 3)
+            compute_thresholds(table_of(*[sig(is_correct=0.0)] * 3))
         with pytest.raises(EmptyInputError):
-            compute_thresholds([])
+            compute_thresholds(table_of())
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
@@ -101,43 +112,48 @@ class TestThresholds:
         ]
         shuffled = list(sigs)
         rng.shuffle(shuffled)
-        assert compute_thresholds(sigs) == compute_thresholds(shuffled)
+        assert compute_thresholds(table_of(*sigs)) == compute_thresholds(table_of(*shuffled))
 
 
 class TestDeriveVariables:
     def test_repeated_pattern_forces_invalid(self):
-        v = derive_variables(sig(repeated_pattern=1), THRESH)
-        assert v.invalid
+        v = derive_variables(one(repeated_pattern=1), THRESH)
+        assert v.invalid.tolist() == [True]
 
     def test_offtask_boundary_inclusive(self):
-        v = derive_variables(sig(verifier_offtask=0.50, verifier_correct=0.5), THRESH)
-        assert v.invalid
-        v = derive_variables(sig(verifier_offtask=0.49), THRESH)
-        assert not v.invalid
+        v = derive_variables(one(verifier_offtask=0.50, verifier_correct=0.5), THRESH)
+        assert v.invalid.tolist() == [True]
+        v = derive_variables(one(verifier_offtask=0.49), THRESH)
+        assert v.invalid.tolist() == [False]
 
     def test_token_ratio_boundary_is_economical(self):
-        v = derive_variables(sig(token_ratio=THRESH.len_p33), THRESH)
-        assert v.economical and not v.moderate
+        v = derive_variables(one(token_ratio=THRESH.len_p33), THRESH)
+        assert (v.economical.tolist(), v.moderate.tolist()) == ([True], [False])
 
     def test_correct_threshold_at_half(self):
-        assert derive_variables(sig(is_correct=0.5), THRESH).correct
-        assert derive_variables(sig(is_correct=0.49), THRESH).wrong
+        assert derive_variables(one(is_correct=0.5), THRESH).correct.tolist() == [True]
+        assert derive_variables(one(is_correct=0.49), THRESH).wrong.tolist() == [True]
 
     def test_confidence_boundaries(self):
-        v = derive_variables(sig(completion_bpt=THRESH.tau_high), THRESH)
-        assert v.high_conf and not v.low_conf
+        v = derive_variables(one(completion_bpt=THRESH.tau_high), THRESH)
+        assert (v.high_conf.tolist(), v.low_conf.tolist()) == ([True], [False])
         v = derive_variables(
-            sig(is_correct=0.0, completion_bpt=THRESH.tau_low_wrong), THRESH
+            one(is_correct=0.0, completion_bpt=THRESH.tau_low_wrong), THRESH
         )
-        assert v.wrong_high_conf
+        assert v.wrong_high_conf.tolist() == [True]
 
     def test_verifier_argmax_tie_prefers_offtask(self):
         v = derive_variables(
-            sig(verifier_correct=0.4, verifier_wrong=0.4, verifier_offtask=0.4,
+            one(verifier_correct=0.4, verifier_wrong=0.4, verifier_offtask=0.4,
                 repeated_pattern=0),
             THRESH,
         )
-        assert v.top_offtask and not v.top_wrong and not v.top_correct
+        assert [v.top_offtask[0], v.top_wrong[0], v.top_correct[0]] == [True, False, False]
+
+    def test_one_boolean_array_per_variable(self):
+        v = derive_variables(table_of(*signal_lattice()), THRESH)
+        for name, mask in vars(v).items():
+            assert mask.dtype == bool and mask.shape == (len(signal_lattice()),), name
 
 
 def signal_lattice():
@@ -176,28 +192,22 @@ def signal_lattice():
     return points
 
 
-def lattice_table(points):
-    """The lattice ``points`` as one signal table, one row per point."""
-    return SignalTable.from_records({("", i): s for i, s in enumerate(points, start=1)})
-
-
 class TestSchemataTotality:
     @pytest.mark.parametrize("thresholds", [THRESH, THRESH_FLIPPED])
     def test_every_point_gets_exactly_one_category(self, thresholds):
         # categorize raises UncoveredCaseError on a point that no rule or
         # more than one rule covers
-        table = lattice_table(signal_lattice())
+        table = table_of(*signal_lattice())
         for schema in SCHEMATA:
             cats = categorize(table, schema, thresholds)
-            assert cats.shape == (len(table),)
+            assert cats.dtype == np.int64 and cats.shape == (len(table),)
             assert ((0 <= cats) & (cats <= schema.num_categories - 1)).all()
 
     def test_invalid_dominates_all_schemata(self):
         bad = sig(repeated_pattern=1, is_correct=1.0)
         off = sig(verifier_offtask=0.9, verifier_correct=0.05, verifier_wrong=0.05)
         for schema in SCHEMATA:
-            assert categorize(bad, schema, THRESH) == 0
-            assert categorize(off, schema, THRESH) == 0
+            assert categorize(table_of(bad, off), schema, THRESH).tolist() == [0, 0]
 
     def test_twelve_schemata_ship(self):
         assert len(SCHEMATA) == 12
@@ -207,62 +217,62 @@ class TestSchemataTotality:
 class TestCategorize:
     def test_format_aware_cells(self):
         schema = schema_by_name("format-aware")
-        assert categorize(sig(is_correct=1.0, has_box=1.0), schema, THRESH) == 4
-        assert categorize(sig(is_correct=1.0, has_box=0.0), schema, THRESH) == 3
-        assert categorize(sig(is_correct=0.0, has_box=1.0), schema, THRESH) == 2
-        assert categorize(sig(is_correct=0.0, has_box=0.0), schema, THRESH) == 1
+        assert categorize(one(is_correct=1.0, has_box=1.0), schema, THRESH).tolist() == [4]
+        assert categorize(one(is_correct=1.0, has_box=0.0), schema, THRESH).tolist() == [3]
+        assert categorize(one(is_correct=0.0, has_box=1.0), schema, THRESH).tolist() == [2]
+        assert categorize(one(is_correct=0.0, has_box=0.0), schema, THRESH).tolist() == [1]
 
     def test_format_aware_default_weights(self):
         assert tuple(schema_by_name("format-aware").default_weights) == (0, 0, 1, 2, 3)
 
     def test_conf_calibrated_mid_band(self):
         schema = schema_by_name("conf-calibrated")
-        mid = sig(is_correct=1.0, completion_bpt=2.0)     # corr_p33 < 2.0 <= corr_p66
-        top = sig(is_correct=1.0, completion_bpt=1.0)
-        low = sig(is_correct=1.0, completion_bpt=3.0)
-        assert categorize(mid, schema, THRESH) == 4
-        assert categorize(top, schema, THRESH) == 5
-        assert categorize(low, schema, THRESH) == 3
+        mid = one(is_correct=1.0, completion_bpt=2.0)     # corr_p33 < 2.0 <= corr_p66
+        top = one(is_correct=1.0, completion_bpt=1.0)
+        low = one(is_correct=1.0, completion_bpt=3.0)
+        assert categorize(mid, schema, THRESH).tolist() == [4]
+        assert categorize(top, schema, THRESH).tolist() == [5]
+        assert categorize(low, schema, THRESH).tolist() == [3]
 
     def test_conf_wrong_penalty(self):
         schema = schema_by_name("conf-wrong-penalty")
-        confident_wrong = sig(is_correct=0.0, completion_bpt=2.5)  # <= tau_low_wrong
-        hesitant_wrong = sig(is_correct=0.0, completion_bpt=3.5)
-        assert categorize(confident_wrong, schema, THRESH) == 1
-        assert categorize(hesitant_wrong, schema, THRESH) == 2
-        assert categorize(sig(is_correct=1.0), schema, THRESH) == 3
+        confident_wrong = one(is_correct=0.0, completion_bpt=2.5)  # <= tau_low_wrong
+        hesitant_wrong = one(is_correct=0.0, completion_bpt=3.5)
+        assert categorize(confident_wrong, schema, THRESH).tolist() == [1]
+        assert categorize(hesitant_wrong, schema, THRESH).tolist() == [2]
+        assert categorize(one(is_correct=1.0), schema, THRESH).tolist() == [3]
 
     def test_verifier_only_paths(self):
         schema = schema_by_name("verifier-only")
-        assert categorize(sig(verifier_correct=0.9, verifier_wrong=0.05,
-                              verifier_offtask=0.05), schema, THRESH) == 3
-        assert categorize(sig(verifier_correct=0.55, verifier_wrong=0.05,
-                              verifier_offtask=0.4), schema, THRESH) == 3
-        assert categorize(sig(verifier_correct=0.2, verifier_wrong=0.7,
-                              verifier_offtask=0.1), schema, THRESH) == 2
-        assert categorize(sig(verifier_correct=0.3, verifier_wrong=0.25,
-                              verifier_offtask=0.45), schema, THRESH) == 1
+        assert categorize(one(verifier_correct=0.9, verifier_wrong=0.05,
+                              verifier_offtask=0.05), schema, THRESH).tolist() == [3]
+        assert categorize(one(verifier_correct=0.55, verifier_wrong=0.05,
+                              verifier_offtask=0.4), schema, THRESH).tolist() == [3]
+        assert categorize(one(verifier_correct=0.2, verifier_wrong=0.7,
+                              verifier_offtask=0.1), schema, THRESH).tolist() == [2]
+        assert categorize(one(verifier_correct=0.3, verifier_wrong=0.25,
+                              verifier_offtask=0.45), schema, THRESH).tolist() == [1]
 
     def test_strict_compliance_disjunction(self):
         schema = schema_by_name("strict-compliance")
-        assert categorize(sig(is_correct=1.0, has_box=0.0), schema, THRESH) == 1
-        assert categorize(sig(is_correct=0.0, has_box=1.0), schema, THRESH) == 1
-        assert categorize(sig(is_correct=1.0, has_box=1.0), schema, THRESH) == 2
+        assert categorize(one(is_correct=1.0, has_box=0.0), schema, THRESH).tolist() == [1]
+        assert categorize(one(is_correct=0.0, has_box=1.0), schema, THRESH).tolist() == [1]
+        assert categorize(one(is_correct=1.0, has_box=1.0), schema, THRESH).tolist() == [2]
 
     def test_concise_high_conf_specificity(self):
         schema = schema_by_name("concise-high-conf")
-        short_confident = sig(is_correct=1.0, token_ratio=0.1, completion_bpt=1.0)
-        short_hesitant = sig(is_correct=1.0, token_ratio=0.1, completion_bpt=3.0)
-        assert categorize(short_confident, schema, THRESH) == 5
-        assert categorize(short_hesitant, schema, THRESH) == 4
+        short_confident = one(is_correct=1.0, token_ratio=0.1, completion_bpt=1.0)
+        short_hesitant = one(is_correct=1.0, token_ratio=0.1, completion_bpt=3.0)
+        assert categorize(short_confident, schema, THRESH).tolist() == [5]
+        assert categorize(short_hesitant, schema, THRESH).tolist() == [4]
 
     def test_uncovered_case_reported(self):
         broken = Schema("broken", 3, ((1, ("wrong",)),))
         with pytest.raises(UncoveredCaseError):
-            categorize(sig(is_correct=1.0), broken, THRESH)
+            categorize(one(is_correct=1.0), broken, THRESH)
         overlapping = Schema("overlap", 3, ((1, ("correct",)), (2, ("boxed",))))
         with pytest.raises(UncoveredCaseError):
-            categorize(sig(is_correct=1.0, has_box=1.0), overlapping, THRESH)
+            categorize(one(is_correct=1.0, has_box=1.0), overlapping, THRESH)
 
     def test_unknown_schema_lists_names(self):
         with pytest.raises(InputError) as err:
@@ -290,7 +300,8 @@ def clean_grid(pattern, questions=3):
 class TestBuildMatrix:
     def test_exact_match_reproduces_binary_pattern(self):
         pattern = [[1, 0, 1], [0, 0, 1], [1, 1, 1]]
-        mx = build_matrix(clean_grid(pattern), schema_by_name("exact-match"))
+        mx = build_matrix(SignalTable.from_records(clean_grid(pattern)),
+                          schema_by_name("exact-match"))
         assert mx.num_categories == 3
         assert mx.cells.tolist() == [[c + 1 for c in row] for row in pattern]
         assert mx.question_ids == ("q0", "q1", "q2")
@@ -299,7 +310,7 @@ class TestBuildMatrix:
         records = clean_grid([[1, 0], [0, 1]], questions=2)
         del records[("q1", 2)]
         with pytest.raises(IncompleteGridError):
-            build_matrix(records, schema_by_name("exact-match"))
+            build_matrix(SignalTable.from_records(records), schema_by_name("exact-match"))
 
     def test_wrong_to_correct_flip_never_decreases_mu(self):
         weights = WeightVector((0.0, 1.0, 2.0))
@@ -307,7 +318,7 @@ class TestBuildMatrix:
         rng = np.random.default_rng(12)
         for _ in range(20):
             pattern = rng.integers(0, 2, size=(3, 4)).tolist()
-            records = clean_grid(pattern)
+            records = SignalTable.from_records(clean_grid(pattern))
             base = evaluate_performance(build_matrix(records, schema), UNIFORM, weights)
             flip_q = int(rng.integers(0, 3))
             flip_t = int(rng.integers(0, 4))
@@ -315,15 +326,58 @@ class TestBuildMatrix:
                 continue
             pattern[flip_q][flip_t] = 1
             flipped = evaluate_performance(
-                build_matrix(clean_grid(pattern), schema), UNIFORM, weights
+                build_matrix(SignalTable.from_records(clean_grid(pattern)), schema),
+                UNIFORM, weights
             )
             assert flipped.mu >= base.mu - 1e-12
 
     def test_explicit_thresholds_respected(self):
-        records = clean_grid([[1, 0], [0, 1]], questions=2)
+        records = SignalTable.from_records(clean_grid([[1, 0], [0, 1]], questions=2))
         mx1 = build_matrix(records, schema_by_name("exact-match"), THRESH)
         mx2 = build_matrix(records, schema_by_name("exact-match"))
         assert mx1.cells.tolist() == mx2.cells.tolist()
+
+
+class TestFromRecords:
+    def test_rows_in_mapping_order_with_questions_by_first_appearance(self):
+        table = SignalTable.from_records({
+            ("b", 2): sig(has_box=0.0), ("a", 1): sig(has_box=1.0), ("b", 1): sig(has_box=0.5),
+        })
+        assert table.question_ids == ("b", "a")
+        assert table.question.tolist() == [0, 1, 0]
+        assert table.trial.tolist() == [2, 1, 1]
+        assert table.has_box.tolist() == [0.0, 1.0, 0.5]
+        assert table.lines.tolist() == [1, 2, 3]
+        assert table.source == ""
+
+    def test_verifier_signals_default_to_zero(self):
+        bare = {k: v for k, v in sig().items() if not k.startswith("verifier_")}
+        table = table_of(bare, sig(verifier_wrong=0.25))
+        assert table.verifier_correct.tolist() == [0.0, 0.9]
+        assert table.verifier_wrong.tolist() == [0.0, 0.25]
+        assert table.verifier_offtask.tolist() == [0.0, 0.05]
+        for name in ("verifier_correct", "verifier_wrong", "verifier_offtask"):
+            assert getattr(table, name).dtype == np.float64
+
+    def test_missing_signal_named(self):
+        bare = {k: v for k, v in sig().items() if k != "token_ratio"}
+        with pytest.raises(InputError, match=r"record \('', 2\): missing signal 'token_ratio'"):
+            table_of(sig(), bare)
+
+    def test_unknown_signal_named(self):
+        with pytest.raises(InputError, match=r"record \('', 1\): unknown signal 'sparkly'"):
+            table_of(sig(sparkly=1.0))
+
+    def test_missing_named_before_unknown(self):
+        bare = {k: v for k, v in sig(sparkly=1.0).items() if k != "has_box"}
+        with pytest.raises(InputError, match="missing signal 'has_box'"):
+            table_of(bare)
+
+    def test_range_violation_at_its_row(self):
+        with pytest.raises(RangeViolationError) as err:
+            table_of(sig(), sig(), sig(is_correct=1.5))
+        assert err.value.line == 3
+        assert str(err.value) == "is_correct=1.5 outside [0, 1] (line 3)"
 
 
 class TestSchemaConfig:
@@ -336,8 +390,8 @@ class TestSchemaConfig:
                 "weights": [0, 0, 1],
             }
         )
-        assert categorize(sig(has_box=1.0), schema, THRESH) == 2
-        assert categorize(sig(has_box=0.0), schema, THRESH) == 1
+        assert categorize(one(has_box=1.0), schema, THRESH).tolist() == [2]
+        assert categorize(one(has_box=0.0), schema, THRESH).tolist() == [1]
         assert tuple(schema.default_weights) == (0.0, 0.0, 1.0)
 
     def test_conjunction_with_negation(self):
@@ -348,8 +402,8 @@ class TestSchemaConfig:
                 "rules": {1: ["wrong", "correct & ~high_conf"], 2: "correct & high_conf"},
             }
         )
-        assert categorize(sig(completion_bpt=1.0), schema, THRESH) == 2
-        assert categorize(sig(completion_bpt=4.0), schema, THRESH) == 1
+        assert categorize(one(completion_bpt=1.0), schema, THRESH).tolist() == [2]
+        assert categorize(one(completion_bpt=4.0), schema, THRESH).tolist() == [1]
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(InputError):

@@ -8,7 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from bayeseval import simulate
 from bayeseval._rng import DOMAIN_FRESH, DOMAIN_SEPARATION, DOMAIN_TRIALS, stream_rng
-from bayeseval.errors import AllTiedError, InputError, ZeroTrialsError
+from bayeseval.errors import (
+    AllTiedError,
+    InputError,
+    NegativeZError,
+    NotReachableError,
+    ZeroTrialsError,
+)
 from bayeseval.methods import parse_method
 from bayeseval.model import validate_matrix
 from bayeseval.ranking import ScoredModel, kendall_tau_b, rank_without_ci
@@ -16,6 +22,7 @@ from bayeseval.simulate import (
     REFERENCE_MEANS,
     CohortSpec,
     CoinModel,
+    SeparationResult,
     fresh_tau_curves,
     generate_cohort,
     gold_ranking,
@@ -292,6 +299,24 @@ class TestSeparationExperiment:
         assert n in res.n_grid
         _, z = res.at(n)
         assert z >= 1.645
+
+    def test_min_trials_compares_z_itself(self):
+        # 1 / (1 / z) rounds below this z, so a detour through sigma = 1 / z
+        # would miss the grid point whose mean |z| equals the target
+        z = 3.808447434438728
+        assert 1.0 / (1.0 / z) < z
+        res = SeparationResult("a", "b", (10, 20, 40), (0.9, 0.95, 0.99), (1.0, z, 5.0), 100)
+        assert res.min_trials_for_z(z) == 20
+        assert res.min_trials_for_z(math.nextafter(z, 0.0)) == 20
+        assert res.min_trials_for_z(math.nextafter(z, 9.0)) == 40
+
+    def test_min_trials_errors(self):
+        res = SeparationResult("a", "b", (10, 20), (0.5, 0.6), (0.0, 1.5), 100)
+        for target in (0.0, -1.0, math.nan):
+            with pytest.raises(NegativeZError):
+                res.min_trials_for_z(target)
+        with pytest.raises(NotReachableError):
+            res.min_trials_for_z(1.6)
 
 
 class TestFreshTauCurves:
