@@ -29,9 +29,8 @@ _LAZY = {
                      "TallyTable", "WeightVector", "tally", "validate_matrix"), "model"),
     **dict.fromkeys(("BinaryTally", "g_pass_at_k_tau", "mg_pass_at_k", "naive_pass_hat_k",
                      "pass_at_k", "pass_hat_k"), "passk"),
-    **dict.fromkeys(("RankTable", "ScoredModel", "kendall_tau_b", "min_trials_for_confidence",
-                     "rank_with_ci", "rank_without_ci", "ranking_confidence", "z_score"),
-                    "ranking"),
+    **dict.fromkeys(("RankTable", "ScoredModel", "kendall_tau_b", "rank_with_ci",
+                     "rank_without_ci", "ranking_confidence", "z_score"), "ranking"),
     **dict.fromkeys(("SCHEMATA", "Schema", "SignalTable", "ThresholdSet",
                      "build_matrix", "categorize", "compute_thresholds", "derive_variables",
                      "schema_by_name"), "rubric"),

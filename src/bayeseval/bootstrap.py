@@ -48,7 +48,7 @@ from ._rng import DOMAIN_COLUMN, DOMAIN_ROW, DRAW_SHARE, check_replicates, draw_
 from .bayes import evaluate_performance
 from .errors import AllTiedError, InputError, NegativeZError
 from .methods import Method, parse_method
-from .model import ResultsMatrix, WeightVector
+from .model import ResultsMatrix, WeightVector, check_same_grid
 from .ranking import RankTable, ScoredModel, rank_without_ci
 
 __all__ = [
@@ -153,12 +153,7 @@ def _model_items(matrices) -> list[tuple[str, ResultsMatrix]]:
     items = list(matrices.items())
     if len(items) < 2:
         raise InputError("need at least two models to rank")
-    shapes = {(mx.questions, mx.trials, mx.num_categories) for _, mx in items}
-    if len(shapes) > 1:
-        raise InputError(f"matrices disagree on shape/categories: {sorted(shapes)}")
-    # rows are compared by position, so they must name the same questions
-    if len({mx.question_ids for _, mx in items if mx.question_ids is not None}) > 1:
-        raise InputError("matrices disagree on question ids or their row order")
+    check_same_grid([mx for _, mx in items])
     return items
 
 

@@ -26,7 +26,7 @@ from .errors import (
     InternalInvariantError,
     MethodUndefinedError,
 )
-from .model import UNIFORM, WeightVector
+from .model import UNIFORM, WeightVector, check_same_grid
 
 # bayes, methods, bootstrap, ranking, simulate and rubric are imported by the
 # handlers that run them, so each command loads only its own modules
@@ -35,17 +35,25 @@ _Z_REPORT_LEVELS = (1.645, 1.96)
 _DEFAULT_CONVERGE_METHODS = "bayes,pass@2,pass@4,pass@8"
 
 
-def _parse_weights(text: str | None) -> WeightVector | None:
-    if text is None:
-        return None
+def _method_and_weights(args):
+    """``--method`` and ``--weights``; only ``bayes`` and ``avg`` take weights."""
+    from .methods import parse_method
+
+    if args.weights is None:
+        return parse_method(args.method), None
     try:
-        return WeightVector(tuple(float(p) for p in text.split(",")))
+        weights = WeightVector(tuple(float(p) for p in args.weights.split(",")))
     except ValueError as exc:
-        raise InputError(f"cannot parse weights {text!r}: {exc}") from None
+        raise InputError(f"cannot parse weights {args.weights!r}: {exc}") from None
+    method = parse_method(args.method, weights)
+    if not method.moment_based:
+        raise InputError(f"--weights applies only to the bayes and avg methods, not {method.name}")
+    return method, weights
 
 
 def _load_dir(dirpath: str, num_categories: int | None):
-    """Load every CSV in a directory as (model_id, matrix), shared C."""
+    """Load every CSV in a directory as (model_id, matrix), shared C, on
+    one grid of questions and trials."""
     paths = sorted(Path(dirpath).glob("*.csv"))
     if not paths:
         raise InputError(f"no .csv files in {dirpath}")
@@ -53,7 +61,9 @@ def _load_dir(dirpath: str, num_categories: int | None):
     shared = max(mx.num_categories for _, mx in loaded)
     # cells already lie in [0, C] of their own file, so a wider shared C
     # needs no second validation
-    return [(mid, dataclasses.replace(mx, num_categories=shared)) for mid, mx in loaded]
+    items = [(mid, dataclasses.replace(mx, num_categories=shared)) for mid, mx in loaded]
+    check_same_grid([mx for _, mx in items])
+    return items
 
 
 def _emit(args, result) -> None:
@@ -90,12 +100,10 @@ def _cohort_from_args(args) -> list:
 
 def _cmd_eval(args) -> None:
     from .bayes import evaluate_performance
-    from .methods import parse_method
 
     labels = io.load_label_map(args.labels) if args.labels else None
     matrix = io.load_results_csv(args.results, args.categories, labels)
-    weights = _parse_weights(args.weights)
-    method = parse_method(args.method, weights)
+    method, weights = _method_and_weights(args)
     if method.kind == "bayes":
         prior = (
             io.load_prior_csv(args.prior, matrix.num_categories)
@@ -129,7 +137,6 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_rank(args) -> None:
-    from .methods import parse_method
     from .ranking import ScoredModel, rank_with_ci, rank_without_ci
 
     try:
@@ -137,8 +144,7 @@ def _cmd_rank(args) -> None:
     except ValueError:
         raise InputError(f"--ci must be a z threshold or 'off', got {args.ci!r}") from None
     items = _load_dir(args.results_dir, args.categories)
-    weights = _parse_weights(args.weights)
-    method = parse_method(args.method, weights)
+    method, _ = _method_and_weights(args)
     scored = [ScoredModel(mid, *method.score_with_sigma(mx)) for mid, mx in items]
     report = {
         "method": method.name,

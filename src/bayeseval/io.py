@@ -1,7 +1,8 @@
 """File formats and report emission.
 
 Matrices travel as CSV (human-diffable), per-attempt signals as JSONL
-(sparse optional fields), analysis results as JSON or TSV. Reports are
+(sparse optional fields, in the format ``rubric.SIGNAL_FIELDS`` defines),
+analysis results as JSON or TSV. Reports are
 byte-stable: fixed field order, floats at 12 significant digits, so
 identical inputs produce identical bytes.
 """
@@ -244,29 +245,6 @@ def save_results_csv(matrix: ResultsMatrix, path) -> None:
             writer.writerow([qid] + [int(v) for v in row])
 
 
-_REQUIRED_SIGNAL_FIELDS = (
-    "question_id",
-    "trial",
-    "has_box",
-    "is_correct",
-    "token_ratio",
-    "repeated_pattern",
-    "prompt_bpt",
-    "completion_bpt",
-)
-_VERIFIER_FIELDS = {
-    "compass_context_A": "verifier_correct",
-    "compass_context_B": "verifier_wrong",
-    "compass_context_C": "verifier_offtask",
-}
-# (JSON key, SignalTable column, integral) in the order a record's values are read
-_SIGNAL_COLUMNS = tuple(
-    [(key, key, key == "repeated_pattern") for key in _REQUIRED_SIGNAL_FIELDS[2:]]
-    + [(key, name, False) for key, name in _VERIFIER_FIELDS.items()]
-)
-_NUMBER_TYPES = frozenset((int, float, bool))
-
-
 @dataclass(frozen=True)
 class SignalSet:
     """Parsed signal records as one column table, plus warnings."""
@@ -278,82 +256,16 @@ class SignalSet:
         return len(self.table)
 
 
-def _int64(value) -> int | None:
-    """A JSON integer or integral float as an int64 value, else None."""
-    value = json_int(value)
-    return value if value is not None and -(2**63) <= value < 2**63 else None
-
-
-def _value_problem(name: str, value, integral: bool) -> str | None:
-    """Why ``value`` cannot be read as signal ``name``, or None if it can."""
-    if type(value) not in _NUMBER_TYPES:
-        return f"{name} must be a number, got {value!r}"
-    try:
-        number = float(value)
-    except OverflowError:
-        return f"{name}={value} is beyond the float64 range"
-    if integral and not number.is_integer():
-        return f"{name} must be an integer, got {value!r}"
-    return None
-
-
-def _signal_column(name: str, values, integral: bool):
-    """``(float64 column, None)``, or ``(None, (row, problem))`` for the
-    first value that cannot be read as signal ``name``."""
-    if set(map(type, values)) <= _NUMBER_TYPES:
-        try:
-            column = np.array(values, dtype=np.float64)
-        except OverflowError:   # an integer beyond the float64 range
-            pass
-        else:
-            if not integral or (np.isfinite(column) & (column == np.trunc(column))).all():
-                return column, None
-    problems = ((row, _value_problem(name, value, integral)) for row, value in enumerate(values))
-    return None, next((row, problem) for row, problem in problems if problem)
-
-
-def _signal_table(path, rows: list[tuple], lines: list[int]) -> SignalTable:
-    """The column table of ``(question_id, trial, *values)`` rows read at ``lines``.
-
-    Raises the error of the lowest row whose values fail: a value that is
-    not a number (or not integral) as ``ParseError``, else one outside its
-    range as ``RangeViolationError`` from the table.
-    """
-    from .rubric import SignalTable
-
-    qids, trials, *raw = list(zip(*rows)) or [()] * (2 + len(_SIGNAL_COLUMNS))
-    columns, first = {}, None
-    for (key, name, integral), values in zip(_SIGNAL_COLUMNS, raw):
-        columns[name], bad = _signal_column(key, values, integral)
-        if bad and (first is None or bad[0] < first[0]):
-            first = bad
-    if first:
-        row, problem = first
-        _signal_table(path, rows[:row], lines[:row])   # numbers above, maybe out of range
-        raise ParseError(f"{path}: {problem}", line=lines[row])
-    index = {q: i for i, q in enumerate(dict.fromkeys(qids))}
-    return SignalTable(
-        question_ids=tuple(index),
-        question=np.fromiter(map(index.__getitem__, qids), np.int64, len(qids)),
-        trial=np.array(trials, dtype=np.int64),
-        lines=np.array(lines, dtype=np.int64),
-        source=str(path),
-        **columns,
-    )
-
-
 def load_signals_jsonl(path) -> SignalSet:
     """Load per-attempt signal records, one JSON object per line.
 
-    One pass parses each line, checks its fields and its (question, trial)
-    cell, and keeps its values; they become the columns of one
-    ``SignalTable``, whose value types and ranges are checked a column at
-    a time. ``question_id`` is read with ``str()``; ``trial`` is a JSON
-    integer or integral float (``2.0``) within int64. The other values are
-    JSON numbers, ``true``/``false`` reading as 1/0, and
-    ``repeated_pattern`` must be integral. Blank lines are skipped.
-    Records missing the verifier fields default them to zero and add a
-    warning.
+    A record holds ``question_id``, ``trial`` and the field of each signal
+    in ``rubric.SIGNAL_FIELDS``; one missing optional fields defaults them
+    to 0 and adds a warning. One pass checks each line's fields and (question,
+    trial) cell and keeps its values as a row; ``SignalTable.from_rows``
+    checks the values and builds the table. ``question_id`` is read with
+    ``str()``; ``trial`` is a JSON integer or integral float (``2.0``) within
+    int64. Blank lines are skipped.
 
     Raises ``ParseError`` naming the file if it is not UTF-8 text; else,
     for the lowest-numbered bad line, the first check it fails in this
@@ -362,12 +274,14 @@ def load_signals_jsonl(path) -> SignalSet:
         MissingFieldError: a required field is absent.
         ParseError: a ``trial`` that is not an int64 integer.
         DuplicateCellError: the (question, trial) cell was already read.
-        ParseError: a value that is not a number, or not integral.
-        RangeViolationError: a value outside its range, in
-            ``SignalTable`` checking order.
+        ParseError / RangeViolationError: a value that does not read as
+            its signal, or one outside its range, as ``from_rows`` raises.
     """
-    take = itemgetter(*_REQUIRED_SIGNAL_FIELDS)
-    take_verifier = itemgetter(*_VERIFIER_FIELDS)
+    from .rubric import SIGNAL_FIELDS, SignalTable
+
+    fields = ("question_id", "trial", *(f.key for f in SIGNAL_FIELDS))
+    take = itemgetter(*fields)
+    defaults = {f.key: 0.0 for f in SIGNAL_FIELDS if f.optional}
     rows: list[tuple] = []
     lines: list[int] = []
     seen: set[tuple[str, int]] = set()
@@ -390,11 +304,17 @@ def load_signals_jsonl(path) -> SignalSet:
                 break
             try:
                 row = take(obj)
-            except KeyError as exc:
-                error = MissingFieldError(f"{path}: missing field {exc.args[0]!r}", line=line_no)
-                break
-            key = (str(row[0]), _int64(row[1]))
-            if key[1] is None:
+            except KeyError:
+                try:
+                    row = take({**defaults, **obj})
+                except KeyError as exc:
+                    error = MissingFieldError(
+                        f"{path}: missing field {exc.args[0]!r}", line=line_no
+                    )
+                    break
+                defaulted += 1
+            key = (str(row[0]), json_int(row[1]))
+            if key[1] is None or not -(2**63) <= key[1] < 2**63:
                 error = ParseError(
                     f"{path}: trial must be an int64 integer, got {row[1]!r}", line=line_no
                 )
@@ -406,15 +326,10 @@ def load_signals_jsonl(path) -> SignalSet:
                 )
                 break
             seen.add(key)
-            try:
-                verifier = take_verifier(obj)
-            except KeyError:
-                verifier = tuple(obj.get(name, 0.0) for name in _VERIFIER_FIELDS)
-                defaulted += 1
-            rows.append(key + row[2:] + verifier)
+            rows.append(key + row[2:])
             lines.append(line_no)
     # built before raising, so a bad value above the bad line is reported first
-    table = _signal_table(path, rows, lines)
+    table = SignalTable.from_rows(rows, lines, str(path), fields[2:])
     if error:
         raise error
     warnings = ()

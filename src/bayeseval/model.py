@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     CategoryOutOfRangeError,
     EmptyMatrixError,
+    InputError,
     NonIntegerCellError,
     NotAGridError,
     PriorShapeMismatchError,
@@ -30,6 +31,7 @@ __all__ = [
     "TallyTable",
     "PosteriorSummary",
     "validate_matrix",
+    "check_same_grid",
     "tally",
 ]
 
@@ -160,6 +162,21 @@ def validate_matrix(
     ids = tuple(map(str, question_ids)) if question_ids is not None else None
     return ResultsMatrix(cells, num_categories, ids)
 
+
+
+def check_same_grid(matrices: Sequence[ResultsMatrix]) -> None:
+    """Check that matrices compared row by row share one grid: the same
+    questions, trials and category count, and, among those that carry
+    question ids, the same ids in the same order.
+
+    Raises:
+        InputError: the matrices differ in any of these.
+    """
+    shapes = {(mx.questions, mx.trials, mx.num_categories) for mx in matrices}
+    if len(shapes) > 1:
+        raise InputError(f"matrices disagree on shape/categories: {sorted(shapes)}")
+    if len({mx.question_ids for mx in matrices if mx.question_ids is not None}) > 1:
+        raise InputError("matrices disagree on question ids or their row order")
 
 @dataclass(frozen=True)
 class PriorData:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     AllTiedError,
@@ -23,7 +23,6 @@ from .errors import (
     LengthMismatchError,
     NegativeZError,
     NonFiniteScoreError,
-    NotReachableError,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "rank_without_ci",
     "rank_with_ci",
     "kendall_tau_b",
-    "min_trials_for_confidence",
 ]
 
 
@@ -204,42 +202,3 @@ def kendall_tau_b(ranking_a: Sequence[float], ranking_b: Sequence[float]) -> flo
     nc, nd = _pair_counts(ranking_a, ranking_b)
     return (nc - nd) / math.sqrt((n0 - n1) * (n0 - n2))
 
-
-def min_trials_for_confidence(
-    mu_gap: float,
-    sigma_at_n: Callable[[int], float] | Mapping[int, float],
-    target_z: float,
-    *,
-    n_grid: Iterable[int] | None = None,
-    n_max: int = 10_000,
-) -> int:
-    """Smallest trial count whose z-score reaches ``target_z``.
-
-    ``sigma_at_n`` maps a trial count to the combined uncertainty of the
-    model pair at that count; it may be a callable (an analytic or fitted
-    curve) or a mapping of measured points. ``z(N) = mu_gap / sigma_at_n(N)``.
-
-    Raises:
-        NotReachableError: no N in the budget reaches the target.
-    """
-    if target_z <= 0:
-        raise NegativeZError(f"target z must be > 0, got {target_z}")
-    if isinstance(sigma_at_n, Mapping):
-        candidates = sorted(sigma_at_n)
-        lookup = sigma_at_n.__getitem__
-    else:
-        candidates = list(n_grid) if n_grid is not None else range(1, n_max + 1)
-        lookup = sigma_at_n
-    for n in candidates:
-        sigma = lookup(n)
-        if sigma < 0:
-            raise NegativeZError(f"sigma_at_n({n}) = {sigma} < 0")
-        if sigma == 0.0:
-            if mu_gap != 0.0:
-                return n
-            continue
-        if mu_gap / sigma >= target_z:
-            return n
-    raise NotReachableError(
-        f"z >= {target_z} not reached for gap {mu_gap} within the trial budget"
-    )

@@ -8,10 +8,10 @@ category. Category 0 is always reserved for invalid attempts (degenerate
 repetition or a high off-task verifier probability), which dominates all
 other rules.
 
-Signals are processed as columns. A ``SignalTable`` holds one row per
-attempt: question codes, int64 trials, one float64 array per signal and
-the source line of each row; ``io.load_signals_jsonl`` reads one from a
-file and ``SignalTable.from_records`` builds one in memory. Thresholds
+``SIGNAL_FIELDS`` defines the signal format. A ``SignalTable`` holds one
+row per attempt: question codes, int64 trials, a float64 array per signal
+and each row's source line; ``SignalTable.from_rows`` checks and builds one
+from the rows ``io.load_signals_jsonl`` or ``from_records`` gathers. Thresholds
 are percentiles of its columns, each rubric variable is one boolean
 array, each rule ANDs its literals' arrays into a mask, and
 ``build_matrix`` places the categories on the (question, trial) grid
@@ -25,7 +25,7 @@ implementations and runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,12 +35,15 @@ from .errors import (
     InputError,
     NoCorrectItemsError,
     NoWrongItemsError,
+    ParseError,
     RangeViolationError,
     UncoveredCaseError,
 )
 from .model import ResultsMatrix, WeightVector
 
 __all__ = [
+    "SignalField",
+    "SIGNAL_FIELDS",
     "SignalTable",
     "ThresholdSet",
     "RubricVariables",
@@ -54,39 +57,92 @@ __all__ = [
     "build_matrix",
 ]
 
-# has_box and is_correct are reals in [0, 1] read at 0.5, token_ratio is completion
-# tokens over the 32,768 budget, verifier_* are label probabilities A, B and C.
-_SIGNALS = ("has_box", "is_correct", "token_ratio", "repeated_pattern", "prompt_bpt",
-            "completion_bpt", "verifier_correct", "verifier_wrong", "verifier_offtask")
-_VERIFIER = _SIGNALS[6:]
-_PROBABILITIES = ("has_box", "is_correct", *_VERIFIER)
-_NON_NEGATIVE = ("token_ratio", "prompt_bpt", "completion_bpt")
+
+@dataclass(frozen=True)
+class SignalField:
+    """One attempt signal: its ``SignalTable`` column, its JSONL field, whether
+    a record may omit it (reading 0), and its value rule: ``probability`` (a
+    real in [0, 1]), ``non-negative`` (finite, >= 0) or ``binary`` (0 or 1)."""
+
+    column: str
+    key: str
+    optional: bool
+    rule: str
+
+
+# The one definition of the signal format, in column order. has_box and
+# is_correct are reals in [0, 1] read at 0.5, token_ratio is completion tokens
+# over the 32,768 budget, verifier_* are label probabilities A, B and C.
+SIGNAL_FIELDS = (
+    SignalField("has_box", "has_box", False, "probability"),
+    SignalField("is_correct", "is_correct", False, "probability"),
+    SignalField("token_ratio", "token_ratio", False, "non-negative"),
+    SignalField("repeated_pattern", "repeated_pattern", False, "binary"),
+    SignalField("prompt_bpt", "prompt_bpt", False, "non-negative"),
+    SignalField("completion_bpt", "completion_bpt", False, "non-negative"),
+    SignalField("verifier_correct", "compass_context_A", True, "probability"),
+    SignalField("verifier_wrong", "compass_context_B", True, "probability"),
+    SignalField("verifier_offtask", "compass_context_C", True, "probability"),
+)
+_COLUMNS = tuple(f.column for f in SIGNAL_FIELDS)
+# value rule -> (the values outside its range, why), in range-checking order
+_RANGES = {
+    "probability": (lambda v: ~((v >= 0.0) & (v <= 1.0)), "{}={} outside [0, 1]"),
+    "non-negative": (lambda v: ~(np.isfinite(v) & (v >= 0.0)), "{}={} must be finite and >= 0"),
+    "binary": (lambda v: (v != 0.0) & (v != 1.0), "{} must be 0 or 1, got {}"),
+}
+_RANGE_ORDER = sorted(SIGNAL_FIELDS, key=lambda f: list(_RANGES).index(f.rule))
+_JSON_NUMBERS = frozenset((int, float, bool))
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
 def _range_problem(s: SignalTable) -> tuple[int, str] | None:
-    """The first row of ``s`` holding a value outside its range, and why.
-
-    A row's probabilities are checked first, then its non-negative reals,
-    then ``repeated_pattern``; NaN fails every check.
-    """
-    checks = []     # (field, values, failing rows, message), in checking order
-    for name in _PROBABILITIES:
-        v = np.asarray(getattr(s, name), dtype=np.float64)
-        checks.append((name, v, ~((v >= 0.0) & (v <= 1.0)), "{}={} outside [0, 1]"))
-    for name in _NON_NEGATIVE:
-        v = np.asarray(getattr(s, name), dtype=np.float64)
-        checks.append((name, v, ~(np.isfinite(v) & (v >= 0.0)), "{}={} must be finite and >= 0"))
-    v = np.asarray(s.repeated_pattern, dtype=np.float64)
-    checks.append(("repeated_pattern", v, (v != 0.0) & (v != 1.0), "{} must be 0 or 1, got {}"))
-    bad = np.logical_or.reduce([failing for _, _, failing, _ in checks])
+    """The first row of ``s`` holding a value outside its range, and why: a
+    row is checked rule by rule in ``_RANGES`` order, each rule in column
+    order; NaN fails every rule."""
+    values = [np.asarray(getattr(s, f.column), dtype=np.float64) for f in _RANGE_ORDER]
+    failing = [_RANGES[f.rule][0](v) for f, v in zip(_RANGE_ORDER, values)]
+    bad = np.logical_or.reduce(failing)
     if not bad.any():
         return None
     row = int(bad.argmax())
-    name, v, _, message = next(check for check in checks if check[2][row])
+    f, v = next((f, v) for f, v, rows in zip(_RANGE_ORDER, values, failing) if rows[row])
     value = float(v[row])
-    if name == "repeated_pattern" and value.is_integer():
+    if f.rule == "binary" and value.is_integer():
         value = int(value)
-    return row, message.format(name, value)
+    return row, _RANGES[f.rule][1].format(f.column, value)
+
+
+def _value_problem(name: str, value, integral: bool) -> str | None:
+    """Why ``value`` cannot be read as the signal ``name``, or None if it can."""
+    if not isinstance(value, _NUMBERS):
+        return f"{name} must be a number, got {value!r}"
+    try:
+        number = float(value)
+    except OverflowError:
+        return f"{name}={value} is beyond the float64 range"
+    if integral and not number.is_integer():
+        return f"{name} must be an integer, got {value!r}"
+    return None
+
+
+def _read_column(name: str, values: tuple, integral: bool):
+    """``(float64 column, None)`` when every value reads as the signal ``name``,
+    else ``(the column above the first that does not, (its row, why))``; only
+    a column holding other than JSON numbers is read value by value."""
+    if set(map(type, values)) <= _JSON_NUMBERS:
+        try:
+            column = np.array(values, dtype=np.float64)
+        except OverflowError:   # an integer beyond the float64 range
+            pass
+        else:
+            if not integral or (np.isfinite(column) & (column == np.trunc(column))).all():
+                return column, None
+    for row, value in enumerate(values):
+        problem = _value_problem(name, value, integral)
+        if problem:
+            return np.array(values[:row], dtype=np.float64), (row, problem)
+    return np.array(values, dtype=np.float64), None
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -95,9 +151,10 @@ class SignalTable:
 
     ``question`` holds int64 codes into ``question_ids``, ``trial`` the
     int64 trial numbers, and each signal is a float64 column under its
-    name. ``lines`` gives each row's line in ``source``, the file the rows
-    were read from (empty for tables built in memory, whose lines number
-    the rows from 1). Construction checks each signal's range, row by row.
+    ``SIGNAL_FIELDS`` column name. ``lines`` gives each row's line in
+    ``source``, the file the rows were read from (empty for tables built in
+    memory, whose lines number the rows from 1). Construction checks each
+    signal's range, row by row.
 
     Raises:
         InputError: columns of different lengths.
@@ -122,7 +179,7 @@ class SignalTable:
 
     def __post_init__(self):
         n = len(self.trial)
-        if any(len(getattr(self, name)) != n for name in ("question", *_SIGNALS, "lines")):
+        if any(len(getattr(self, name)) != n for name in ("question", *_COLUMNS, "lines")):
             raise InputError("signal table columns differ in length")
         found = _range_problem(self)
         if found:
@@ -134,31 +191,57 @@ class SignalTable:
         return len(self.trial)
 
     @classmethod
-    def from_records(cls, records: Mapping[tuple[str, int], Mapping[str, float]]) -> "SignalTable":
-        """One row per (question, trial) -> {signal name: value} entry, in
-        mapping order. The verifier signals default to 0.
+    def from_rows(cls, rows: Sequence[tuple], lines: Sequence[int], source: str,
+                  names: Sequence[str]) -> "SignalTable":
+        """The table of ``(question_id, trial, *signals)`` rows read at ``lines``
+        of ``source``, trials int64 already and signals in ``SIGNAL_FIELDS``
+        order, each an int, float or bool (or numpy integer or float) within
+        float64, integral if ``binary``. At the lowest row holding a bad value,
+        raises ``ParseError`` for one that is not such a number (named by
+        ``names``), else ``RangeViolationError`` as construction does."""
+        qids, trials, *raw = list(zip(*rows)) or [()] * (2 + len(SIGNAL_FIELDS))
+        columns, first = {}, None
+        for f, name, values in zip(SIGNAL_FIELDS, names, raw):
+            columns[f.column], bad = _read_column(name, values, f.rule == "binary")
+            if bad and (first is None or bad[0] < first[0]):
+                first = bad
+        # rows above a value that does not read hold numbers: their ranges come first
+        n = first[0] if first else len(qids)
+        index = {q: i for i, q in enumerate(dict.fromkeys(qids[:n]))}
+        table = cls(
+            question_ids=tuple(index),
+            question=np.fromiter(map(index.__getitem__, qids[:n]), np.int64, n),
+            trial=np.array(trials[:n], dtype=np.int64),
+            lines=np.array(lines[:n], dtype=np.int64),
+            source=source,
+            **{column: values[:n] for column, values in columns.items()},
+        )
+        if first:
+            where = f"{source}: " if source else ""
+            raise ParseError(where + first[1], line=int(lines[n]))
+        return table
 
-        Raises:
-            InputError: a record names an unknown signal or lacks one.
-        """
-        columns = {name: [] for name in _SIGNALS}
+    @classmethod
+    def from_records(cls, records: Mapping[tuple[str, int], Mapping[str, float]]) -> "SignalTable":
+        """One row per (question, trial) -> {signal column: value} entry, in
+        mapping order, read by ``from_rows`` at lines 1, 2, ...; an optional
+        signal defaults to 0. A record naming an unknown signal, lacking one or
+        keyed by a trial that is not an int64 integer is an ``InputError``."""
+        defaults = {f.column: 0.0 for f in SIGNAL_FIELDS if f.optional}
+        known = frozenset(_COLUMNS)
+        rows = []
         for key, signals in records.items():
-            row = {**dict.fromkeys(_VERIFIER, 0.0), **signals}
-            for name in (*columns, *row):   # a missing signal is named before an unknown one
-                if (name in row) != (name in columns):
+            row = {**defaults, **signals}
+            for name in (*_COLUMNS, *row):   # a missing signal is named before an unknown one
+                if (name in row) != (name in known):
                     what = "unknown" if name in row else "missing"
                     raise InputError(f"record {key}: {what} signal {name!r}")
-            for name, column in columns.items():
-                column.append(row[name])
-        codes: dict[str, int] = {}
-        question = [codes.setdefault(q, len(codes)) for q, _ in records]
-        return cls(
-            question_ids=tuple(codes),
-            question=np.array(question, dtype=np.int64),
-            trial=np.array([t for _, t in records], dtype=np.int64),
-            lines=np.arange(1, len(records) + 1),
-            **{name: np.array(column, dtype=np.float64) for name, column in columns.items()},
-        )
+            question, trial = key
+            integer = isinstance(trial, (int, np.integer)) and type(trial) is not bool
+            if not (integer and -(2**63) <= trial < 2**63):
+                raise InputError(f"record {key}: trial must be an int64 integer, got {trial!r}")
+            rows.append((question, trial, *map(row.__getitem__, _COLUMNS)))
+        return cls.from_rows(rows, range(1, len(rows) + 1), "", _COLUMNS)
 
     def take(self, rows: np.ndarray) -> "SignalTable":
         """The rows at index ``rows``, in that order."""
@@ -167,7 +250,7 @@ class SignalTable:
             question=self.question[rows],
             trial=self.trial[rows],
             lines=self.lines[rows],
-            **{name: getattr(self, name)[rows] for name in _SIGNALS},
+            **{name: getattr(self, name)[rows] for name in _COLUMNS},
         )
 
 

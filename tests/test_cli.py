@@ -78,6 +78,20 @@ class TestEval:
         assert (code, out) == (2, "")
         assert json.loads(err)["message"] == "--prior only applies to the bayes method"
 
+    @pytest.mark.parametrize("method", ["pass@2", "pass^2", "gpass@2:1/2"])
+    def test_weights_with_pass_method_exit_2(self, capsys, binary_csv, method):
+        code, out, err = run(capsys, "eval", "--results", binary_csv, "--method", method,
+                             "--weights", "0,5")
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError"
+        assert error["message"].startswith("--weights applies only to the bayes and avg methods")
+
+    def test_weights_with_avg_method(self, capsys, binary_csv):
+        code, out, _ = run(capsys, "eval", "--results", binary_csv, "--method", "avg",
+                           "--weights", "0,5")
+        assert code == 0 and json.loads(out)["score"] == 3.75
+
     def test_weight_mismatch_exit_code(self, capsys, binary_csv):
         code, _, err = run(
             capsys, "eval", "--results", binary_csv, "--weights", "0,1,2"
@@ -285,6 +299,28 @@ class TestRank:
         assert (code, out) == (2, "")
         error = json.loads(err)
         assert error["error"] == "InputError" and "'abc'" in error["message"]
+
+    def test_weights_with_pass_method_exit_2(self, capsys, model_dir):
+        code, out, err = run(capsys, "rank", "--results-dir", model_dir, "--method", "pass@2",
+                             "--weights", "0,5")
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "--weights applies only" in error["message"]
+
+    @pytest.mark.parametrize("other, message", [
+        ("question_id,t1,t2\nq1,1,0\nq2,0,0\n", "disagree on shape/categories"),
+        ("question_id,t1,t2,t3,t4\nx1,1,0,1,1\nx2,0,0,1,0\n", "disagree on question ids"),
+    ], ids=["trials", "question-ids"])
+    def test_files_on_different_grids_exit_2(self, capsys, tmp_path, other, message):
+        d = tmp_path / "mixed"
+        d.mkdir()
+        (d / "a.csv").write_text("question_id,t1,t2,t3,t4\nq1,1,0,1,1\nq2,0,0,1,0\n")
+        (d / "b.csv").write_text(other)
+        for argv in (["rank"], ["converge", "--replicates", "2"]):
+            code, out, err = run(capsys, *argv, "--results-dir", str(d))
+            assert (code, out) == (2, "")
+            error = json.loads(err)
+            assert error["error"] == "InputError" and message in error["message"]
 
     def test_shape_mismatch_rejected(self, capsys, tmp_path):
         d = tmp_path / "bad"
@@ -824,8 +860,8 @@ _PUBLIC = set("""
     UNIFORM PosteriorSummary PriorData ResultsMatrix TallyTable WeightVector tally
     validate_matrix
     BinaryTally g_pass_at_k_tau mg_pass_at_k naive_pass_hat_k pass_at_k pass_hat_k
-    RankTable ScoredModel kendall_tau_b min_trials_for_confidence rank_with_ci
-    rank_without_ci ranking_confidence z_score
+    RankTable ScoredModel kendall_tau_b rank_with_ci rank_without_ci ranking_confidence
+    z_score
     SCHEMATA Schema SignalTable ThresholdSet build_matrix categorize
     compute_thresholds derive_variables schema_by_name
     REFERENCE_MEANS CohortSpec CoinModel fresh_tau_curves generate_cohort gold_ranking

@@ -12,7 +12,6 @@ from bayeseval.errors import (
     InputError,
     NegativeZError,
     NonFiniteScoreError,
-    NotReachableError,
 )
 from bayeseval.methods import parse_method
 from bayeseval.model import WeightVector, validate_matrix
@@ -20,7 +19,6 @@ from bayeseval.ranking import (
     RankTable,
     ScoredModel,
     kendall_tau_b,
-    min_trials_for_confidence,
     rank_with_ci,
     rank_without_ci,
     ranking_confidence,
@@ -231,23 +229,6 @@ class TestKendallTauB:
         assert kendall_tau_a([1, 2, 3], [3, 2, 1]) == -1.0
         # ties dilute tau-a but not tau-b on the untied ranking
         assert kendall_tau_a([1, 2, 3, 4], [1, 2, 2, 3]) == 5 / 6
-
-
-class TestMinTrials:
-    def test_mapping_input(self):
-        sigma = {10: 0.5, 20: 0.3, 40: 0.2, 80: 0.1}
-        assert min_trials_for_confidence(0.4, sigma, 1.645) == 40
-
-    def test_callable_input(self):
-        assert min_trials_for_confidence(1.0, lambda n: 1 / math.sqrt(n), 2.0) == 4
-
-    def test_zero_gap_never_reaches(self):
-        with pytest.raises(NotReachableError):
-            min_trials_for_confidence(0.0, lambda n: 1 / n, 1.645, n_max=100)
-
-    def test_budget_exhausted(self):
-        with pytest.raises(NotReachableError):
-            min_trials_for_confidence(0.01, lambda n: 1.0, 1.645, n_max=50)
 
 
 class TestRankTable:

@@ -1,7 +1,9 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bayeseval.bayes import evaluate_performance
 from bayeseval.errors import (
@@ -10,12 +12,15 @@ from bayeseval.errors import (
     InputError,
     NoCorrectItemsError,
     NoWrongItemsError,
+    ParseError,
     RangeViolationError,
     UncoveredCaseError,
 )
+from bayeseval.io import load_signals_jsonl
 from bayeseval.model import UNIFORM, WeightVector
 from bayeseval.rubric import (
     SCHEMATA,
+    SIGNAL_FIELDS,
     Schema,
     SignalTable,
     ThresholdSet,
@@ -378,6 +383,82 @@ class TestFromRecords:
             table_of(sig(), sig(), sig(is_correct=1.5))
         assert err.value.line == 3
         assert str(err.value) == "is_correct=1.5 outside [0, 1] (line 3)"
+
+    @pytest.mark.parametrize("value", ["0.5", "yes", None, [1]])
+    def test_non_number_value_is_a_parse_error_at_its_row(self, value):
+        with pytest.raises(ParseError) as err:
+            table_of(sig(), sig(token_ratio=value), sig(is_correct=1.5))
+        assert type(err.value) is ParseError and err.value.line == 2
+        assert str(err.value) == f"token_ratio must be a number, got {value!r} (line 2)"
+
+    def test_range_violation_above_a_non_number_comes_first(self):
+        with pytest.raises(RangeViolationError) as err:
+            table_of(sig(), sig(prompt_bpt=-1.0), sig(has_box="yes"))
+        assert err.value.line == 2
+
+    def test_numpy_numbers_read_as_numbers(self):
+        table = table_of(sig(has_box=np.float64(0.5), repeated_pattern=np.int64(1)))
+        assert table.has_box.tolist() == [0.5] and table.repeated_pattern.tolist() == [1.0]
+
+    @pytest.mark.parametrize("trial", ["x", 1.5, 2**70, True, None])
+    def test_non_int64_trial_named(self, trial):
+        with pytest.raises(InputError) as err:
+            SignalTable.from_records({("q1", 1): sig(), ("q2", trial): sig()})
+        assert type(err.value) is InputError
+        assert str(err.value) == (
+            f"record ('q2', {trial!r}): trial must be an int64 integer, got {trial!r}"
+        )
+
+
+GOOD_VALUES = {
+    "probability": [0, 1, 1.0, 0.25, 0.5, True, False],
+    "non-negative": [0, 0.5, 2, 3.75],
+    "binary": [0, 1, 1.0, False],
+}
+BAD_VALUES = ["0.5", "yes", None, [1], {}, 1.2, -0.1, -1, 2, 0.7, float("nan"), float("inf"),
+              10**400]
+
+
+@st.composite
+def signal_records(draw):
+    """(question, trial) -> {signal column: value} records, some values bad and
+    some optional signals left out."""
+    keys = st.tuples(st.sampled_from(["q1", "q2", "7"]), st.integers(-2, 4))
+    records = {}
+    for key in draw(st.lists(keys, max_size=8, unique=True)):
+        records[key] = {}
+        for f in SIGNAL_FIELDS:
+            if f.optional and draw(st.integers(0, 3)) == 0:
+                continue
+            bad = draw(st.integers(0, 19)) == 0
+            records[key][f.column] = draw(st.sampled_from(BAD_VALUES if bad else GOOD_VALUES[f.rule]))
+    return records
+
+
+class TestFromRecordsMatchesLoader:
+    """In memory and through a JSONL file, records take one checked row path."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(signal_records())
+    def test_same_table_or_same_error_at_the_same_row(self, tmp_path, records):
+        key_of = {f.column: f.key for f in SIGNAL_FIELDS}
+        path = tmp_path / "s.jsonl"
+        path.write_text("".join(
+            json.dumps({"question_id": q, "trial": t, **{key_of[c]: v for c, v in rec.items()}})
+            + "\n" for (q, t), rec in records.items()
+        ))
+        outcomes = []
+        for build in (lambda: SignalTable.from_records(records),
+                      lambda: load_signals_jsonl(path).table):
+            try:
+                table = build()
+            except InputError as exc:
+                outcomes.append((type(exc), exc.line))
+                continue
+            columns = [getattr(table, f.column).tolist() for f in SIGNAL_FIELDS]
+            outcomes.append((table.question_ids, table.trial.tolist(), columns))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSchemaConfig:
