@@ -7,26 +7,28 @@ random stream keyed by (seed, scheme, replicate) and draws every model's
 trials from it, trial-major, so ``resample`` reproduces exactly what the
 engine scored and any split of the replicates draws the same bits.
 
-Each artifact runs its own scan of replicates 0..R-1, a chunk of
-replicates at a time. A source draws each replicate's trials for every
-model (bootstrap resamples or fresh Bernoulli draws) as (n, model,
-replicate, question) category indices in the smallest unsigned dtype.
-Int64 counts per (model, replicate, question, category), kept only when a
-method reads them (the pass family, CI sigmas), or else int64 prefix
-category totals over questions, feed ``Method.scores_from_{counts,totals}``.
-Tau curves (``tau_curves``, ``tau_curves_from_draws``) score every prefix
-upward and add integer tau-b terms, bucketed by tied-pair count.
-Convergence@n (``convergence_distributions``, ``worst_case_trajectory``)
-walks down from n_max: a replicate converges one past its last prefix
-whose ranking differs from gold, so its first mismatch going down
-finishes it, and each method scores only the replicates still matching
-gold. A CI-aware match ranks as ``rank_with_ci`` would, with sigmas from
-``Method.sigmas_from_counts``. So ``converge`` draws replicates
-0..min(R_tau, R_conv)-1 twice, once per scan; at the default 10^4 and
-10^5 replicates the downward scan, which mostly stops near n_max, more
-than pays for that. Every reduction is exact integer arithmetic per
-replicate, so no result depends on the chunk size, which a byte budget
-sets from the problem shape.
+A scan walks replicates a chunk at a time. A source draws each
+replicate's trials for every model (bootstrap resamples or fresh
+Bernoulli draws) as (n, model, replicate, question) category indices in
+the smallest unsigned dtype. Int64 counts per (model, replicate,
+question, category), kept only when a method reads them (the pass
+family, CI sigmas), or else int64 prefix category totals over questions,
+feed ``Method.scores_from_{counts,totals}``.
+A replicate converges one past its last prefix whose ranking differs
+from gold. Tau curves (``tau_curves``, ``tau_curves_from_draws``) score
+every prefix upward and add integer tau-b terms, bucketed by tied-pair
+count; a bootstrap tau scan also decides its replicates' convergence
+points from the same scores, and each curve carries them. Convergence@n
+(``convergence_distributions``, ``worst_case_trajectory``) walks down
+from n_max, where a replicate's first mismatch finishes it and each
+method scores only the replicates still matching gold. A CI-aware match
+ranks as ``rank_with_ci`` would, with sigmas from
+``Method.sigmas_from_counts``. Given the tau curves of replicates
+0..R_tau-1 (``tau=``), the downward scan draws only replicates
+R_tau..R_conv-1, so ``converge`` draws each replicate once. Every
+reduction is exact integer arithmetic per replicate, so no result
+depends on the chunk size, which a byte budget sets from the problem
+shape.
 
 Rankings inside replicates are point-estimate rankings; the gold standard
 is the posterior-mean ranking of the unresampled matrices at the full
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -140,8 +142,12 @@ def resample(
     step = _draw_block(models * m)
     for t in range(0, n_max, step):
         b = min(step, n_max - t)
-        np.take(cells, rows + rng.integers(0, n_src, size=(b, *size)), out=out[t:t + b],
-                mode="clip")
+        idx = rng.integers(0, n_src, size=(b, *size))
+        if plan.scheme is ResampleScheme.ROW:
+            idx += rows  # in place: the same bits as a new sum, faster
+        else:
+            idx = idx + rows  # one source trial per model, broadcast over its questions
+        np.take(cells, idx, out=out[t:t + b], mode="clip")
     return out
 
 
@@ -266,6 +272,40 @@ def _request(matrices, methods, plan: ResamplePlan, weights, gold):
     return items, methods, n_max, gold
 
 
+@dataclass(frozen=True, eq=False)
+class _PointInputs:
+    """Every input besides its index that fixes a bootstrap replicate's
+    convergence point for ``method``: the models and their matrices, the
+    scheme and seed keying the replicate's stream, the trial budget, gold's
+    ranks and the method with its weights resolved."""
+
+    items: tuple[tuple[str, ResultsMatrix], ...]
+    scheme: ResampleScheme
+    seed: int
+    n_max: int
+    gold: tuple[int, ...]
+    method: Method | None = None
+
+    @classmethod
+    def of(cls, items, plan: ResamplePlan, n_max: int, gold: RankTable) -> "_PointInputs":
+        return cls(tuple(items), plan.scheme, plan.seed, n_max,
+                   tuple(gold.rank_vector([mid for mid, _ in items])))
+
+    def differs_from(self, other: "_PointInputs") -> str | None:
+        """The first input ``other`` has another value of, or None."""
+        if [mid for mid, _ in self.items] != [mid for mid, _ in other.items]:
+            return "models"
+        if not all(a is b or (a.num_categories == b.num_categories
+                              and np.array_equal(a.cells, b.cells))
+                   for (_, a), (_, b) in zip(self.items, other.items)):
+            return "matrices"
+        for name, what in (("scheme", "scheme"), ("seed", "seed"), ("n_max", "trial budget"),
+                           ("gold", "gold ranking"), ("method", "method or weights")):
+            if getattr(self, name) != getattr(other, name):
+                return what
+        return None
+
+
 # -- the replicate-prefix scans ----------------------------------------------
 
 def _resample_draw(items, plan: ResamplePlan, n_max: int):
@@ -305,9 +345,9 @@ def _prefix_totals(trials: np.ndarray, cats: np.ndarray) -> np.ndarray:
 
 
 def _convergence_points(items, methods, plan: ResamplePlan, n_max: int, gold: RankTable,
-                        ci_z: float | None = None):
-    """Each method's convergence point for the plan's replicates, scanning
-    each chunk down from n_max.
+                        ci_z: float | None = None, first: int = 0):
+    """Each method's convergence point for the plan's replicates
+    first..R-1, scanning each chunk down from n_max.
 
     A replicate converges one past its last prefix n >= onset whose
     ranking differs from gold, at the onset if none does; n_max + 1 means
@@ -318,18 +358,20 @@ def _convergence_points(items, methods, plan: ResamplePlan, n_max: int, gold: Ra
     replicates it still holds, those that matched gold at every larger n;
     one that differs finishes at n + 1 and leaves. The replicates no method
     holds are dropped, and trial n's cells are taken from the rest before
-    n - 1. Returns the points, (methods, replicates).
+    n - 1. Returns the points, (methods, R - first).
     """
     num_categories, replicates = items[0][1].num_categories, plan.replicates
     methods, counted = _prepared(methods, n_max, num_categories, ci_z)
     model_ids = [mid for mid, _ in items]
     matchers = [_gold_matcher(gold, model_ids, m, ci_z, num_categories) for m in methods]
     onsets = [max(1, m.min_trials) for m in methods]
-    points = np.repeat(np.array(onsets, np.int64)[:, None], replicates, axis=1)
+    points = np.repeat(np.array(onsets, np.int64)[:, None], replicates - first, axis=1)
+    if first == replicates:
+        return points  # before the source copies the cells
     cats = np.arange(1, num_categories)
     draw = _resample_draw(items, plan, n_max)
     chunk = _chunk_size(draw(0, 0), num_categories, counted)
-    for start in range(0, replicates, chunk):
+    for start in range(first, replicates, chunk):
         trials = draw(start, min(start + chunk, replicates))
         counts, totals = None, None
         if counted:
@@ -351,7 +393,7 @@ def _convergence_points(items, methods, plan: ResamplePlan, n_max: int, gold: Ra
                           m.scores_from_totals(totals[n - 1][:, rows[mine]], trials.shape[-1], n,
                                                num_categories)).T
                 out = mine[~match(n, scores, sub)]
-                points[i, start + rows[out]] = n + 1
+                points[i, start - first + rows[out]] = n + 1
                 held[i, out] = False
             keep = held.any(axis=0)
             if not keep.any():
@@ -385,6 +427,11 @@ class TauCurve:
     method: str
     scheme: str
     points: tuple[TauPoint, ...]
+    # convergence@n of the same replicates, decided by the scan that drew
+    # them, and the inputs that fixed it: what convergence_distributions
+    # reads from tau=. Neither is reported.
+    convergence: ConvergenceDistribution | None = field(default=None, compare=False, repr=False)
+    inputs: _PointInputs | None = field(default=None, compare=False, repr=False)
 
     def at(self, n: int) -> TauPoint:
         for p in self.points:
@@ -436,7 +483,7 @@ def _tau_curve(m: Method, terms: np.ndarray, gold_ties: int, scheme: str) -> Tau
 
 def tau_curves_from_draws(
     draw, model_ids, methods, gold: RankTable, n_max: int, replicates: int, *,
-    scheme: str, num_categories: int = 2,
+    scheme: str, num_categories: int = 2, inputs: _PointInputs | None = None,
 ) -> dict[str, TauCurve]:
     """Mean tau-b curves against ``gold`` over the replicates ``draw`` yields.
 
@@ -448,6 +495,11 @@ def tau_curves_from_draws(
     replicates at a time, and adds its ``_tau_terms``: integers, exact in
     float64 while replicates x n0**2 < 2**53, so no chunk size changes a bit.
 
+    With ``inputs``, what fixed the draws, the same scores also decide each
+    replicate's convergence point: one past its last prefix n >= onset
+    whose ranking differs from gold. Each curve then carries their
+    distribution and its method's ``inputs``.
+
     Raises:
         InputError: replicates x n0**2 >= 2**53, with n0 the model pairs;
             before any draw.
@@ -458,24 +510,39 @@ def tau_curves_from_draws(
         raise InputError(f"{replicates} replicates of {len(model_ids)} models: tau-b sums "
                          f"need replicates x {n0}^2 < 2^53 to stay exact")
     methods, counted = _prepared(_as_methods(methods), n_max, num_categories)
+    matchers = [_gold_matcher(gold, model_ids, m, None, num_categories) for m in methods]
+    onsets = np.array([max(1, m.min_trials) for m in methods], np.int64)
     cats = np.arange(1, num_categories)
     tau = np.zeros((len(methods), 3, n_max + 1, n0))
+    hist = np.zeros((len(methods), n_max + 2), np.int64)  # points 0..n_max + 1
     chunk = _chunk_size(draw(0, 0), num_categories, counted)
     for start in range(0, replicates, chunk):
         trials = draw(start, min(start + chunk, replicates))
         counts = np.zeros(trials.shape[1:] + (cats.size,), np.int64) if counted else None
         totals = None if counted else _prefix_totals(trials, cats)
+        last = np.repeat(onsets[:, None] - 1, trials.shape[2], axis=1)  # last prefix off gold
         for n in range(1, n_max + 1):
             if counted:
                 counts += trials[n - 1, ..., None] == cats
             for i, m in enumerate(methods):
-                if n >= max(1, m.min_trials):
+                if n >= onsets[i]:
                     scores = (m.scores_from_counts(counts, n, num_categories) if counted else
                               m.scores_from_totals(totals[n - 1], trials.shape[-1], n,
                                                    num_categories)).T
                     tau[i, :, n] += _tau_terms(scores, iu, ju, sg, n0)
+                    if inputs is not None:
+                        last[i, ~matchers[i](n, scores, None)] = n
+        if inputs is not None:
+            for h, points in zip(hist, last + 1):
+                h += np.bincount(points, minlength=n_max + 2)
         del trials, counts, totals  # before the next chunk's draw
-    return {m.name: _tau_curve(m, terms, n2, scheme) for m, terms in zip(methods, tau)}
+    curves = {m.name: _tau_curve(m, terms, n2, scheme) for m, terms in zip(methods, tau)}
+    if inputs is None:
+        return curves
+    return {m.name: dataclasses.replace(
+                curves[m.name], convergence=_distribution(m.name, scheme, n_max, h, replicates),
+                inputs=dataclasses.replace(inputs, method=m))
+            for m, h in zip(methods, hist)}
 
 
 def tau_curves(
@@ -492,7 +559,9 @@ def tau_curves(
     against a known ground-truth ranking instead. Replicates where a
     method scores every model identically have no defined correlation
     and are excluded from that point's mean (their count shows up in
-    ``valid_replicates``).
+    ``valid_replicates``). Each curve also carries its method's
+    convergence points over the same replicates, for
+    ``convergence_distributions(..., tau=curves)``.
 
     Raises:
         InputError: too many replicates for exact tau-b sums, as in
@@ -502,6 +571,7 @@ def tau_curves(
     return tau_curves_from_draws(
         _resample_draw(items, plan, n_max), [mid for mid, _ in items], methods, gold, n_max,
         plan.replicates, scheme=plan.scheme.value, num_categories=items[0][1].num_categories,
+        inputs=_PointInputs.of(items, plan, n_max, gold),
     )
 
 
@@ -569,6 +639,39 @@ class ConvergenceDistribution:
         }
 
 
+def _distribution(method: str, scheme: str, n_max: int, hist: np.ndarray,
+                  replicates: int) -> ConvergenceDistribution:
+    """From a histogram of points 0..n_max + 1, its last bin the censored."""
+    return ConvergenceDistribution(method, scheme, n_max, hist[: n_max + 1].astype(np.int64),
+                                   int(hist[n_max + 1]), replicates)
+
+
+def _handed_over(tau, items, methods, plan: ResamplePlan, n_max: int, gold: RankTable):
+    """How many replicates ``tau``'s scan decided, and each method's
+    histogram of their points, checked against this scan's inputs."""
+    if not isinstance(tau, Mapping):
+        raise InputError(f"tau must map method names to tau curves, got {type(tau).__name__}")
+    wanted = _PointInputs.of(items, plan, n_max, gold)
+    hists, scanned = [], set()
+    for m in _prepared(methods, n_max, items[0][1].num_categories)[0]:
+        curve = tau.get(m.name)
+        if not isinstance(curve, TauCurve) or curve.inputs is None:
+            raise InputError(f"tau holds no bootstrap convergence points for {m.name}")
+        other = curve.inputs.differs_from(dataclasses.replace(wanted, method=m))
+        if other is not None:
+            raise InputError(f"the tau curve of {m.name} was scanned with another {other}")
+        conv = curve.convergence
+        hists.append(np.append(conv.counts, conv.censored_count))
+        scanned.add(conv.replicates)
+    if len(scanned) > 1:
+        raise InputError(f"tau curves scanned different replicate counts: {sorted(scanned)}")
+    (first,) = scanned
+    if first > plan.replicates:
+        raise InputError(f"tau curves scanned {first} replicates, more than the "
+                         f"{plan.replicates} asked for")
+    return first, np.array(hists)
+
+
 def convergence_distributions(
     matrices,
     methods: Sequence[Method | str] | str,
@@ -576,6 +679,7 @@ def convergence_distributions(
     weights: WeightVector | None = None,
     gold: RankTable | None = None,
     ci_z: float | None = None,
+    tau: Mapping[str, TauCurve] | None = None,
 ) -> dict[str, ConvergenceDistribution]:
     """Convergence@n PMFs for one or more methods over shared replicates.
 
@@ -585,21 +689,29 @@ def convergence_distributions(
     them: ``bayes`` and ``avg`` use their closed-form sigma, subset
     estimators sigma 0. Both run on the same downward scan and replicates.
 
+    ``tau``, the curves ``tau_curves`` returned for R_tau <= R replicates
+    of the same matrices, methods, weights, scheme, seed, trial budget and
+    gold ranking, hands over the points its scan decided for replicates
+    0..R_tau-1; the downward scan then draws only replicates R_tau..R-1.
+    The result is the same.
+
     Raises:
         NegativeZError: ``ci_z`` not > 0, before any draw.
+        InputError: ``tau`` given with ``ci_z``, lacking a method, scanned
+            with other inputs or over more than R replicates; before any draw.
     """
     if ci_z is not None and not ci_z > 0:
         raise NegativeZError(f"z threshold must be > 0, got {ci_z}")
+    if ci_z is not None and tau is not None:
+        raise InputError("tau curves hold point-ranking convergence points; ci_z needs its own scan")
     items, methods, n_max, gold = _request(matrices, methods, plan, weights, gold)
-    points = _convergence_points(items, methods, plan, n_max, gold, ci_z)
-    out = {}
-    for m, conv in zip(methods, points):
-        hist = np.bincount(conv, minlength=n_max + 2)  # its last bin counts the censored
-        out[m.name] = ConvergenceDistribution(
-            m.name, plan.scheme.value, n_max, hist[: n_max + 1].astype(np.int64),
-            int(hist[n_max + 1]), plan.replicates,
-        )
-    return out
+    first, hists = 0, np.zeros((len(methods), n_max + 2), np.int64)
+    if tau is not None:
+        first, hists = _handed_over(tau, items, methods, plan, n_max, gold)
+    points = _convergence_points(items, methods, plan, n_max, gold, ci_z, first)
+    return {m.name: _distribution(m.name, plan.scheme.value, n_max,
+                                  hist + np.bincount(conv, minlength=n_max + 2), plan.replicates)
+            for m, hist, conv in zip(methods, hists, points)}
 
 
 # -- worst-case trajectory ----------------------------------------------------

@@ -188,7 +188,8 @@ def _cmd_converge(args) -> None:
         _emit(args, result[name])
         return
     curves = bootstrap.tau_curves(items, methods, plan_tau, gold=gold)
-    convs = bootstrap.convergence_distributions(items, methods, plan_conv, gold=gold)
+    # the tau scan decided its replicates' convergence points: draw only the rest
+    convs = bootstrap.convergence_distributions(items, methods, plan_conv, gold=gold, tau=curves)
     report = {
         "scheme": scheme,
         "seed": args.seed,

@@ -4,10 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bayeseval import bootstrap, simulate
+from bayeseval._rng import stream_rng
 from bayeseval.bootstrap import (
     ConvergenceDistribution,
     ResamplePlan,
@@ -100,6 +101,25 @@ class TestResample:
             resample(np.array([[[1, 0]]]), ResamplePlan("row", 1, seed=0, n_max=5), 0)
         with pytest.raises(InputError):
             ResamplePlan("row", replicates=0)
+
+    @pytest.mark.parametrize("scheme", ["row", "column"])
+    def test_in_place_index_add_keeps_the_bits(self, scheme, monkeypatch):
+        # a budget of 7 trial blocks of 3 x 8 cells: 60 trials span 9 blocks
+        monkeypatch.setattr(bootstrap, "_CHUNK_TARGET_BYTES", 8 * 16 * 24 * 7)
+        step = bootstrap._draw_block(24)
+        assert step == 7
+        cells = np.random.default_rng(3).integers(0, 5, size=(3, 8, 60))
+        plan = ResamplePlan(scheme, 4, seed=6)
+        rows = np.arange(0, cells.size, 60).reshape(3, 8)
+        size = (3, 8 if scheme == "row" else 1)
+        for r in range(4):
+            # the formula before the in-place add: a new sum per block
+            rng, old = stream_rng(6, plan.scheme.domain, r), np.empty((60, 3, 8), cells.dtype)
+            for t in range(0, 60, step):
+                b = min(step, 60 - t)
+                np.take(cells, rows + rng.integers(0, 60, size=(b, *size)), out=old[t:t + b],
+                        mode="clip")
+            assert np.array_equal(resample(cells, plan, r), old)
 
     def test_replicates_bounded_by_stream_indices(self):
         # replicate r is stream index r, and a key has 2^40 indices
@@ -555,6 +575,19 @@ class TestScans:
         convergence_distributions(mats, ["bayes", "pass@2"], ResamplePlan("row", 9))
         assert sorted(calls) == [(r, 3) for r in range(9)]
 
+    def test_convergence_draws_only_past_the_tau_replicates(self, monkeypatch):
+        calls = []
+        real = bootstrap.resample
+        monkeypatch.setattr(bootstrap, "resample",
+                            lambda cells, plan, r, out=None: calls.append(r) or
+                            real(cells, plan, r, out))
+        mats, methods = small_cohort(n_models=3, n=6), ["bayes", "pass@2"]
+        curves = tau_curves(mats, methods, ResamplePlan("row", 5))
+        assert calls == list(range(5))
+        calls.clear()
+        convergence_distributions(mats, methods, ResamplePlan("row", 9), tau=curves)
+        assert calls == [5, 6, 7, 8]
+
     @pytest.mark.parametrize("scan", [tau_curves, convergence_distributions])
     def test_needs_a_method(self, scan, monkeypatch):
         monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
@@ -591,6 +624,146 @@ class TestScans:
         cohort = [simulate.CoinModel(f"m{i:02d}", [i / 20]) for i in range(20)]
         with pytest.raises(InputError, match="2\\^53"):
             fresh_tau_curves(cohort, ["bayes"], 1, replicates=2**40)
+
+
+def same_distribution(a: ConvergenceDistribution, b: ConvergenceDistribution) -> bool:
+    """Every field equal, the counts in dtype and bits."""
+    return (a.counts.dtype == b.counts.dtype and a.counts.tobytes() == b.counts.tobytes()
+            and all(getattr(a, f) == getattr(b, f)
+                    for f in ("method", "scheme", "n_max", "censored_count", "replicates")))
+
+
+class TestTauHandoff:
+    """Convergence points the tau scan decides for its replicates, handed
+    to ``convergence_distributions(tau=)``, change no bit of its result."""
+
+    PASS_FAMILY = ["pass@2", "pass@3", "pass^2", "naive^2", "mgpass@3", "gpass@3:1/2"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16), route=st.sampled_from(["counts", "totals"]),
+        kind=st.sampled_from(["random", "flat", "separated"]), models=st.integers(2, 4),
+        questions=st.integers(1, 3), trials=st.integers(1, 7),
+        pass_family=st.lists(st.sampled_from(PASS_FAMILY), min_size=1, max_size=3, unique=True),
+        r_tau=st.integers(1, 10), extra=st.sampled_from([0, 1, 6]),
+        chunk=st.sampled_from([1, 7, 64]), scheme=st.sampled_from(["row", "column"]),
+        gold_values=st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=4, max_size=4)),
+    )
+    # flat data against a strict gold: every replicate censored; constant
+    # rows separating the models: none censored, each at its onset
+    @example(seed=0, route="counts", kind="flat", models=3, questions=2, trials=5,
+             pass_family=["pass@3"], r_tau=4, extra=6, chunk=7, scheme="row", gold_values=None)
+    @example(seed=0, route="totals", kind="flat", models=3, questions=2, trials=5,
+             pass_family=["pass@2"], r_tau=9, extra=0, chunk=1, scheme="column", gold_values=None)
+    @example(seed=1, route="counts", kind="separated", models=4, questions=2, trials=6,
+             pass_family=["mgpass@3", "pass^2"], r_tau=7, extra=0, chunk=64, scheme="column",
+             gold_values=None)
+    @example(seed=1, route="totals", kind="separated", models=3, questions=1, trials=4,
+             pass_family=["pass@2"], r_tau=3, extra=6, chunk=7, scheme="row", gold_values=None)
+    def test_equals_the_downward_scan(self, seed, route, kind, models, questions, trials,
+                                      pass_family, r_tau, extra, chunk, scheme, gold_values):
+        rng = np.random.default_rng(seed)
+        c, weights = (2, None) if route == "counts" else (5, WeightVector((0.0, 0.0, 1.0, 2.0, 3.0)))
+        methods = ["bayes", *pass_family] if route == "counts" else ["bayes", "avg"]
+        trials = max([trials] + [parse_method(m).min_trials for m in methods])
+        if kind == "separated":
+            questions = models - 1  # model i answers its first i questions with the top category
+        mats = {}
+        for i in range(models):
+            if kind == "random":
+                cells = rng.integers(0, c, size=(questions, trials)) * (rng.random() < 0.8)
+            else:
+                cells = np.zeros((questions, trials), int)
+                cells[:i if kind == "separated" else 0] = c - 1
+            mats[f"m{i}"] = validate_matrix(cells, c)
+        if kind != "random":  # a strict gold against flat data, the data's own otherwise
+            gold_values = list(range(models)) if kind == "flat" else None
+        gold = (gold_table(mats, weights=weights) if gold_values is None else
+                rank_without_ci([ScoredModel(mid, float(v)) for mid, v in zip(mats, gold_values)]))
+        assume(len({e.rank for e in gold.entries}) > 1)  # tau-b needs an untied gold pair
+        tau_plan = ResamplePlan(scheme, r_tau, seed=seed)
+        plan = ResamplePlan(scheme, r_tau + extra, seed=seed)
+        with mock.patch.object(bootstrap, "_chunk_size", lambda *shape: chunk):
+            curves = tau_curves(mats, methods, tau_plan, weights=weights, gold=gold)
+            handed = convergence_distributions(mats, methods, plan, weights=weights, gold=gold,
+                                               tau=curves)
+            plain = convergence_distributions(mats, methods, plan, weights=weights, gold=gold)
+        assert list(handed) == list(plain)
+        for name, dist in plain.items():
+            assert same_distribution(handed[name], dist), name
+            if kind == "flat":
+                assert dist.censored_count == plan.replicates
+            if kind == "separated":
+                assert dist.counts[max(1, parse_method(name).min_trials)] == plan.replicates
+
+    @staticmethod
+    def scanned():
+        mats = small_cohort(n_models=3, n=6, seed=4)
+        return mats, tau_curves(mats, ["bayes", "pass@2"], ResamplePlan("row", 4, seed=1))
+
+    @staticmethod
+    def reversed_gold(mats):
+        ranks = gold_table(mats).ranks()
+        return rank_without_ci([ScoredModel(mid, float(r)) for mid, r in ranks.items()])
+
+    @staticmethod
+    def flipped(mats):
+        """``mats`` with one cell of the first model flipped."""
+        (first, mx), *rest = mats.items()
+        cells = mx.cells.copy()
+        cells[0, 0] = 1 - cells[0, 0]
+        return {first: validate_matrix(cells, 2), **dict(rest)}
+
+    # each case: the arguments it changes, given the scanned matrices and
+    # curves, and the error message it must raise
+    MISMATCHES = {
+        "scheme": (lambda mats, curves: {"plan": ResamplePlan("column", 4, seed=1)},
+                   "another scheme"),
+        "seed": (lambda mats, curves: {"plan": ResamplePlan("row", 4, seed=2)}, "another seed"),
+        "budget": (lambda mats, curves: {"plan": ResamplePlan("row", 4, seed=1, n_max=5)},
+                   "another trial budget"),
+        "gold": (lambda mats, curves: {"gold": TestTauHandoff.reversed_gold(mats)},
+                 "another gold ranking"),
+        "weights": (lambda mats, curves: {"weights": WeightVector((0.0, 2.0))},
+                    "another method or weights"),
+        "matrices": (lambda mats, curves: {"matrices": TestTauHandoff.flipped(mats)},
+                     "another matrices"),
+        "models": (lambda mats, curves: {"matrices": {f"x{mid}": mx for mid, mx in mats.items()}},
+                   "another models"),
+        "replicates": (lambda mats, curves: {"plan": ResamplePlan("row", 3, seed=1)},
+                       "more than the 3 asked for"),
+        "ci": (lambda mats, curves: {"ci_z": 1.645}, "ci_z needs its own scan"),
+        "method": (lambda mats, curves: {"methods": ["avg"]},
+                   "no bootstrap convergence points for avg"),
+        "fresh": (lambda mats, curves: {"tau": fresh_tau_curves(reference_cohort()[:3], ["bayes"],
+                                                                6, 4, seed=1)},
+                  "no bootstrap convergence points for bayes"),
+        "mixed": (lambda mats, curves: {
+                      "methods": ["bayes", "pass@2"],
+                      "tau": {**curves, "pass@2": tau_curves(mats, ["pass@2"],
+                                                             ResamplePlan("row", 3, seed=1))["pass@2"]}},
+                  "different replicate counts"),
+    }
+
+    def test_equal_inputs_accepted(self):
+        # copies of the matrices, and explicit identity weights: the same points
+        mats, curves = self.scanned()
+        copies = {mid: validate_matrix(mx.cells.copy(), 2) for mid, mx in mats.items()}
+        plan, methods = ResamplePlan("row", 6, seed=1), ["bayes", "pass@2"]
+        handed = convergence_distributions(copies, methods, plan, tau=curves,
+                                           weights=WeightVector((0.0, 1.0)))
+        for name, dist in convergence_distributions(mats, methods, plan).items():
+            assert same_distribution(handed[name], dist), name
+
+    @pytest.mark.parametrize("case", list(MISMATCHES))
+    def test_mismatch_rejected_before_any_draw(self, case, monkeypatch):
+        mats, curves = self.scanned()
+        change, message = self.MISMATCHES[case]
+        args = {"matrices": mats, "methods": ["bayes"], "plan": ResamplePlan("row", 4, seed=1),
+                "tau": curves, **change(mats, curves)}
+        monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
+        with pytest.raises(InputError, match=message):
+            convergence_distributions(**args)
 
 
 class TestMomentTotals:

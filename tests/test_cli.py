@@ -322,16 +322,16 @@ class TestRank:
             error = json.loads(err)
             assert error["error"] == "InputError" and message in error["message"]
 
+
+class TestConverge:
     def test_shape_mismatch_rejected(self, capsys, tmp_path):
         d = tmp_path / "bad"
         d.mkdir()
         write_csv(d / "a.csv", [[1, 0]])
         write_csv(d / "b.csv", [[1, 0, 1]])
-        code, _, err = run(capsys, "converge", "--results-dir", str(d))
-        assert code == 2
+        code, out, err = run(capsys, "converge", "--results-dir", str(d))
+        assert (code, out) == (2, "") and json.loads(err)["error"] == "InputError"
 
-
-class TestConverge:
     def test_question_order_mismatch_rejected(self, capsys, tmp_path):
         d = tmp_path / "order"
         d.mkdir()
@@ -474,7 +474,8 @@ class TestConverge:
         return calls
 
     def test_one_draw_per_replicate(self, capsys, model_dir, monkeypatch):
-        # the tau curve and the convergence PMF each draw their own replicates
+        # the tau scan draws every replicate and decides its convergence
+        # point; the convergence PMF, at equal counts, draws none
         calls = self.count_resamples(monkeypatch)
         for name in ("tau_curves", "convergence_distributions"):
             real = getattr(bootstrap, name)
@@ -486,8 +487,8 @@ class TestConverge:
             "--replicates", "7",
         )
         assert code == 0
-        # each draws all 3 models
-        assert calls == ["tau_curves", *range(7), "convergence_distributions", *range(7)]
+        # one draw per replicate, every model in it, all in the tau scan
+        assert calls == ["tau_curves", *range(7), "convergence_distributions"]
         assert json.loads(out)["replicates_tau"] == json.loads(out)["replicates_convergence"] == 7
 
     def test_inexact_tau_sums_exit_2_before_any_draw(self, capsys, tmp_path, monkeypatch):
