@@ -22,8 +22,7 @@ _LAZY = {
     **dict.fromkeys(("affine_bridge", "avg_sigma_from_bayes", "evaluate_performance",
                      "naive_weighted_average"), "bayes"),
     **dict.fromkeys(("ConvergenceDistribution", "ResamplePlan", "ResampleScheme", "TauCurve",
-                     "convergence_distributions", "resample", "tau_curves",
-                     "worst_case_trajectory"), "bootstrap"),
+                     "convergence_distributions", "resample", "tau_curves"), "bootstrap"),
     **dict.fromkeys(("Method", "parse_method", "parse_methods"), "methods"),
     **dict.fromkeys(("UNIFORM", "PosteriorSummary", "PriorData", "ResultsMatrix",
                      "TallyTable", "WeightVector", "tally", "validate_matrix"), "model"),

@@ -17,18 +17,16 @@ feed ``Method.scores_from_{counts,totals}``.
 A replicate converges one past its last prefix whose ranking differs
 from gold. Tau curves (``tau_curves``, ``tau_curves_from_draws``) score
 every prefix upward and add integer tau-b terms, bucketed by tied-pair
-count; a bootstrap tau scan also decides its replicates' convergence
-points from the same scores, and each curve carries them. Convergence@n
-(``convergence_distributions``, ``worst_case_trajectory``) walks down
-from n_max, where a replicate's first mismatch finishes it and each
-method scores only the replicates still matching gold. A CI-aware match
-ranks as ``rank_with_ci`` would, with sigmas from
-``Method.sigmas_from_counts``. Given the tau curves of replicates
-0..R_tau-1 (``tau=``), the downward scan draws only replicates
-R_tau..R_conv-1, so ``converge`` draws each replicate once. Every
-reduction is exact integer arithmetic per replicate, so no result
-depends on the chunk size, which a byte budget sets from the problem
-shape.
+count. Convergence@n (``convergence_distributions``) walks down from
+n_max, where a replicate's first mismatch finishes it and each method
+scores only the replicates still matching gold. A CI-aware match ranks
+as ``rank_with_ci`` would, with sigmas from ``Method.sigmas_from_counts``.
+``tau_curves(..., convergence_replicates=R)`` gives both ``converge``
+artifacts from one draw of each replicate: its upward scan decides the
+convergence points of replicates 0..R_tau-1 from the scores it computes,
+and the downward scan adds replicates R_tau..R-1. Every reduction is
+exact integer arithmetic per replicate, so no result depends on the
+chunk size, which a byte budget sets from the problem shape.
 
 Rankings inside replicates are point-estimate rankings; the gold standard
 is the posterior-mean ranking of the unresampled matrices at the full
@@ -59,12 +57,10 @@ __all__ = [
     "TauPoint",
     "TauCurve",
     "ConvergenceDistribution",
-    "WorstCaseTrajectory",
     "resample",
     "tau_curves",
     "tau_curves_from_draws",
     "convergence_distributions",
-    "worst_case_trajectory",
 ]
 
 
@@ -272,40 +268,6 @@ def _request(matrices, methods, plan: ResamplePlan, weights, gold):
     return items, methods, n_max, gold
 
 
-@dataclass(frozen=True, eq=False)
-class _PointInputs:
-    """Every input besides its index that fixes a bootstrap replicate's
-    convergence point for ``method``: the models and their matrices, the
-    scheme and seed keying the replicate's stream, the trial budget, gold's
-    ranks and the method with its weights resolved."""
-
-    items: tuple[tuple[str, ResultsMatrix], ...]
-    scheme: ResampleScheme
-    seed: int
-    n_max: int
-    gold: tuple[int, ...]
-    method: Method | None = None
-
-    @classmethod
-    def of(cls, items, plan: ResamplePlan, n_max: int, gold: RankTable) -> "_PointInputs":
-        return cls(tuple(items), plan.scheme, plan.seed, n_max,
-                   tuple(gold.rank_vector([mid for mid, _ in items])))
-
-    def differs_from(self, other: "_PointInputs") -> str | None:
-        """The first input ``other`` has another value of, or None."""
-        if [mid for mid, _ in self.items] != [mid for mid, _ in other.items]:
-            return "models"
-        if not all(a is b or (a.num_categories == b.num_categories
-                              and np.array_equal(a.cells, b.cells))
-                   for (_, a), (_, b) in zip(self.items, other.items)):
-            return "matrices"
-        for name, what in (("scheme", "scheme"), ("seed", "seed"), ("n_max", "trial budget"),
-                           ("gold", "gold ranking"), ("method", "method or weights")):
-            if getattr(self, name) != getattr(other, name):
-                return what
-        return None
-
-
 # -- the replicate-prefix scans ----------------------------------------------
 
 def _resample_draw(items, plan: ResamplePlan, n_max: int):
@@ -427,11 +389,9 @@ class TauCurve:
     method: str
     scheme: str
     points: tuple[TauPoint, ...]
-    # convergence@n of the same replicates, decided by the scan that drew
-    # them, and the inputs that fixed it: what convergence_distributions
-    # reads from tau=. Neither is reported.
+    # convergence@n, when ``points`` or ``convergence_replicates`` asks for
+    # it; reported beside the curve, not in it
     convergence: ConvergenceDistribution | None = field(default=None, compare=False, repr=False)
-    inputs: _PointInputs | None = field(default=None, compare=False, repr=False)
 
     def at(self, n: int) -> TauPoint:
         for p in self.points:
@@ -483,7 +443,7 @@ def _tau_curve(m: Method, terms: np.ndarray, gold_ties: int, scheme: str) -> Tau
 
 def tau_curves_from_draws(
     draw, model_ids, methods, gold: RankTable, n_max: int, replicates: int, *,
-    scheme: str, num_categories: int = 2, inputs: _PointInputs | None = None,
+    scheme: str, num_categories: int = 2, points: bool = False,
 ) -> dict[str, TauCurve]:
     """Mean tau-b curves against ``gold`` over the replicates ``draw`` yields.
 
@@ -495,10 +455,9 @@ def tau_curves_from_draws(
     replicates at a time, and adds its ``_tau_terms``: integers, exact in
     float64 while replicates x n0**2 < 2**53, so no chunk size changes a bit.
 
-    With ``inputs``, what fixed the draws, the same scores also decide each
-    replicate's convergence point: one past its last prefix n >= onset
-    whose ranking differs from gold. Each curve then carries their
-    distribution and its method's ``inputs``.
+    With ``points``, the same scores also decide each replicate's
+    convergence point: one past its last prefix n >= onset whose ranking
+    differs from gold. Each curve then carries their distribution.
 
     Raises:
         InputError: replicates x n0**2 >= 2**53, with n0 the model pairs;
@@ -530,18 +489,17 @@ def tau_curves_from_draws(
                               m.scores_from_totals(totals[n - 1], trials.shape[-1], n,
                                                    num_categories)).T
                     tau[i, :, n] += _tau_terms(scores, iu, ju, sg, n0)
-                    if inputs is not None:
+                    if points:
                         last[i, ~matchers[i](n, scores, None)] = n
-        if inputs is not None:
-            for h, points in zip(hist, last + 1):
-                h += np.bincount(points, minlength=n_max + 2)
+        if points:
+            for h, conv in zip(hist, last + 1):
+                h += np.bincount(conv, minlength=n_max + 2)
         del trials, counts, totals  # before the next chunk's draw
     curves = {m.name: _tau_curve(m, terms, n2, scheme) for m, terms in zip(methods, tau)}
-    if inputs is None:
+    if not points:
         return curves
     return {m.name: dataclasses.replace(
-                curves[m.name], convergence=_distribution(m.name, scheme, n_max, h, replicates),
-                inputs=dataclasses.replace(inputs, method=m))
+                curves[m.name], convergence=_distribution(m.name, scheme, n_max, h, replicates))
             for m, h in zip(methods, hist)}
 
 
@@ -551,6 +509,7 @@ def tau_curves(
     plan: ResamplePlan,
     weights: WeightVector | None = None,
     gold: RankTable | None = None,
+    convergence_replicates: int | None = None,
 ) -> dict[str, TauCurve]:
     """Mean tau-b curves of one or more methods over shared replicates.
 
@@ -559,20 +518,41 @@ def tau_curves(
     against a known ground-truth ranking instead. Replicates where a
     method scores every model identically have no defined correlation
     and are excluded from that point's mean (their count shows up in
-    ``valid_replicates``). Each curve also carries its method's
-    convergence points over the same replicates, for
-    ``convergence_distributions(..., tau=curves)``.
+    ``valid_replicates``).
+
+    With ``convergence_replicates`` R >= ``plan.replicates``, each curve
+    also carries ``convergence``: what ``convergence_distributions`` gives
+    for the plan at R replicates, drawing each replicate once. The tau
+    scan decides the points of its own replicates, and the downward scan
+    draws only the R - ``plan.replicates`` past them.
 
     Raises:
         InputError: too many replicates for exact tau-b sums, as in
-            ``tau_curves_from_draws``; before any draw.
+            ``tau_curves_from_draws``, or ``convergence_replicates`` below
+            ``plan.replicates`` or past the stream indices; before any draw.
     """
+    rest = None
+    if convergence_replicates is not None:
+        if convergence_replicates < plan.replicates:
+            raise InputError(f"convergence_replicates={convergence_replicates} is below the "
+                             f"{plan.replicates} tau replicates")
+        rest = dataclasses.replace(plan, replicates=convergence_replicates)
     items, methods, n_max, gold = _request(matrices, methods, plan, weights, gold)
-    return tau_curves_from_draws(
+    curves = tau_curves_from_draws(
         _resample_draw(items, plan, n_max), [mid for mid, _ in items], methods, gold, n_max,
         plan.replicates, scheme=plan.scheme.value, num_categories=items[0][1].num_categories,
-        inputs=_PointInputs.of(items, plan, n_max, gold),
+        points=rest is not None,
     )
+    if rest is None:
+        return curves
+    tail = _convergence_points(items, methods, rest, n_max, gold, first=plan.replicates)
+    out = {}
+    for m, conv in zip(methods, tail):
+        head = curves[m.name].convergence
+        hist = np.append(head.counts, head.censored_count) + np.bincount(conv, minlength=n_max + 2)
+        out[m.name] = dataclasses.replace(curves[m.name], convergence=_distribution(
+            m.name, plan.scheme.value, n_max, hist, rest.replicates))
+    return out
 
 
 # -- convergence@n ------------------------------------------------------------
@@ -646,32 +626,6 @@ def _distribution(method: str, scheme: str, n_max: int, hist: np.ndarray,
                                    int(hist[n_max + 1]), replicates)
 
 
-def _handed_over(tau, items, methods, plan: ResamplePlan, n_max: int, gold: RankTable):
-    """How many replicates ``tau``'s scan decided, and each method's
-    histogram of their points, checked against this scan's inputs."""
-    if not isinstance(tau, Mapping):
-        raise InputError(f"tau must map method names to tau curves, got {type(tau).__name__}")
-    wanted = _PointInputs.of(items, plan, n_max, gold)
-    hists, scanned = [], set()
-    for m in _prepared(methods, n_max, items[0][1].num_categories)[0]:
-        curve = tau.get(m.name)
-        if not isinstance(curve, TauCurve) or curve.inputs is None:
-            raise InputError(f"tau holds no bootstrap convergence points for {m.name}")
-        other = curve.inputs.differs_from(dataclasses.replace(wanted, method=m))
-        if other is not None:
-            raise InputError(f"the tau curve of {m.name} was scanned with another {other}")
-        conv = curve.convergence
-        hists.append(np.append(conv.counts, conv.censored_count))
-        scanned.add(conv.replicates)
-    if len(scanned) > 1:
-        raise InputError(f"tau curves scanned different replicate counts: {sorted(scanned)}")
-    (first,) = scanned
-    if first > plan.replicates:
-        raise InputError(f"tau curves scanned {first} replicates, more than the "
-                         f"{plan.replicates} asked for")
-    return first, np.array(hists)
-
-
 def convergence_distributions(
     matrices,
     methods: Sequence[Method | str] | str,
@@ -679,7 +633,6 @@ def convergence_distributions(
     weights: WeightVector | None = None,
     gold: RankTable | None = None,
     ci_z: float | None = None,
-    tau: Mapping[str, TauCurve] | None = None,
 ) -> dict[str, ConvergenceDistribution]:
     """Convergence@n PMFs for one or more methods over shared replicates.
 
@@ -689,85 +642,13 @@ def convergence_distributions(
     them: ``bayes`` and ``avg`` use their closed-form sigma, subset
     estimators sigma 0. Both run on the same downward scan and replicates.
 
-    ``tau``, the curves ``tau_curves`` returned for R_tau <= R replicates
-    of the same matrices, methods, weights, scheme, seed, trial budget and
-    gold ranking, hands over the points its scan decided for replicates
-    0..R_tau-1; the downward scan then draws only replicates R_tau..R-1.
-    The result is the same.
-
     Raises:
         NegativeZError: ``ci_z`` not > 0, before any draw.
-        InputError: ``tau`` given with ``ci_z``, lacking a method, scanned
-            with other inputs or over more than R replicates; before any draw.
     """
     if ci_z is not None and not ci_z > 0:
         raise NegativeZError(f"z threshold must be > 0, got {ci_z}")
-    if ci_z is not None and tau is not None:
-        raise InputError("tau curves hold point-ranking convergence points; ci_z needs its own scan")
     items, methods, n_max, gold = _request(matrices, methods, plan, weights, gold)
-    first, hists = 0, np.zeros((len(methods), n_max + 2), np.int64)
-    if tau is not None:
-        first, hists = _handed_over(tau, items, methods, plan, n_max, gold)
-    points = _convergence_points(items, methods, plan, n_max, gold, ci_z, first)
+    points = _convergence_points(items, methods, plan, n_max, gold, ci_z)
     return {m.name: _distribution(m.name, plan.scheme.value, n_max,
-                                  hist + np.bincount(conv, minlength=n_max + 2), plan.replicates)
-            for m, hist, conv in zip(methods, hists, points)}
-
-
-# -- worst-case trajectory ----------------------------------------------------
-
-@dataclass(frozen=True)
-class WorstCaseTrajectory:
-    """Full rank-table sequence of the slowest-converging replicate."""
-
-    method: str
-    scheme: str
-    replicate_index: int
-    n_start: int
-    convergence_n: int | None       # None means censored at n_max
-    tables: tuple[RankTable, ...]   # one per n in n_start..n_max
-
-    @property
-    def censored(self) -> bool:
-        return self.convergence_n is None
-
-    def to_report(self) -> dict:
-        return {
-            "method": self.method,
-            "scheme": self.scheme,
-            "replicate_index": self.replicate_index,
-            "convergence_n": self.convergence_n,
-            "censored": self.censored,
-            "trajectory": [
-                {"N": self.n_start + i, **t.to_report()} for i, t in enumerate(self.tables)
-            ],
-        }
-
-
-def worst_case_trajectory(
-    matrices,
-    method: Method | str,
-    plan: ResamplePlan,
-    weights: WeightVector | None = None,
-    gold: RankTable | None = None,
-) -> WorstCaseTrajectory:
-    """Rank tables per trial count for the replicate slowest to converge.
-
-    Censored replicates rank worse than any converged one; ties break
-    toward the lowest replicate index.
-    """
-    items, (m,), n_max, gold = _request(matrices, method, plan, weights, gold)
-    (conv,) = _convergence_points(items, [m], plan, n_max, gold)
-    worst_rep = int(np.argmax(conv))  # first occurrence wins
-    conv_n = None if conv[worst_rep] > n_max else int(conv[worst_rep])
-
-    lo = max(1, m.min_trials)
-    trials = _resample_draw(items, plan, n_max)(worst_rep, worst_rep + 1)[:, :, 0]
-    resampled = [ResultsMatrix(trials[:, s].T, mx.num_categories) for s, (_, mx) in enumerate(items)]
-    tables = tuple(
-        rank_without_ci([
-            ScoredModel(mid, m.score(rx.prefix(n)), 0.0) for (mid, _), rx in zip(items, resampled)
-        ])
-        for n in range(lo, n_max + 1)
-    )
-    return WorstCaseTrajectory(m.name, plan.scheme.value, worst_rep, lo, conv_n, tables)
+                                  np.bincount(conv, minlength=n_max + 2), plan.replicates)
+            for m, conv in zip(methods, points)}

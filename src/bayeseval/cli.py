@@ -174,7 +174,6 @@ def _cmd_converge(args) -> None:
         # 0 and below reach ResamplePlan, which rejects them before any draw
         reps_tau = reps_conv = args.replicates
     plan_tau = bootstrap.ResamplePlan(scheme, reps_tau, args.seed, args.nmax)
-    plan_conv = bootstrap.ResamplePlan(scheme, reps_conv, args.seed, args.nmax)
     # one trial budget and one gold ranking for both artifacts and the report
     n_max = plan_tau.budget(next(iter(items.values())).trials)
     gold = bootstrap.gold_table(items, n_max)
@@ -184,12 +183,13 @@ def _cmd_converge(args) -> None:
         if args.artifact == "tau":
             result = bootstrap.tau_curves(items, methods, plan_tau, gold=gold)
         else:
+            plan_conv = bootstrap.ResamplePlan(scheme, reps_conv, args.seed, args.nmax)
             result = bootstrap.convergence_distributions(items, methods, plan_conv, gold=gold)
         _emit(args, result[name])
         return
-    curves = bootstrap.tau_curves(items, methods, plan_tau, gold=gold)
-    # the tau scan decided its replicates' convergence points: draw only the rest
-    convs = bootstrap.convergence_distributions(items, methods, plan_conv, gold=gold, tau=curves)
+    # both artifacts from one scan: each replicate is drawn once
+    curves = bootstrap.tau_curves(items, methods, plan_tau, gold=gold,
+                                  convergence_replicates=reps_conv)
     report = {
         "scheme": scheme,
         "seed": args.seed,
@@ -200,7 +200,7 @@ def _cmd_converge(args) -> None:
         "methods": {
             m.name: {
                 "tau_curve": curves[m.name].to_report(),
-                "convergence": convs[m.name].to_report(),
+                "convergence": curves[m.name].convergence.to_report(),
             }
             for m in methods
         },

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 from unittest import mock
 
@@ -17,7 +16,6 @@ from bayeseval.bootstrap import (
     gold_table,
     resample,
     tau_curves,
-    worst_case_trajectory,
 )
 from bayeseval.errors import AllTiedError, InputError, MethodUndefinedError, NegativeZError
 from bayeseval.io import emit_report
@@ -401,70 +399,6 @@ class TestConvergenceCI:
             convergence_distributions(small_cohort(n_models=3, n=6), ["bayes"], plan, ci_z=z)
 
 
-class TestWorstCase:
-    def test_trivially_separated_constant_trajectory(self):
-        mats = separated_cohort()
-        traj = worst_case_trajectory(mats, "bayes", ResamplePlan("row", 20, seed=2))
-        assert traj.convergence_n == 1
-        assert not traj.censored
-        first = traj.tables[0].ranks()
-        assert all(t.ranks() == first for t in traj.tables)
-
-    def test_final_table_matches_gold_when_converged(self):
-        mats = small_cohort(n_models=4, n=12, seed=8)
-        plan = ResamplePlan("row", replicates=30, seed=5)
-        traj = worst_case_trajectory(mats, "bayes", plan)
-        if not traj.censored:
-            gold = gold_table(mats)
-            assert traj.tables[-1].ranks() == gold.ranks()
-
-    def test_selected_replicate_is_argmax(self):
-        mats = small_cohort(n_models=4, n=10, seed=3)
-        plan = ResamplePlan("column", replicates=25, seed=11)
-        method = parse_method("bayes")
-        traj = worst_case_trajectory(mats, method, plan)
-        gold = gold_table(mats)
-        ids = list(mats)
-        gold_ranks = gold.rank_vector(ids)
-
-        def conv_key(r):
-            resampled = replicate_matrices(mats, plan, r)
-            last_mismatch = 0
-            for n in range(1, 11):
-                table = rank_without_ci(
-                    [
-                        ScoredModel(mid, method.score(rx.prefix(n)))
-                        for mid, rx in zip(ids, resampled)
-                    ]
-                )
-                if table.rank_vector(ids) != gold_ranks:
-                    last_mismatch = n
-            if last_mismatch == 10:
-                return 11
-            return max(1, last_mismatch + 1)
-
-        keys = [conv_key(r) for r in range(plan.replicates)]
-        worst = max(keys)
-        assert keys[traj.replicate_index] == worst
-        assert traj.replicate_index == keys.index(worst)
-
-
-    @pytest.mark.parametrize("method", ["bayes", "pass@4"])
-    @pytest.mark.parametrize("cohort, plan", [
-        (small_cohort(n_models=4, n=10, seed=3), ResamplePlan("row", 25, seed=11)),
-        (separated_cohort(), ResamplePlan("column", 6, seed=1)),
-    ], ids=["censored", "converged"])
-    def test_report_agrees_with_convergence_distribution(self, cohort, plan, method):
-        report = json.loads(emit_report(worst_case_trajectory(cohort, method, plan)))
-        n_max = next(iter(cohort.values())).trials
-        onset = max(1, parse_method(method).min_trials)
-        assert [t["N"] for t in report["trajectory"]] == list(range(onset, n_max + 1))
-        dist = convergence_distributions(cohort, [method], plan)[method]
-        assert report["censored"] == (dist.censored_count > 0)
-        assert report["convergence_n"] == (
-            None if report["censored"] else int(np.flatnonzero(dist.counts).max()))
-
-
 class TestCountWidth:
     """Prefix counts past 32,767 trials must not wrap (int16 would)."""
 
@@ -582,11 +516,17 @@ class TestScans:
                             lambda cells, plan, r, out=None: calls.append(r) or
                             real(cells, plan, r, out))
         mats, methods = small_cohort(n_models=3, n=6), ["bayes", "pass@2"]
-        curves = tau_curves(mats, methods, ResamplePlan("row", 5))
-        assert calls == list(range(5))
-        calls.clear()
-        convergence_distributions(mats, methods, ResamplePlan("row", 9), tau=curves)
-        assert calls == [5, 6, 7, 8]
+        tau_curves(mats, methods, ResamplePlan("row", 5), convergence_replicates=9)
+        # the tau scan's replicates, then only the convergence replicates past them
+        assert calls == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+
+    def test_tau_only_scans_decide_no_points(self, monkeypatch):
+        monkeypatch.setattr(bootstrap, "_match_gold", lambda *a: pytest.fail("matched gold"))
+        curves = tau_curves(small_cohort(n_models=3, n=6), ["bayes", "pass@2"],
+                            ResamplePlan("row", 5))
+        fresh = fresh_tau_curves(reference_cohort()[:3], ["bayes", "pass@2"], 6, 5, seed=1)
+        for curve in (*curves.values(), *fresh.values()):
+            assert curve.convergence is None
 
     @pytest.mark.parametrize("scan", [tau_curves, convergence_distributions])
     def test_needs_a_method(self, scan, monkeypatch):
@@ -634,8 +574,9 @@ def same_distribution(a: ConvergenceDistribution, b: ConvergenceDistribution) ->
 
 
 class TestTauHandoff:
-    """Convergence points the tau scan decides for its replicates, handed
-    to ``convergence_distributions(tau=)``, change no bit of its result."""
+    """``tau_curves(..., convergence_replicates=R)``, whose tau scan decides
+    the convergence points of its own replicates and whose downward scan
+    adds the rest, gives ``convergence_distributions`` at R, to the bit."""
 
     PASS_FAMILY = ["pass@2", "pass@3", "pass^2", "naive^2", "mgpass@3", "gpass@3:1/2"]
 
@@ -684,86 +625,27 @@ class TestTauHandoff:
         tau_plan = ResamplePlan(scheme, r_tau, seed=seed)
         plan = ResamplePlan(scheme, r_tau + extra, seed=seed)
         with mock.patch.object(bootstrap, "_chunk_size", lambda *shape: chunk):
-            curves = tau_curves(mats, methods, tau_plan, weights=weights, gold=gold)
-            handed = convergence_distributions(mats, methods, plan, weights=weights, gold=gold,
-                                               tau=curves)
+            curves = tau_curves(mats, methods, tau_plan, weights=weights, gold=gold,
+                                convergence_replicates=plan.replicates)
             plain = convergence_distributions(mats, methods, plan, weights=weights, gold=gold)
-        assert list(handed) == list(plain)
+            assert curves == tau_curves(mats, methods, tau_plan, weights=weights, gold=gold)
+        assert list(curves) == list(plain)
         for name, dist in plain.items():
-            assert same_distribution(handed[name], dist), name
+            assert same_distribution(curves[name].convergence, dist), name
             if kind == "flat":
                 assert dist.censored_count == plan.replicates
             if kind == "separated":
                 assert dist.counts[max(1, parse_method(name).min_trials)] == plan.replicates
 
-    @staticmethod
-    def scanned():
-        mats = small_cohort(n_models=3, n=6, seed=4)
-        return mats, tau_curves(mats, ["bayes", "pass@2"], ResamplePlan("row", 4, seed=1))
-
-    @staticmethod
-    def reversed_gold(mats):
-        ranks = gold_table(mats).ranks()
-        return rank_without_ci([ScoredModel(mid, float(r)) for mid, r in ranks.items()])
-
-    @staticmethod
-    def flipped(mats):
-        """``mats`` with one cell of the first model flipped."""
-        (first, mx), *rest = mats.items()
-        cells = mx.cells.copy()
-        cells[0, 0] = 1 - cells[0, 0]
-        return {first: validate_matrix(cells, 2), **dict(rest)}
-
-    # each case: the arguments it changes, given the scanned matrices and
-    # curves, and the error message it must raise
-    MISMATCHES = {
-        "scheme": (lambda mats, curves: {"plan": ResamplePlan("column", 4, seed=1)},
-                   "another scheme"),
-        "seed": (lambda mats, curves: {"plan": ResamplePlan("row", 4, seed=2)}, "another seed"),
-        "budget": (lambda mats, curves: {"plan": ResamplePlan("row", 4, seed=1, n_max=5)},
-                   "another trial budget"),
-        "gold": (lambda mats, curves: {"gold": TestTauHandoff.reversed_gold(mats)},
-                 "another gold ranking"),
-        "weights": (lambda mats, curves: {"weights": WeightVector((0.0, 2.0))},
-                    "another method or weights"),
-        "matrices": (lambda mats, curves: {"matrices": TestTauHandoff.flipped(mats)},
-                     "another matrices"),
-        "models": (lambda mats, curves: {"matrices": {f"x{mid}": mx for mid, mx in mats.items()}},
-                   "another models"),
-        "replicates": (lambda mats, curves: {"plan": ResamplePlan("row", 3, seed=1)},
-                       "more than the 3 asked for"),
-        "ci": (lambda mats, curves: {"ci_z": 1.645}, "ci_z needs its own scan"),
-        "method": (lambda mats, curves: {"methods": ["avg"]},
-                   "no bootstrap convergence points for avg"),
-        "fresh": (lambda mats, curves: {"tau": fresh_tau_curves(reference_cohort()[:3], ["bayes"],
-                                                                6, 4, seed=1)},
-                  "no bootstrap convergence points for bayes"),
-        "mixed": (lambda mats, curves: {
-                      "methods": ["bayes", "pass@2"],
-                      "tau": {**curves, "pass@2": tau_curves(mats, ["pass@2"],
-                                                             ResamplePlan("row", 3, seed=1))["pass@2"]}},
-                  "different replicate counts"),
-    }
-
-    def test_equal_inputs_accepted(self):
-        # copies of the matrices, and explicit identity weights: the same points
-        mats, curves = self.scanned()
-        copies = {mid: validate_matrix(mx.cells.copy(), 2) for mid, mx in mats.items()}
-        plan, methods = ResamplePlan("row", 6, seed=1), ["bayes", "pass@2"]
-        handed = convergence_distributions(copies, methods, plan, tau=curves,
-                                           weights=WeightVector((0.0, 1.0)))
-        for name, dist in convergence_distributions(mats, methods, plan).items():
-            assert same_distribution(handed[name], dist), name
-
-    @pytest.mark.parametrize("case", list(MISMATCHES))
-    def test_mismatch_rejected_before_any_draw(self, case, monkeypatch):
-        mats, curves = self.scanned()
-        change, message = self.MISMATCHES[case]
-        args = {"matrices": mats, "methods": ["bayes"], "plan": ResamplePlan("row", 4, seed=1),
-                "tau": curves, **change(mats, curves)}
+    @pytest.mark.parametrize("replicates, message", [
+        (3, "below the 4 tau replicates"), (2**40 + 1, "stream index space"),
+    ])
+    def test_convergence_replicates_checked_before_any_draw(self, replicates, message,
+                                                            monkeypatch):
         monkeypatch.setattr(bootstrap, "stream_rng", lambda *a: pytest.fail("drew a replicate"))
         with pytest.raises(InputError, match=message):
-            convergence_distributions(**args)
+            tau_curves(small_cohort(n_models=3, n=6), ["bayes", "pass@2"],
+                       ResamplePlan("row", 4, seed=1), convergence_replicates=replicates)
 
 
 class TestMomentTotals:
@@ -843,7 +725,6 @@ class TestChunkFree:
             fresh_tau_curves(reference_cohort()[:5], ["bayes"], 10, 70, seed=4),
             tau_curves(cat5, ["bayes", "avg"], tau_plan, weights=w),
             points(cat5, ["bayes", "avg"], conv_plan, weights=w),
-            worst_case_trajectory(mats, "pass@2", ResamplePlan("column", 45, seed=1)),
         )
 
     def test_bitwise_equal_for_chunk_sizes_1_7_64(self, monkeypatch):

@@ -474,8 +474,8 @@ class TestConverge:
         return calls
 
     def test_one_draw_per_replicate(self, capsys, model_dir, monkeypatch):
-        # the tau scan draws every replicate and decides its convergence
-        # point; the convergence PMF, at equal counts, draws none
+        # one tau scan draws every replicate and decides its convergence
+        # point; at equal counts its downward scan draws none
         calls = self.count_resamples(monkeypatch)
         for name in ("tau_curves", "convergence_distributions"):
             real = getattr(bootstrap, name)
@@ -488,7 +488,7 @@ class TestConverge:
         )
         assert code == 0
         # one draw per replicate, every model in it, all in the tau scan
-        assert calls == ["tau_curves", *range(7), "convergence_distributions"]
+        assert calls == ["tau_curves", *range(7)]
         assert json.loads(out)["replicates_tau"] == json.loads(out)["replicates_convergence"] == 7
 
     def test_inexact_tau_sums_exit_2_before_any_draw(self, capsys, tmp_path, monkeypatch):
@@ -856,7 +856,7 @@ _PUBLIC = set("""
     bayes bootstrap errors methods model passk ranking rubric simulate
     affine_bridge avg_sigma_from_bayes evaluate_performance naive_weighted_average
     ConvergenceDistribution ResamplePlan ResampleScheme TauCurve
-    convergence_distributions resample tau_curves worst_case_trajectory
+    convergence_distributions resample tau_curves
     Method parse_method parse_methods
     UNIFORM PosteriorSummary PriorData ResultsMatrix TallyTable WeightVector tally
     validate_matrix
