@@ -9,14 +9,27 @@ stdout carries exactly one JSON document (or TSV when requested);
 diagnostics go to stderr. Exit codes: 0 success, 2 input error (or an
 allocation the machine cannot make), 3 method undefined at the requested
 trial count, 4 internal invariant breach.
+
+A CLI process (``python -m bayeseval.cli`` or the ``bayeseval`` script,
+both through ``run()``) runs without automatic cyclic garbage collection
+and skips the full collection at exit. That is safe because the cyclic
+garbage a command leaves is fixed: one ``main()`` call leaves only its
+argparse parser (364 objects), whatever the command or the count of its
+replicates or records (pinned in ``tests/test_cli.py``). ``main()`` and
+``import bayeseval.cli`` leave the caller's collector as it was.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
+
+if __name__ == "__main__":
+    gc.disable()  # before numpy loads: see run()
+
 import argparse
 import dataclasses
 import json
-import sys
 from pathlib import Path
 
 from . import io
@@ -67,7 +80,11 @@ def _load_dir(dirpath: str, num_categories: int | None):
 
 
 def _emit(args, result) -> None:
-    sys.stdout.buffer.write(io.emit_report(result, getattr(args, "format", "json")))
+    # an unbuffered stdout (PYTHONUNBUFFERED) is a raw file, whose write
+    # may take only part of the report: a reader gone raises on the rest
+    report = memoryview(io.emit_report(result, getattr(args, "format", "json")))
+    while report:
+        report = report[sys.stdout.buffer.write(report):]
 
 
 def _spec_int(raw: dict, key: str, default: int, path) -> int:
@@ -409,5 +426,18 @@ def _print_error(exc: Exception) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
+def run() -> None:
+    """Process entry of ``python -m bayeseval.cli`` and the ``bayeseval`` script.
+
+    Runs ``main()`` with automatic cyclic collection off, then freezes every
+    object so the collection at interpreter exit scans none of them.
+    """
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

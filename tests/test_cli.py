@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -841,14 +842,14 @@ class TestRubric:
 
 _SRC = str(Path(bayeseval.__file__).resolve().parents[1])
 _RUN_AS_MAIN = """
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv = ["bayeseval", *sys.argv[1:]]
 try:
     runpy.run_module("bayeseval.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("bayeseval."))]),
-      file=sys.stderr)
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("bayeseval.")),
+                  gc.isenabled(), gc.get_freeze_count()]), file=sys.stderr)
 """
 
 
@@ -901,11 +902,13 @@ class TestImportFootprint:
             "rubric": ["rubric", "--signals", signals_jsonl(tmp_path), "--schema", "exact-match"],
         }[command]
         proc = _python(_RUN_AS_MAIN, *argv)
-        code, modules = json.loads(proc.stderr.splitlines()[-1])
+        code, modules, gc_enabled, frozen = json.loads(proc.stderr.splitlines()[-1])
         assert code == 0
         assert json.loads(proc.stdout)
         loaded = {m.removeprefix("bayeseval.") for m in modules}
         assert "io" in loaded and not loaded & absent
+        # the process ran without cyclic collection and exits past its objects
+        assert not gc_enabled and frozen > 0
 
     def test_bare_import_loads_no_submodule_and_not_numpy(self):
         proc = _python(
@@ -928,3 +931,95 @@ class TestImportFootprint:
             bayeseval.tau_curvez
         with pytest.raises(ImportError):
             from bayeseval import tau_curvez  # noqa: F401
+
+
+# -- process entry ----------------------------------------------------------------
+
+_GC_STATE = """
+import gc, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+state = lambda: [gc.isenabled(), gc.get_freeze_count()]
+seen = [state()]
+from bayeseval.cli import main
+seen.append(state())
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.TextIOWrapper(io.BytesIO())), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    seen.append([code, *state()])
+print(json.dumps(seen))
+"""
+
+
+class TestProcessEntry:
+    """Only the process entry ``run()`` changes the collector's state."""
+
+    def test_import_and_main_keep_the_gc_state(self, tmp_path, binary_csv):
+        calls = [
+            ["eval", "--results", binary_csv],
+            ["eval", "--results", str(tmp_path / "missing.csv")],
+            ["eval", "--results", binary_csv, "--method", "pass@5"],
+            ["--help"],
+        ]
+        before, imported, *after = json.loads(
+            _python(_GC_STATE, json.dumps(calls)).stdout
+        )
+        assert before == imported == [True, 0]
+        assert after == [[0, True, 0], [2, True, 0], [3, True, 0], [0, True, 0]]
+
+    @pytest.mark.parametrize("command, small, large", [
+        ("converge-row", 4, 64),
+        ("converge-col", 4, 64),
+        ("separation", 20, 200),
+        ("rubric", 10, 40),
+    ])
+    def test_cyclic_garbage_does_not_grow_with_the_work(self, capsys, tmp_path, model_dir,
+                                                         command, small, large):
+        """A CLI process never collects before exit, so a command may leave only
+        a fixed amount of cyclic garbage, whatever its replicates or records."""
+        def argv(size):
+            if command.startswith("converge"):
+                return ["converge", "--results-dir", model_dir, "--replicates", str(size),
+                        "--methods", "bayes,pass@2",
+                        "--scheme", command.removeprefix("converge-")]
+            if command == "separation":
+                return ["simulate", "separation", "--a", "LLM1", "--b", "LLM2",
+                        "--ngrid", "2,4", "--replicates", str(size)]
+            size_dir = tmp_path / str(size)
+            size_dir.mkdir(exist_ok=True)
+            return ["rubric", "--signals", signals_jsonl(size_dir, questions=size),
+                    "--schema", "exact-match"]
+
+        def garbage(size):
+            assert main(argv(size)) == 0
+            capsys.readouterr()
+            return gc.collect()
+
+        gc.disable()
+        try:
+            garbage(small)  # first calls import modules and fill caches
+            counts = garbage(small), garbage(large)
+        finally:
+            gc.enable()
+        assert counts[1] <= counts[0]
+
+    def test_closed_stdout_exits_2_with_one_json_error(self):
+        """The report (200 kB) outgrows the pipe, so the rest of it meets a
+        closed pipe; exit flushes nothing more and prints no traceback."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bayeseval.cli", "simulate", "--preset", "reference",
+             "--trials", "300"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": _SRC},
+        )
+        assert proc.stdout.read(10) == b'{"seed":0,'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert "Exception ignored" not in err
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "BrokenPipeError"
