@@ -1,11 +1,12 @@
 """Resampling engines and convergence analytics.
 
 Two bootstrap schemes over a results matrix: column-wise redraws trial
-indices (the same indices for every question) and row-wise redraws cell
-indices independently per question. Each replicate owns one counter-based
-random stream keyed by (seed, scheme, replicate) and draws every model's
-trials from it, trial-major, so ``resample`` reproduces exactly what the
-engine scored and any split of the replicates draws the same bits.
+indices (the same indices for every question) and row-wise redraws cells
+independently per question. Each replicate owns one counter-based random
+stream keyed by (seed, scheme, replicate) and draws every model's trials
+from its 32-bit words by ``_rng``'s rule (see ``resample``), trial-major,
+so ``resample`` reproduces exactly what the engine scored and any split
+of the replicates draws the same bits. Reports depend on Philox words alone.
 
 A scan walks replicates a chunk at a time. A source draws each
 replicate's trials for every model (bootstrap resamples or fresh
@@ -44,7 +45,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._rng import CHUNK_BYTES as _CHUNK_TARGET_BYTES
-from ._rng import DOMAIN_COLUMN, DOMAIN_ROW, DRAW_SHARE, check_replicates, draw_block, stream_rng
+from ._rng import (DOMAIN_COLUMN, DOMAIN_ROW, DRAW_SHARE, categories, check_replicates, draw_block,
+                   stream_rng, thresholds, words)
 from .bayes import evaluate_performance
 from .errors import AllTiedError, InputError, NegativeZError
 from .methods import Method, parse_method
@@ -65,9 +67,8 @@ __all__ = [
 
 
 def _draw_block(cells_per_trial: int) -> int:
-    """Trials per ``resample`` draw block at 16 bytes a cell: the int64
-    draws and their flat indices."""
-    return draw_block(16 * cells_per_trial, _CHUNK_TARGET_BYTES)
+    """Trials per ``resample`` draw block at 4 bytes a cell: its 32-bit words."""
+    return draw_block(4 * cells_per_trial, _CHUNK_TARGET_BYTES)
 
 
 def _chunk_size(empty_draw: np.ndarray, num_categories: int, counts: bool) -> int:
@@ -121,29 +122,32 @@ def resample(
     trials) ``cells``: its (n_max, models, questions) category indices,
     written into ``out`` (of that shape and ``cells``' dtype) when given.
 
-    The replicate's one stream, keyed by (seed, scheme, replicate), draws
-    trial-major: per trial, a source trial for each (model, question) in
-    the row scheme, or for each model, shared by its questions, in the
-    column scheme. Trials come in blocks of ``_draw_block`` to bound
-    memory; numpy fills bounded draws in order, so blocks change no bit.
-    The engine draws through this function, so it returns exactly what
-    the engine scored.
+    The replicate's stream gives a 32-bit word w per draw (``_rng.words``).
+    A row cell takes category #{j >= 1 : w < ceil(2^32 T_j / N)}, T_j of its
+    row's N trials in category >= j (``_rng.categories``): the cell at index
+    (w N) >> 32 of the row sorted high categories first, so each category's
+    probability is off by less than 2^-32. A column draw takes source trial
+    (w N) >> 32 per model. Blocks of ``_draw_block`` trials change no bit.
+    The engine draws through this function.
     """
     models, m, n_src = cells.shape
     n_max = plan.budget(n_src)
     out = np.empty((n_max, models, m), cells.dtype) if out is None else out
     rng = stream_rng(plan.seed, plan.scheme.domain, replicate_index)
-    rows = np.arange(0, cells.size, n_src).reshape(models, m)  # flat offset of each row
-    size = (models, m if plan.scheme is ResampleScheme.ROW else 1)
-    step = _draw_block(models * m)
-    for t in range(0, n_max, step):
-        b = min(step, n_max - t)
-        idx = rng.integers(0, n_src, size=(b, *size))
-        if plan.scheme is ResampleScheme.ROW:
-            idx += rows  # in place: the same bits as a new sum, faster
-        else:
-            idx = idx + rows  # one source trial per model, broadcast over its questions
-        np.take(cells, idx, out=out[t:t + b], mode="clip")
+    block = _draw_block(models * m)
+    if plan.scheme is ResampleScheme.ROW:
+        tally = np.zeros((max(int(cells.max()), 1), models, m), np.uint64)   # T_j, j = 1..
+        for t in range(0, n_src, block):   # source trials a block at a time
+            for j, plane in enumerate(tally):
+                plane += np.add.reduce(cells[..., t:t + block] > j, axis=-1, dtype=np.uint32)
+        categories(rng, thresholds(((tally << 32) + n_src - 1) // n_src), out, block)
+        return out
+    # each (model, trial) source row of questions, gathered along the trial axis
+    rows = np.ascontiguousarray(cells.transpose(0, 2, 1)).reshape(models * n_src, m)
+    heads = np.arange(0, models * n_src, n_src)
+    for t, w in words(rng, (n_max, models), block):
+        picks = (w * np.uint64(n_src) >> 32).astype(np.intp) + heads
+        np.take(rows, picks, axis=0, out=out[t:t + len(w)], mode="clip")   # in range: unbuffered
     return out
 
 
@@ -272,9 +276,11 @@ def _request(matrices, methods, plan: ResamplePlan, weights, gold):
 
 def _resample_draw(items, plan: ResamplePlan, n_max: int):
     """Source: ``resample`` of each replicate, written into the chunk, on
-    the cells cast once to the smallest dtype that holds every category."""
+    the cells cast once to the smallest dtype that holds every category and
+    stored as (model, trial, question) rows, which ``resample`` reduces and
+    gathers along the trial axis without a copy."""
     dtype = np.min_scalar_type(items[0][1].num_categories - 1)
-    cells = np.array([mx.cells for _, mx in items], dtype=dtype)
+    cells = np.array([mx.cells.T for _, mx in items], dtype).transpose(0, 2, 1)
 
     def draw(start: int, stop: int) -> np.ndarray:
         out = np.empty((n_max, len(items), stop - start, cells.shape[1]), dtype)

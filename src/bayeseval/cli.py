@@ -17,15 +17,22 @@ garbage a command leaves is fixed: one ``main()`` call leaves only its
 argparse parser (364 objects), whatever the command or the count of its
 replicates or records (pinned in ``tests/test_cli.py``). ``main()`` and
 ``import bayeseval.cli`` leave the caller's collector as it was.
+
+``python -m bayeseval.cli`` also sets ``OPENBLAS_NUM_THREADS=1`` unless
+the caller set it, before numpy loads: numpy's bundled OpenBLAS would
+otherwise start a worker thread that spins on another core, and no BLAS
+call here is large enough to use it.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 
 if __name__ == "__main__":
     gc.disable()  # before numpy loads: see run()
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import dataclasses
@@ -229,6 +236,8 @@ def _cmd_simulate(args) -> None:
     from . import _rng, simulate
 
     _rng.check_seed(args.seed)  # echoed in the report even when no stream is keyed
+    if args.out_dir is not None and args.trials is None:
+        raise InputError("--out-dir writes sampled matrices: it needs --trials N")
     cohort = _cohort_from_args(args)
     gold = simulate.gold_ranking(cohort)
     report = {

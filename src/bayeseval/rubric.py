@@ -19,11 +19,14 @@ with ``np.unique``.
 
 Percentile thresholds use linear interpolation between closest ranks
 (the numpy default), fixed here so threshold values are stable across
-implementations and runs.
+implementations and runs. ``_percentile`` writes numpy's linear rule out
+over ``np.partition``, bit for bit, since ``np.percentile`` imports
+``numpy.ma``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -284,6 +287,23 @@ class ThresholdSet:
         }
 
 
+def _percentile(values: np.ndarray, q: int) -> float:
+    """``np.percentile(values, q, method="linear")``, bit for bit: virtual index
+    v = (n - 1)(q / 100) between its sorted neighbours, interpolated as numpy's
+    ``_lerp`` does. At v >= n - 1 numpy takes the last value on both sides with
+    weight v + 1, so it does here. The partition takes numpy's indices too, so
+    equal values of opposite sign (0.0 and -0.0) land where numpy puts them."""
+    n = values.size
+    v = (n - 1) * (q / 100)
+    i = j = -1
+    if v < n - 1:
+        i = math.floor(v)
+        j = i + 1
+    a, b = np.partition(values, sorted({0, -1, i, j}))[[i, j]].tolist()
+    g = v - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def compute_thresholds(table: SignalTable) -> ThresholdSet:
     """Percentile thresholds over a signal table (order-invariant).
 
@@ -302,15 +322,14 @@ def compute_thresholds(table: SignalTable) -> ThresholdSet:
         raise NoWrongItemsError("no wrong attempts: 60th-percentile cutoff undefined")
     if correct_bpt.size == 0:
         raise NoCorrectItemsError("no correct attempts: confidence terciles undefined")
-    pct = lambda a, q: float(np.percentile(a, q, method="linear"))
     return ThresholdSet(
-        tau_high=pct(completion, 40),
-        tau_low_wrong=pct(wrong_bpt, 60),
-        tau_prompt=pct(table.prompt_bpt, 90),
-        len_p33=pct(table.token_ratio, 33),
-        len_p66=pct(table.token_ratio, 66),
-        corr_p33=pct(correct_bpt, 33),
-        corr_p66=pct(correct_bpt, 66),
+        tau_high=_percentile(completion, 40),
+        tau_low_wrong=_percentile(wrong_bpt, 60),
+        tau_prompt=_percentile(table.prompt_bpt, 90),
+        len_p33=_percentile(table.token_ratio, 33),
+        len_p66=_percentile(table.token_ratio, 66),
+        corr_p33=_percentile(correct_bpt, 33),
+        corr_p66=_percentile(correct_bpt, 66),
     )
 
 

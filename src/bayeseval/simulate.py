@@ -6,6 +6,10 @@ rankings produced from finite trials can be checked against it. Cohorts
 draw those probabilities from Beta(i, 18-i) for i = 4..13, with the i = 7
 vector duplicated to plant an exact tie; a reference cohort with pinned
 true means ships for regression-style experiments.
+
+Trials follow ``_rng.categories``, as every replicate source does: a cell's
+32-bit Philox word w is a success iff w < ceil(p 2^32), p rounded up by
+less than 2^-32.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from ._rng import (
     DOMAIN_FRESH,
     DOMAIN_SEPARATION,
     DOMAIN_TRIALS,
+    categories,
     check_replicates,
+    coin_thresholds,
     draw_block,
     rekey,
     stream_rng,
@@ -131,11 +137,12 @@ def reference_cohort() -> list[CoinModel]:
 
 
 def sample_trials(model: CoinModel, trials: int, seed: int) -> ResultsMatrix:
-    """Bernoulli trials (C = 1) by ``_bernoulli``: the first n match any ``trials`` >= n."""
+    """Bernoulli trials (C = 1) by ``categories``: the first n match any ``trials`` >= n."""
     if trials < 1:
         raise ZeroTrialsError("need at least one trial")
     cells = np.empty((model.questions, trials), np.uint8)   # filled trial-major via its transpose
-    _bernoulli(stream_rng(seed, DOMAIN_TRIALS, 0), _thresholds(model.probs), cells.T[:, None])
+    categories(stream_rng(seed, DOMAIN_TRIALS, 0), coin_thresholds(model.probs), cells.T[:, None],
+               draw_block(4 * model.questions))
     return ResultsMatrix(cells.astype(np.int64), num_categories=2)
 
 
@@ -199,30 +206,6 @@ def _separation_chunk(grid_points: int, questions: int, group_bytes: int) -> int
     return max(1, (_CHUNK_BYTES - group_bytes) // (16 * questions * (grid_points + 1)))
 
 
-def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """uint32 limits min(ceil(p 2^32), 2^32 - 1) and the mask where ceil(p 2^32) is
-    2^32 (None if nowhere): below ceil(p 2^32), so p = 0 never and p = 1 always."""
-    ceil = np.ceil(probs * 2.0**32)
-    always = ceil == 2.0**32
-    return np.minimum(ceil, 2.0**32 - 1).astype(np.uint32), always if always.any() else None
-
-
-def _bernoulli(rng: np.random.Generator, thresholds, out: np.ndarray) -> None:
-    """``rng``'s next n trials as 0/1 in the (n, models, questions) ``out``: a cell
-    succeeds iff its 32-bit word (raw 64-bit words, low half first) is below its
-    ``_thresholds`` limit or is masked. Blocks of trials hold an even number of
-    cells unless last, so neither a larger n nor the block moves a bit."""
-    limits, always = thresholds
-    block = draw_block(4 * limits.size)
-    block += block * limits.size % 2
-    for t in range(0, len(out), block):
-        part = out[t:t + block]
-        raw = rng.bit_generator.random_raw(-(-part.size // 2)).astype("<u8", copy=False)
-        np.less(raw.view("<u4")[:part.size].reshape(part.shape), limits, out=part.view(bool))
-        if always is not None:
-            part |= always
-
-
 def separation_experiment(
     model_a: CoinModel,
     model_b: CoinModel,
@@ -236,7 +219,7 @@ def separation_experiment(
     both models; the result reports the fraction ordered correctly by the
     posterior mean (exact-tie replicates count one half) and the mean
     absolute z-score. Each grid point scores a prefix of every replicate's
-    trials (``_bernoulli``, one re-keyed generator), so no point depends on
+    trials (``categories``, one re-keyed generator), so no point depends on
     the rest of the grid. As many whole replicates as a draw block of trials
     holds are drawn as one group, each grid segment summed over it at once; a
     longer replicate is drawn and summed a block at a time, never held whole.
@@ -258,7 +241,7 @@ def separation_experiment(
     p_correct = np.zeros(g)
     abs_z = np.empty((replicates, g))
     binary = np.array([0.0, 1.0])
-    thresholds = _thresholds(np.stack([model_a.probs, model_b.probs]))
+    limits = coin_thresholds(np.stack([model_a.probs, model_b.probs]))
     rng = stream_rng(seed, DOMAIN_SEPARATION, 0)
     points = list(enumerate(zip([0, *grid], grid)))   # point i adds trials lo..n-1
     blocks = [(t, [(i, max(lo - t, 0), min(n - t, len(draws))) for i, (lo, n) in points
@@ -275,7 +258,7 @@ def separation_experiment(
                 for j, r in enumerate(reps):
                     if t == 0:
                         rekey(rng, seed, DOMAIN_SEPARATION, start + r)
-                    _bernoulli(rng, thresholds, draws[:grid[-1] - t, j])
+                    categories(rng, limits, draws[:grid[-1] - t, j], step)
                 for i, a, b in segments:   # a narrow sum, at most b - a per cell
                     counts[i, reps.start:reps.stop, ..., 0] += np.add.reduce(
                         draws[a:b, :len(reps)], axis=0, dtype=np.min_scalar_type(b - a))
@@ -312,7 +295,7 @@ def fresh_tau_curves(
     per model from its true success probabilities, and rankings are
     compared against the cohort's known true-mean ranking. This is the
     idealized baseline the bootstrap curves approximate; it runs on the
-    same replicate-prefix engine. Trials come from ``_bernoulli`` on one
+    same replicate-prefix engine. Trials come from ``categories`` on one
     re-keyed generator, so the curve at n does not depend on ``n_max``.
     """
     from .bootstrap import tau_curves_from_draws
@@ -321,14 +304,15 @@ def fresh_tau_curves(
         raise InputError("models must share the question count")
     if n_max < 1:
         raise ZeroTrialsError("need at least one trial")
-    thresholds = _thresholds(np.stack([m.probs for m in cohort]))
+    limits = coin_thresholds(np.stack([m.probs for m in cohort]))
     rng = stream_rng(seed, DOMAIN_FRESH, 0)
+    block = draw_block(4 * limits[0].size)
 
     def draw(start: int, stop: int) -> np.ndarray:
         out = np.empty((n_max, len(cohort), stop - start, cohort[0].questions), np.uint8)
         for r in range(start, stop):
             rekey(rng, seed, DOMAIN_FRESH, r)
-            _bernoulli(rng, thresholds, out[:, :, r - start])
+            categories(rng, limits, out[:, :, r - start], block)
         return out
 
     return tau_curves_from_draws(

@@ -100,24 +100,33 @@ class TestResample:
         with pytest.raises(InputError):
             ResamplePlan("row", replicates=0)
 
-    @pytest.mark.parametrize("scheme", ["row", "column"])
-    def test_in_place_index_add_keeps_the_bits(self, scheme, monkeypatch):
-        # a budget of 7 trial blocks of 3 x 8 cells: 60 trials span 9 blocks
-        monkeypatch.setattr(bootstrap, "_CHUNK_TARGET_BYTES", 8 * 16 * 24 * 7)
-        step = bootstrap._draw_block(24)
-        assert step == 7
-        cells = np.random.default_rng(3).integers(0, 5, size=(3, 8, 60))
-        plan = ResamplePlan(scheme, 4, seed=6)
-        rows = np.arange(0, cells.size, 60).reshape(3, 8)
-        size = (3, 8 if scheme == "row" else 1)
+    @pytest.mark.parametrize("scheme, categories", [("row", 2), ("row", 5), ("column", 5)])
+    def test_equals_an_independent_redraw_from_raw_words(self, scheme, categories, monkeypatch):
+        # a budget of 7 trial blocks of 3 x 9 cells at 4 bytes a cell; 7 trials
+        # of 27 cells (or of 3 models) are odd, so blocks take 8: 60 trials span 8
+        monkeypatch.setattr(bootstrap, "_CHUNK_TARGET_BYTES", 8 * 4 * 27 * 7)
+        assert bootstrap._draw_block(27) == 7
+        cells = np.random.default_rng(3).integers(0, categories, size=(3, 9, 60))
+        cells[0, 0], cells[1, 1], cells[2, 2] = categories - 1, 0, 1   # constant rows
+        cells[2, 3, :59] = categories - 1   # one trial below the top category
+        plan, n = ResamplePlan(scheme, 4, seed=6), 60
         for r in range(4):
-            # the formula before the in-place add: a new sum per block
-            rng, old = stream_rng(6, plan.scheme.domain, r), np.empty((60, 3, 8), cells.dtype)
-            for t in range(0, 60, step):
-                b = min(step, 60 - t)
-                np.take(cells, rows + rng.integers(0, 60, size=(b, *size)), out=old[t:t + b],
-                        mode="clip")
-            assert np.array_equal(resample(cells, plan, r), old)
+            # the stream's raw 64-bit words, low half first, one 32-bit word per
+            # cell (row) or per model (column), trial by trial, in Python ints
+            per_trial = 27 if scheme == "row" else 3
+            raw = stream_rng(6, plan.scheme.domain, r).bit_generator.random_raw(per_trial * n // 2)
+            words = [half for w in raw.tolist() for half in (w & 0xFFFFFFFF, w >> 32)]
+            want = np.empty((n, 3, 9), cells.dtype)
+            for t in range(n):
+                for k in range(3):
+                    for q in range(9):
+                        row = cells[k, q].tolist()
+                        if scheme == "row":   # index (w N) >> 32 of the row sorted high first
+                            want[t, k, q] = sorted(row, reverse=True)[
+                                words[(t * 3 + k) * 9 + q] * n >> 32]
+                        else:   # source trial (w N) >> 32, shared by the model's questions
+                            want[t, k, q] = row[words[t * 3 + k] * n >> 32]
+            assert np.array_equal(resample(cells, plan, r), want)
 
     def test_replicates_bounded_by_stream_indices(self):
         # replicate r is stream index r, and a key has 2^40 indices
@@ -559,8 +568,23 @@ class TestScans:
         with pytest.raises(Drew):
             tau_curves(self.one_cell_models(11), ["bayes"], plan)
 
+    def test_no_engine_path_reaches_generator_integers(self, monkeypatch):
+        # every source draws from raw Philox words, never numpy's bounded integers
+        class NoIntegers(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                pytest.fail("drew through Generator.integers")
+
+        monkeypatch.setattr(np.random, "Generator", NoIntegers)
+        assert isinstance(stream_rng(0, 0), NoIntegers)
+        mats, methods = small_cohort(n_models=3, n=6), ["bayes", "pass@2"]
+        for scheme in ("row", "column"):
+            curves = tau_curves(mats, methods, ResamplePlan(scheme, 4), convergence_replicates=7)
+            assert all(c.convergence.replicates == 7 for c in curves.values())
+        convergence_distributions(mats, ["bayes"], ResamplePlan("row", 5), ci_z=1.645)
+        fresh_tau_curves(reference_cohort()[:3], methods, 6, replicates=4, seed=1)
+
     def test_fresh_tau_sums_past_2_53_rejected_before_any_draw(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_bernoulli", lambda *a: pytest.fail("drew a replicate"))
+        monkeypatch.setattr(simulate, "categories", lambda *a: pytest.fail("drew a replicate"))
         cohort = [simulate.CoinModel(f"m{i:02d}", [i / 20]) for i in range(20)]
         with pytest.raises(InputError, match="2\\^53"):
             fresh_tau_curves(cohort, ["bayes"], 1, replicates=2**40)

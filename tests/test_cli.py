@@ -565,6 +565,15 @@ class TestSimulate:
         assert code == 0
         assert len(list(out_dir.glob("*.csv"))) == 11
 
+    def test_out_dir_without_trials_exits_2(self, capsys, tmp_path):
+        # nothing would be sampled, so the directory would silently stay unwritten
+        out_dir = tmp_path / "mats"
+        code, out, err = run(capsys, "simulate", "--preset", "reference", "--out-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "InputError" and "--trials" in error["message"]
+        assert not out_dir.exists()
+
     def test_non_integer_ngrid_exits_2(self, capsys):
         code, out, err = run(
             capsys, "simulate", "separation", "--a", "LLM1", "--b", "LLM2", "--ngrid", "40,x",
@@ -842,15 +851,25 @@ class TestRubric:
 
 _SRC = str(Path(bayeseval.__file__).resolve().parents[1])
 _RUN_AS_MAIN = """
-import gc, json, runpy, sys
+import gc, json, os, runpy, sys
 sys.argv = ["bayeseval", *sys.argv[1:]]
 try:
     runpy.run_module("bayeseval.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
+status = "/proc/self/status"   # Linux: the process's thread count
+threads = ([int(line.split()[1]) for line in open(status) if line.startswith("Threads:")]
+           if os.path.exists(status) else [None])[0]
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("bayeseval.")),
-                  gc.isenabled(), gc.get_freeze_count()]), file=sys.stderr)
+                  gc.isenabled(), gc.get_freeze_count(), "numpy.ma" in sys.modules, threads,
+                  os.environ.get("OPENBLAS_NUM_THREADS")]), file=sys.stderr)
 """
+
+
+def _numpy_openblas() -> bool:
+    """Whether numpy was built against (its bundled) OpenBLAS."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
 
 
 _PUBLIC = set("""
@@ -871,10 +890,13 @@ _PUBLIC = set("""
 """.split())
 
 
-def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+def _python(code: str, *argv: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter, with ``env`` in place of any
+    OPENBLAS_NUM_THREADS of this one."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": _SRC},
+        env={**base, "PYTHONPATH": _SRC, **env},
     )
 
 
@@ -902,13 +924,25 @@ class TestImportFootprint:
             "rubric": ["rubric", "--signals", signals_jsonl(tmp_path), "--schema", "exact-match"],
         }[command]
         proc = _python(_RUN_AS_MAIN, *argv)
-        code, modules, gc_enabled, frozen = json.loads(proc.stderr.splitlines()[-1])
+        code, modules, gc_enabled, frozen, masked, threads, blas = json.loads(
+            proc.stderr.splitlines()[-1])
         assert code == 0
         assert json.loads(proc.stdout)
         loaded = {m.removeprefix("bayeseval.") for m in modules}
         assert "io" in loaded and not loaded & absent
         # the process ran without cyclic collection and exits past its objects
         assert not gc_enabled and frozen > 0
+        # rubric percentiles skip np.percentile, which imports numpy.ma
+        assert not (command == "rubric" and masked)
+        # numpy's OpenBLAS started no worker thread
+        assert blas == "1"
+        if threads is not None and _numpy_openblas():
+            assert threads == 1
+
+    def test_callers_openblas_threads_kept(self, binary_csv):
+        proc = _python(_RUN_AS_MAIN, "eval", "--results", binary_csv, OPENBLAS_NUM_THREADS="2")
+        code, *_, blas = json.loads(proc.stderr.splitlines()[-1])
+        assert (code, blas) == (0, "2")
 
     def test_bare_import_loads_no_submodule_and_not_numpy(self):
         proc = _python(

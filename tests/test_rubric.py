@@ -18,6 +18,7 @@ from bayeseval.errors import (
 )
 from bayeseval.io import load_signals_jsonl
 from bayeseval.model import UNIFORM, WeightVector
+from bayeseval import rubric
 from bayeseval.rubric import (
     SCHEMATA,
     SIGNAL_FIELDS,
@@ -103,6 +104,16 @@ class TestThresholds:
             compute_thresholds(table_of(*[sig(is_correct=0.0)] * 3))
         with pytest.raises(EmptyInputError):
             compute_thresholds(table_of())
+
+    @pytest.mark.parametrize("q", [33, 40, 60, 66, 90])
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1 / 3, 2.6, 1e-300, 7e12])
+                    | st.floats(-1e6, 1e6), min_size=1, max_size=60))
+    def test_percentile_equals_numpy_linear_bit_for_bit(self, q, values):
+        # a few repeated values make ties; signed zeros show which side lerps
+        a = np.array(values)
+        want = np.percentile(a, q, method="linear")
+        assert np.float64(rubric._percentile(a.copy(), q)).tobytes() == want.tobytes()
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)

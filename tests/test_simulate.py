@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bayeseval import simulate
-from bayeseval._rng import DOMAIN_FRESH, DOMAIN_SEPARATION, DOMAIN_TRIALS, stream_rng
+from bayeseval._rng import (
+    DOMAIN_FRESH,
+    DOMAIN_SEPARATION,
+    DOMAIN_TRIALS,
+    categories,
+    coin_thresholds,
+    stream_rng,
+)
 from bayeseval.errors import (
     AllTiedError,
     InputError,
@@ -287,7 +294,7 @@ class TestSeparationExperiment:
             separation_experiment(cohort[0], cohort[1], [0, 5], replicates=10, seed=0)
 
     def test_replicates_bounded_by_stream_indices(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_bernoulli", lambda *a: pytest.fail("drew a replicate"))
+        monkeypatch.setattr(simulate, "categories", lambda *a: pytest.fail("drew a replicate"))
         cohort = reference_cohort()
         with pytest.raises(InputError, match="2\\^40"):
             separation_experiment(cohort[0], cohort[1], [5], replicates=2**40 + 1)
@@ -392,7 +399,7 @@ class TestFreshTauCurves:
             fresh_tau_curves(reference_cohort()[:3], ["bayes"], 4, replicates=0)
 
     def test_replicates_bounded_by_stream_indices(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_bernoulli", lambda *a: pytest.fail("drew a replicate"))
+        monkeypatch.setattr(simulate, "categories", lambda *a: pytest.fail("drew a replicate"))
         with pytest.raises(InputError, match="2\\^40"):
             fresh_tau_curves(reference_cohort()[:3], ["bayes"], 4, replicates=2**40 + 1)
 
@@ -420,7 +427,7 @@ class TestDrawBlocks:
         )
         monkeypatch.setattr(simulate, "draw_block", lambda unit_bytes: block)
         out = np.empty((23, *probs.shape), np.uint8)
-        simulate._bernoulli(stream_rng(4, DOMAIN_FRESH, 2), simulate._thresholds(probs), out)
+        categories(stream_rng(4, DOMAIN_FRESH, 2), coin_thresholds(probs), out, block)
         assert np.array_equal(out, whole)
         assert expected == (
             separation_experiment(cohort[9], cohort[8], [1, 10, 23], replicates=40, seed=4),
@@ -437,7 +444,7 @@ class TestDrawBlocks:
         expected = fresh_tau_curves(cohort, ["bayes", "avg"], 11, replicates=9, seed=6)
         monkeypatch.setattr(simulate, "draw_block", lambda unit_bytes: block)
         out = np.empty((11, *probs.shape), np.uint8)
-        simulate._bernoulli(stream_rng(6, DOMAIN_FRESH, 1), simulate._thresholds(probs), out)
+        categories(stream_rng(6, DOMAIN_FRESH, 1), coin_thresholds(probs), out, block)
         assert np.array_equal(out, whole)
         assert fresh_tau_curves(cohort, ["bayes", "avg"], 11, replicates=9, seed=6) == expected
 
@@ -449,19 +456,19 @@ class TestThresholds:
 
     def test_edge_probabilities(self):
         edges = np.array([0.0, 1.0, 2.0**-40, 0.5, 1 - 2.0**-40, 1 - 2.0**-32])
-        limits, always = simulate._thresholds(edges)
+        limits, always = coin_thresholds(edges)
         assert limits.dtype == np.uint32
-        assert limits.tolist() == [0, 2**32 - 1, 1, 2**31, 2**32 - 1, 2**32 - 1]
-        assert always.tolist() == [False, True, False, False, True, False]
+        assert limits.tolist() == [[0, 2**32 - 1, 1, 2**31, 2**32 - 1, 2**32 - 1]]
+        assert always.tolist() == [[False, True, False, False, True, False]]
 
     def test_no_mask_without_a_certain_cell(self):
-        limits, always = simulate._thresholds(np.array([0.0, 0.5, 1 - 2.0**-32]))
-        assert limits.tolist() == [0, 2**31, 2**32 - 1] and always is None
+        limits, always = coin_thresholds(np.array([0.0, 0.5, 1 - 2.0**-32]))
+        assert limits.tolist() == [[0, 2**31, 2**32 - 1]] and always is None
 
     def test_zero_never_and_one_always_succeeds(self):
         probs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1 - 2.0**-40]])
         out = np.empty((5_000, *probs.shape), bool)
-        simulate._bernoulli(stream_rng(3, DOMAIN_FRESH, 0), simulate._thresholds(probs), out)
+        categories(stream_rng(3, DOMAIN_FRESH, 0), coin_thresholds(probs), out, 10**9)
         assert np.array_equal(out, np.broadcast_to(probs > 0.5, out.shape))
 
     @pytest.mark.parametrize("dtype", [bool, np.uint8])
@@ -472,5 +479,5 @@ class TestThresholds:
                           [0.7, 0.0, 1.0, 0.5, 2.0**-40],
                           [1 - 2.0**-40, 0.999999, 0.0, 1.0, 0.1]])
         out = np.empty((41, *probs.shape), dtype)
-        simulate._bernoulli(stream_rng(8, DOMAIN_FRESH, 2), simulate._thresholds(probs), out)
+        categories(stream_rng(8, DOMAIN_FRESH, 2), coin_thresholds(probs), out, 10**9)
         assert np.array_equal(out, redraw(8, DOMAIN_FRESH, 2, 41, probs))
